@@ -1,16 +1,24 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 on invalid input (non-coprime pair, non-lean
-set, bad flags), 3 on an internal invariant violation.
+set, bad flags), 3 on an internal invariant violation, 130 on Ctrl-C and
+141 when the reader of stdout goes away.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .counting import count_fixed_points, count_lean_sets, count_lean_sets_total, orbit_count_table
+from .counting import (
+    _require_generator_count,
+    count_fixed_points,
+    count_lean_sets,
+    count_lean_sets_total,
+    orbit_count_table,
+)
 from .leansets import LeanSet, enumerate_lean_sets
 from .render import RenderSpec, render
 from .semigroup import SemigroupPair, gaps, is_member
@@ -46,8 +54,7 @@ def _lean(args) -> tuple[SemigroupPair, LeanSet]:
 
 
 def _gens_to_r(pair: SemigroupPair, gens: int) -> int:
-    if not 1 <= gens <= pair.alpha:
-        raise ValueError(f"generator count must lie in [1, {pair.alpha}], got {gens}")
+    _require_generator_count(pair, gens)
     return gens - 1
 
 
@@ -68,7 +75,8 @@ def cmd_enumerate(args) -> int:
     gap_count = None if args.gens is None else _gens_to_r(pair, args.gens)
     for lean in enumerate_lean_sets(pair, gap_count):
         if args.json:
-            print(json.dumps(Semimodule(pair, lean.members).to_json(), separators=(",", ":")))
+            module = Semimodule._trusted(pair, lean.members)
+            print(json.dumps(module.to_json(), separators=(",", ":")))
         else:
             print(",".join(str(m) for m in lean.members))
     return 0
@@ -273,13 +281,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`).  Send what is still buffered
+        # to devnull, so that the flush at exit does not fail again, and stop
+        # quietly with the code of a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

@@ -67,6 +67,11 @@ def _exact_div(numerator: int, divisor: int, context: str) -> int:
     return quotient
 
 
+def _require_generator_count(semigroup: SemigroupPair, n: int) -> None:
+    if not 1 <= n <= semigroup.alpha:
+        raise ValueError(f"generator count must lie in [1, {semigroup.alpha}], got {n}")
+
+
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
@@ -133,8 +138,7 @@ def count_ell_periodic(semigroup: SemigroupPair, n: int, ell: int) -> int:
     overcount in that case).
     """
     alpha, beta = semigroup.alpha, semigroup.beta
-    if not 1 <= n <= alpha:
-        raise ValueError(f"generator count must lie in [1, {alpha}], got {n}")
+    _require_generator_count(semigroup, n)
     if ell < 1 or n % ell:
         raise ValueError(f"ell must be a positive divisor of n={n}, got {ell}")
     quotient = n // ell
@@ -152,8 +156,7 @@ def count_fixed_points(semigroup: SemigroupPair, n: int) -> int:
     Zero unless n divides alpha*beta; for n = alpha every module qualifies.
     """
     alpha, beta = semigroup.alpha, semigroup.beta
-    if not 1 <= n <= alpha:
-        raise ValueError(f"generator count must lie in [1, {alpha}], got {n}")
+    _require_generator_count(semigroup, n)
     if semigroup.product % n:
         return 0
     ga = math.gcd(n, alpha)
@@ -170,6 +173,7 @@ def orbit_count_table(semigroup: SemigroupPair, n: int) -> CountTable:
     lattice, and the orbit count by dividing out ell.  The exact counts must
     sum to the number of all n-generator semimodules.
     """
+    _require_generator_count(semigroup, n)
     divisors = _divisors(n)
     periodic = {ell: count_ell_periodic(semigroup, n, ell) for ell in divisors}
     rows = []

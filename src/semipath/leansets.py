@@ -10,10 +10,9 @@ monotone chains of gap points directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .semigroup import GapPoint, SemigroupPair, gap_point, gaps, is_member, presentation
+from .semigroup import GapPoint, SemigroupPair, gaps, presentation
 
 __all__ = ["LeanSet", "is_lean", "enumerate_lean_sets"]
 
@@ -33,16 +32,36 @@ class LeanSet:
     @classmethod
     def from_members(cls, semigroup: SemigroupPair, xs: Iterable[int]) -> "LeanSet":
         values = sorted(set(xs))
-        if not is_lean(semigroup, values):
+        chain = _lean_chain(semigroup, values)
+        if chain is None:
             raise ValueError(
                 f"{set(values)} is not a lean set of <{semigroup.alpha},{semigroup.beta}>"
             )
-        points = sorted((gap_point(semigroup, x) for x in values if x), key=lambda g: g.a)
-        return cls(semigroup, tuple(values), tuple(points))
+        return cls._from_chain(semigroup, chain)
+
+    @classmethod
+    def _from_chain(cls, semigroup: SemigroupPair, chain: tuple[GapPoint, ...]) -> "LeanSet":
+        """Build without validation from a chain of gap points, ascending in a."""
+        return cls(semigroup, (0,) + tuple(sorted(p.value for p in chain)), chain)
 
 
-def _pairwise_lean(semigroup: SemigroupPair, values: list[int]) -> bool:
-    return all(not is_member(semigroup, y - x) for x, y in combinations(values, 2))
+def _lean_chain(semigroup: SemigroupPair, values: Sequence[int]) -> tuple[GapPoint, ...] | None:
+    """The gap points of the ascending values after their leading 0, sorted
+    by a, when a strictly increases and b strictly decreases along them, that
+    is, when the values form a lean set; else None.  One presentation each.
+    """
+    if not values or values[0] != 0:
+        raise ValueError("a lean set must consist of non-negative integers and contain 0")
+    points = []
+    for x in values[1:]:
+        q = presentation(semigroup, x)
+        if q.p != 1 or q.a == 0 or q.b == 0:
+            return None
+        points.append(GapPoint(x, q.a, q.b))
+    points.sort(key=lambda g: g.a)
+    if all(p.a < q.a and p.b > q.b for p, q in zip(points, points[1:])):
+        return tuple(points)
+    return None
 
 
 def is_lean(semigroup: SemigroupPair, xs: Iterable[int]) -> bool:
@@ -50,26 +69,10 @@ def is_lean(semigroup: SemigroupPair, xs: Iterable[int]) -> bool:
 
     xs must contain 0 (normalize first); every other element then has to be a
     gap, and the gap points have to form a chain with a increasing and b
-    decreasing.  The direct pairwise definition runs as a cross-check.
+    decreasing.  verify.check_lean_enumeration compares this criterion with
+    the pairwise definition.
     """
-    values = sorted(set(xs))
-    if not values or values[0] != 0:
-        raise ValueError("a lean set must consist of non-negative integers and contain 0")
-    points = []
-    lean = True
-    for x in values[1:]:
-        q = presentation(semigroup, x)
-        if q.p != 1 or q.a == 0 or q.b == 0:
-            lean = False
-            break
-        points.append((q.a, q.b))
-    if lean:
-        points.sort()
-        lean = all(
-            a1 < a2 and b1 > b2 for (a1, b1), (a2, b2) in zip(points, points[1:])
-        )
-    assert lean == _pairwise_lean(semigroup, values), "monotone criterion disagrees with definition"
-    return lean
+    return _lean_chain(semigroup, sorted(set(xs))) is not None
 
 
 def _gap_chains(
@@ -123,5 +126,4 @@ def enumerate_lean_sets(
             f"gap count must lie in [0, {semigroup.alpha - 1}], got {gap_count}"
         )
     for chain in _gap_chains(semigroup, gap_count):
-        members = (0,) + tuple(sorted(p.value for p in chain))
-        yield LeanSet(semigroup, members, chain)
+        yield LeanSet._from_chain(semigroup, chain)

@@ -99,8 +99,7 @@ def lean_set_from_path(semigroup: SemigroupPair, matrix: PathMatrix) -> LeanSet:
         GapPoint(semigroup.product - a * semigroup.alpha - b * semigroup.beta, a, b)
         for a, b in es_turns(semigroup, matrix)
     )
-    members = (0,) + tuple(sorted(p.value for p in points))
-    return LeanSet(semigroup, members, points)
+    return LeanSet._from_chain(semigroup, points)
 
 
 def es_turns(semigroup: SemigroupPair, matrix: PathMatrix) -> tuple[tuple[int, int], ...]:
@@ -173,15 +172,10 @@ def _admissible_index(alpha: int, beta: int, down: tuple[int, ...], right: tuple
 
 
 def admissible_rotation(semigroup: SemigroupPair, matrix: PathMatrix) -> tuple[int, PathMatrix]:
-    """The unique cyclic rotation staying below the diagonal, as (index, matrix)."""
+    """The unique cyclic rotation staying below the diagonal, as (index, matrix).
+
+    verify.check_cycle_lemma confirms the index against a scan of every rotation.
+    """
     _require_row_sums(semigroup, matrix)
     k = _admissible_index(semigroup.alpha, semigroup.beta, matrix.down, matrix.right)
-    rotated = _rotated(matrix, k)
-    if __debug__:
-        hits = [
-            i
-            for i, candidate in enumerate(cyclic_rotations(matrix))
-            if stays_below_diagonal(semigroup, candidate)
-        ]
-        assert hits == [k], f"rotation scan found {hits}, support line found {k}"
-    return k, rotated
+    return k, _rotated(matrix, k)

@@ -6,6 +6,13 @@ when one is an integer shift of the other, so subtracting the least
 generator gives a canonical representative containing 0; its generator set
 is lean, and that correspondence is a bijection between isomorphism classes
 and lean sets.
+
+Trust boundary: the public constructors, Semimodule(...) and
+Semimodule.from_json, validate their input in full.  Every semimodule the
+library derives from an already-valid one (shifts, syzygies, orbit cycles,
+enumerated lean sets) is built by the private Semimodule._trusted, which
+skips that validation; the syzygy step instead re-checks, in O(n), the
+invariant it relies on.
 """
 
 from __future__ import annotations
@@ -25,6 +32,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int proper; bool, float and str are refused, not coerced."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Semimodule:
     """A semimodule held by its minimal generators, ascending.
@@ -41,7 +53,7 @@ class Semimodule:
         gens = self.gens
         if not gens:
             raise ValueError("a semimodule needs at least one generator")
-        if any(not isinstance(g, int) or g < 0 for g in gens):
+        if not all(_is_int(g) and g >= 0 for g in gens):
             raise ValueError(f"generators must be non-negative integers, got {gens}")
         if list(gens) != sorted(set(gens)):
             raise ValueError(f"generators must be strictly ascending, got {gens}")
@@ -51,6 +63,14 @@ class Semimodule:
                     f"{y} - {x} lies in the semigroup, so {gens} is not minimal"
                 )
 
+    @classmethod
+    def _trusted(cls, semigroup: SemigroupPair, gens: tuple[int, ...]) -> "Semimodule":
+        """Build without validation, for minimal generators the library derived."""
+        module = object.__new__(cls)
+        object.__setattr__(module, "semigroup", semigroup)
+        object.__setattr__(module, "gens", gens)
+        return module
+
     @property
     def is_normalized(self) -> bool:
         return self.gens[0] == 0
@@ -59,11 +79,7 @@ class Semimodule:
         if self.is_normalized:
             return self
         shift = self.gens[0]
-        return Semimodule(self.semigroup, tuple(g - shift for g in self.gens))
-
-    @classmethod
-    def generated_by(cls, semigroup: SemigroupPair, xs: Iterable[int]) -> "Semimodule":
-        return cls(semigroup, minimal_generators(semigroup, xs))
+        return Semimodule._trusted(self.semigroup, tuple(g - shift for g in self.gens))
 
     def to_json(self) -> dict:
         return {
@@ -76,9 +92,11 @@ class Semimodule:
     def from_json(cls, data: dict) -> "Semimodule":
         try:
             pair = SemigroupPair(data["alpha"], data["beta"])
-            gens = [int(g) for g in data["generators"]]
+            gens = list(data["generators"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed semimodule object: {data!r}") from exc
+        if not all(_is_int(g) for g in gens):
+            raise ValueError(f"generators must be integers, got {gens!r}")
         return cls(pair, tuple(sorted(set(gens))))
 
 
@@ -115,11 +133,11 @@ def minimal_generators(semigroup: SemigroupPair, xs: Iterable[int]) -> tuple[int
 
 
 def normalize(semigroup: SemigroupPair, gens: Union[Semimodule, Iterable[int]]) -> Semimodule:
-    """Shift so the least generator becomes 0, re-minimalising along the way."""
+    """Shift so the least generator becomes 0; a plain iterable of integers
+    is re-minimalised along the way, a Semimodule is only shifted."""
     if isinstance(gens, Semimodule):
-        values = list(gens.gens)
-    else:
-        values = sorted(set(gens))
+        return gens.normalize()
+    values = sorted(set(gens))
     if not values:
         raise ValueError("cannot normalize an empty generator set")
     low = values[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvariantError
-from .leansets import LeanSet
+from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, admissible_rotation, lean_set_from_path
 from .semigroup import SemigroupPair, is_member, membership_sieve
 from .semimodules import Semimodule, minimal_generators
@@ -179,12 +179,18 @@ def syzygy(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     min J.  A single-generator module (a shifted copy of the semigroup)
     gets the couple value alpha*beta, so its syzygy is the shift by
     alpha*beta, an isomorphic copy.
+
+    A valid normalized module is a lean set, so its gap points form a chain
+    with a rising and b falling; that O(n) check stands in for validating
+    the module again, and its failure is an internal error.
     """
     if not module.is_normalized:
         raise ValueError("syzygy needs a normalized semimodule; normalize first")
-    lean = LeanSet.from_members(semigroup, module.gens)
-    couple = fundamental_couple(semigroup, lean)
-    return Semimodule(semigroup, tuple(sorted(couple.syzygy_gens)))
+    chain = _lean_chain(semigroup, module.gens)
+    if chain is None:
+        raise InvariantError(f"generators {module.gens} are not a monotone gap chain")
+    couple = fundamental_couple(semigroup, LeanSet._from_chain(semigroup, chain))
+    return Semimodule._trusted(semigroup, tuple(sorted(couple.syzygy_gens)))
 
 
 def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
@@ -233,6 +239,23 @@ def _matrix_period(alpha: int, beta: int, down: tuple[int, ...], right: tuple[in
     raise InvariantError(f"no syzygy recurrence within {n} steps for {down}/{right}")
 
 
+def _orbit(
+    semigroup: SemigroupPair, start: Semimodule, steps: int
+) -> tuple[list[Semimodule], list[int], int | None]:
+    """Walk normalize(syzygy(.)) from the normalized start for at most steps
+    steps, stopping when start recurs.  Returns the modules met, the shifts
+    with Syz^t(start) = cycle[t] + shifts[t], and the period (None if none)."""
+    cycle, shifts = [start], [0]
+    for t in range(1, steps + 1):
+        step = syzygy(semigroup, cycle[-1])
+        shifts.append(shifts[-1] + step.gens[0])
+        current = step.normalize()
+        if current == start:
+            return cycle, shifts, t
+        cycle.append(current)
+    return cycle, shifts, None
+
+
 def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
     """Iterate normalize(syzygy(.)) until the start recurs.
 
@@ -243,15 +266,7 @@ def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
     if not module.is_normalized:
         raise ValueError("orbit iteration needs a normalized semimodule")
     n = len(module.gens)
-    cycle = [module]
-    current = module
-    period = None
-    for t in range(1, n + 1):
-        current = syzygy(semigroup, current).normalize()
-        if current == module:
-            period = t
-            break
-        cycle.append(current)
+    cycle, _, period = _orbit(semigroup, module, n)
     if period is None:
         raise InvariantError(f"no syzygy recurrence within {n} steps for {module.gens}")
     if n % period:
@@ -264,17 +279,27 @@ def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
 
 
 def iterated_syzygy(semigroup: SemigroupPair, module: Semimodule, times: int) -> Semimodule:
-    """The times-fold syzygy.  Syzygy commutes with shifts, so intermediate
-    results are renormalised internally and the accumulated shift restored."""
+    """The times-fold syzygy.
+
+    Syzygy commutes with shifts, so the orbit is walked on normalized
+    modules and the accumulated shift restored.  By the period theorem the
+    start recurs within n = #generators steps, Syz^p(M) = M + c, hence
+    Syz^(qp+r)(M) = Syz^r(M) + qc: at most min(times, n) steps are taken.
+    """
     if times < 1:
         raise ValueError(f"iteration count must be >= 1, got {times}")
-    current = module
-    for _ in range(times):
-        shift = current.gens[0]
-        base = Semimodule(semigroup, tuple(g - shift for g in current.gens))
-        step = syzygy(semigroup, base)
-        current = Semimodule(semigroup, tuple(g + shift for g in step.gens))
-    return current
+    start = module.normalize()
+    n = len(start.gens)
+    cycle, shifts, period = _orbit(semigroup, start, min(times, n))
+    if period is None:
+        if times > n:
+            raise InvariantError(f"no syzygy recurrence within {n} steps for {start.gens}")
+        rest, offset = times, 0
+    else:
+        laps, rest = divmod(times, period)
+        offset = laps * shifts[period]
+    shift = module.gens[0] + shifts[rest] + offset
+    return Semimodule._trusted(semigroup, tuple(g + shift for g in cycle[rest].gens))
 
 
 def orbit_witness(semigroup: SemigroupPair, n: int, ell: int) -> Semimodule:
@@ -304,4 +329,4 @@ def orbit_witness(semigroup: SemigroupPair, n: int, ell: int) -> Semimodule:
     matrix = PathMatrix(down_block * down_copies, right_block * right_copies)
     _, admissible = admissible_rotation(semigroup, matrix)
     lean = lean_set_from_path(semigroup, admissible)
-    return Semimodule(semigroup, lean.members)
+    return Semimodule._trusted(semigroup, lean.members)

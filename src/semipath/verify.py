@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .counting import (
+    _require_generator_count,
     catalan,
     count_fixed_points,
     count_lean_sets,
@@ -138,6 +139,11 @@ def check_gap_arithmetic(semigroup: SemigroupPair) -> list[CheckResult]:
     ]
 
 
+def _pairwise_lean(semigroup: SemigroupPair, values) -> bool:
+    """The definition of leanness: no pairwise difference lies in the semigroup."""
+    return all(not is_member(semigroup, y - x) for x, y in combinations(values, 2))
+
+
 def check_lean_enumeration(semigroup: SemigroupPair) -> list[CheckResult]:
     per_r: Counter[int] = Counter()
     stream: list[tuple[int, ...]] = []
@@ -148,7 +154,7 @@ def check_lean_enumeration(semigroup: SemigroupPair) -> list[CheckResult]:
         per_r[lean.gap_count] += 1
         stream.append(lean.members)
         seen.add(lean.members)
-        if not is_lean(semigroup, lean.members):
+        if not (is_lean(semigroup, lean.members) and _pairwise_lean(semigroup, lean.members)):
             all_lean = False
         matrix = path_from_lean_set(semigroup, lean)
         if lean_set_from_path(semigroup, matrix).members != lean.members:
@@ -309,8 +315,7 @@ def check_catalan_narayana(semigroup: SemigroupPair) -> CheckResult:
 def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
     """Period histogram over all n-generator semimodules, by iterating the
     syzygy operation on their path matrices."""
-    if not 1 <= n <= semigroup.alpha:
-        raise ValueError(f"generator count must lie in [1, {semigroup.alpha}], got {n}")
+    _require_generator_count(semigroup, n)
     alpha, beta = semigroup.alpha, semigroup.beta
     tally: Counter[int] = Counter()
     for chain in _gap_chains(semigroup, n - 1):

@@ -1,16 +1,34 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from semipath import SemigroupPair, Semimodule, enumerate_lean_sets
 from semipath.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn(*argv, flags=()):
+    """The CLI in a child interpreter that imports semipath from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen(
+        [sys.executable, *flags, "-m", "semipath.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
 
 
 def test_gaps(capsys):
@@ -51,6 +69,16 @@ def test_enumerate_json(capsys):
     ]
 
 
+def test_enumerate_json_equals_validated_modules(capsys):
+    pair = SemigroupPair(7, 11)
+    code, out, _ = run(capsys, "enumerate", "7", "11", "--json")
+    expected = [
+        json.dumps(Semimodule(pair, lean.members).to_json(), separators=(",", ":"))
+        for lean in enumerate_lean_sets(pair)
+    ]
+    assert code == 0 and out.splitlines() == expected
+
+
 def test_couple(capsys):
     code, out, _ = run(capsys, "couple", "5", "7", "--set", "0,9,6,8")
     assert code == 0
@@ -68,6 +96,13 @@ def test_syzygy(capsys):
     assert out == "0,1,2,3\n"
     code, out, _ = run(capsys, "syzygy", "5", "7", "--set", "0,9,6,8", "--iterate", "2")
     assert out == "20,21,23,29\n"
+
+
+def test_syzygy_iterate_a_million_uses_the_period(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "syzygy", "5", "7", "--set", "0,6,8,9", "--iterate", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "8750000,8750006,8750008,8750009\n")
 
 
 def test_orbit(capsys):
@@ -171,3 +206,36 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command", "5", "7"])
     assert info.value.code == 2
+
+
+def test_verify_output_is_the_same_under_python_O():
+    plain = spawn("verify", "5", "7", "--deep").communicate(timeout=60)
+    optimized_proc = spawn("verify", "5", "7", "--deep", flags=("-O",))
+    optimized = optimized_proc.communicate(timeout=60)
+    assert optimized_proc.returncode == 0
+    assert optimized == plain and plain[0].count(b"\n") >= 14
+
+
+def test_closed_pipe_exits_quietly():
+    proc = spawn("enumerate", "15", "16")
+    assert proc.stdout.readline() == b"0\n"
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+
+
+def test_interrupt_exits_130_without_traceback():
+    proc = spawn("enumerate", "15", "16")
+    assert proc.stdout.readline() == b"0\n"
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert b"Traceback" not in err
+
+
+def test_orbits_checks_the_generator_count():
+    proc = spawn("orbits", "15", "16", "--gens", "0")
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b"error: generator count must lie in [1, 15], got 0\n"

@@ -109,3 +109,16 @@ def test_json_round_trip():
     assert Semimodule.from_json(data) == module
     with pytest.raises(ValueError):
         Semimodule.from_json({"alpha": 5})
+
+
+@pytest.mark.parametrize("bad", [True, 6.9, 6.0, "8"], ids=repr)
+def test_non_int_generators_are_refused_not_coerced(bad):
+    with pytest.raises(ValueError):
+        Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [0, bad, 9]})
+    with pytest.raises(ValueError):
+        Semimodule(S57, (0, bad))
+
+
+def test_from_json_refuses_a_bool_equal_to_another_generator():
+    with pytest.raises(ValueError):
+        Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [True, 0, 1]})

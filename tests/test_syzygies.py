@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from semipath import (
+    InvariantError,
     LeanSet,
     PathMatrix,
     SemigroupPair,
@@ -20,6 +21,7 @@ from semipath import (
     lean_set_from_path,
     membership_sieve,
     minimal_generators,
+    normalize,
     orbit_witness,
     path_from_lean_set,
     syzygy,
@@ -94,6 +96,14 @@ def test_syzygy_examples():
 def test_syzygy_requires_normalized():
     with pytest.raises(ValueError):
         syzygy(S57, Semimodule(S57, (13, 14, 15, 16)))
+
+
+@pytest.mark.parametrize("gens", [(0, 5), (0, 1, 6), (0, 1, 8)])
+def test_syzygy_checks_the_chain_of_a_corrupt_module(gens):
+    # 5 is no gap; the gaps 1, 6 and 8 sit at (4, 2), (3, 2) and (4, 1), so
+    # neither pair has a rising and b falling (6 - 1 and 8 - 1 lie in S).
+    with pytest.raises(InvariantError):
+        syzygy(S57, Semimodule._trusted(S57, gens))
 
 
 def test_syzygy_oracle_examples():
@@ -196,6 +206,45 @@ def test_iterated_syzygy():
     assert tuple(g + 13 for g in twice) == (20, 21, 23, 29)
     with pytest.raises(ValueError):
         iterated_syzygy(S57, module, 0)
+
+
+def reference_iterates(pair, module, count):
+    """Syz^1 .. Syz^count of module, one public syzygy step at a time: each
+    step normalizes, takes the syzygy and restores the shift."""
+    out, current = [], module
+    for _ in range(count):
+        shift = current.gens[0]
+        step = syzygy(pair, normalize(pair, current))
+        current = Semimodule(pair, tuple(g + shift for g in step.gens))
+        out.append(current.gens)
+    return out
+
+
+@pytest.mark.parametrize("pair", [S57, SemigroupPair(7, 11)], ids=str)
+def test_iterated_syzygy_matches_step_by_step_iteration(pair):
+    for lean in enumerate_lean_sets(pair):
+        n = len(lean.members)
+        # The reference normalizes before every step, so a shifted start only
+        # shifts its iterates; it is walked once, from the normalized module.
+        steps = reference_iterates(pair, Semimodule(pair, lean.members), 2 * n + 2)
+        for shift in (0, 3):
+            module = Semimodule(pair, tuple(g + shift for g in lean.members))
+            got = [iterated_syzygy(pair, module, k).gens for k in range(1, 2 * n + 3)]
+            assert got == [tuple(g + shift for g in gens) for gens in steps], module.gens
+
+
+def test_library_built_modules_pass_full_validation():
+    pair = SemigroupPair(7, 11)
+    derived = []
+    for lean in enumerate_lean_sets(pair):
+        module = Semimodule(pair, lean.members)
+        derived.append(syzygy(pair, module))
+        derived.extend(syzygy_period(pair, module).cycle)
+        derived.append(iterated_syzygy(pair, Semimodule(pair, tuple(g + 3 for g in module.gens)), 9))
+        derived.append(derived[-1].normalize())
+    derived += [orbit_witness(pair, n, n) for n in range(1, pair.alpha)]
+    for module in derived:
+        assert Semimodule(module.semigroup, module.gens) == module
 
 
 def test_random_route_equivalence_8_13():
