@@ -282,23 +282,27 @@ def iterated_syzygy(semigroup: SemigroupPair, module: Semimodule, times: int) ->
     """The times-fold syzygy.
 
     Syzygy commutes with shifts, so the orbit is walked on normalized
-    modules and the accumulated shift restored.  By the period theorem the
-    start recurs within n = #generators steps, Syz^p(M) = M + c, hence
-    Syz^(qp+r)(M) = Syz^r(M) + qc: at most min(times, n) steps are taken.
+    modules and the accumulated shift restored.  Up to times = 2n, with
+    n = #generators, the walk simply takes times steps.  Beyond that the
+    period theorem is used: the start recurs within n steps, Syz^p(M) = M + c,
+    hence Syz^(qp+r)(M) = Syz^r(M) + qc, and at most n steps are taken.
     """
     if times < 1:
         raise ValueError(f"iteration count must be >= 1, got {times}")
     start = module.normalize()
     n = len(start.gens)
-    cycle, shifts, period = _orbit(semigroup, start, min(times, n))
+    if times <= 2 * n:
+        current, shift = start, module.gens[0]
+        for _ in range(times):
+            step = syzygy(semigroup, current)
+            shift += step.gens[0]
+            current = step.normalize()
+        return Semimodule._trusted(semigroup, tuple(g + shift for g in current.gens))
+    cycle, shifts, period = _orbit(semigroup, start, n)
     if period is None:
-        if times > n:
-            raise InvariantError(f"no syzygy recurrence within {n} steps for {start.gens}")
-        rest, offset = times, 0
-    else:
-        laps, rest = divmod(times, period)
-        offset = laps * shifts[period]
-    shift = module.gens[0] + shifts[rest] + offset
+        raise InvariantError(f"no syzygy recurrence within {n} steps for {start.gens}")
+    laps, rest = divmod(times, period)
+    shift = module.gens[0] + shifts[rest] + laps * shifts[period]
     return Semimodule._trusted(semigroup, tuple(g + shift for g in cycle[rest].gens))
 
 
