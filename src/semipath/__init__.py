@@ -19,7 +19,6 @@ from .counting import (
 from .errors import InvariantError
 from .leansets import LeanSet, enumerate_lean_sets, is_lean
 from .paths import (
-    LatticePath,
     PathMatrix,
     admissible_rotation,
     cyclic_rotations,
@@ -70,7 +69,6 @@ __all__ = [
     "FundamentalCouple",
     "GapPoint",
     "InvariantError",
-    "LatticePath",
     "LeanSet",
     "OrbitReport",
     "PathMatrix",

@@ -19,6 +19,7 @@ from .counting import (
     count_lean_sets_total,
     orbit_count_table,
 )
+from .errors import InvariantError
 from .leansets import LeanSet, enumerate_lean_sets
 from .render import RenderSpec, render
 from .semigroup import SemigroupPair, gaps, is_member
@@ -93,7 +94,7 @@ def cmd_count(args) -> int:
     if args.brute:
         seen = sum(1 for _ in enumerate_lean_sets(pair, gap_count))
         if seen != expected:
-            raise AssertionError(f"enumerated {seen} lean sets, formula says {expected}")
+            raise InvariantError(f"enumerated {seen} lean sets, formula says {expected}")
     print(expected)
     return 0
 
@@ -142,7 +143,7 @@ def cmd_orbits(args) -> int:
         tally = brute_period_tally(pair, args.gens)
         for row in table.rows:
             if tally.get(row.ell, 0) != row.exact:
-                raise AssertionError(
+                raise InvariantError(
                     f"iteration found {tally.get(row.ell, 0)} modules of period {row.ell}, "
                     f"formula says {row.exact}"
                 )

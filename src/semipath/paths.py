@@ -23,7 +23,6 @@ from .semigroup import GapPoint, SemigroupPair
 
 __all__ = [
     "PathMatrix",
-    "LatticePath",
     "path_from_lean_set",
     "lean_set_from_path",
     "es_turns",
@@ -55,21 +54,6 @@ class PathMatrix:
         return len(self.down)
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    """The ES-turn points of a staircase path; a ascends while b descends."""
-
-    es_turns: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_matrix(cls, semigroup: SemigroupPair, matrix: PathMatrix) -> "LatticePath":
-        return cls(es_turns(semigroup, matrix))
-
-    @classmethod
-    def from_lean_set(cls, semigroup: SemigroupPair, lean: LeanSet) -> "LatticePath":
-        return cls(tuple((p.a, p.b) for p in lean.gap_points))
-
-
 def _require_row_sums(semigroup: SemigroupPair, matrix: PathMatrix) -> None:
     if sum(matrix.down) != semigroup.alpha or sum(matrix.right) != semigroup.beta:
         raise ValueError(
@@ -78,13 +62,19 @@ def _require_row_sums(semigroup: SemigroupPair, matrix: PathMatrix) -> None:
         )
 
 
-def path_from_lean_set(semigroup: SemigroupPair, lean: LeanSet) -> PathMatrix:
-    """The step matrix whose ES-turns are exactly the lean set's gap points."""
-    avals = [0] + [p.a for p in lean.gap_points] + [semigroup.beta]
-    bvals = [semigroup.alpha] + [p.b for p in lean.gap_points] + [0]
+def _rows(semigroup: SemigroupPair, points) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(down, right) runs of the path whose ES-turns are the gap points,
+    given ascending in a; the one conversion from gap chains to matrix rows."""
+    avals = (0,) + tuple(p.a for p in points) + (semigroup.beta,)
+    bvals = (semigroup.alpha,) + tuple(p.b for p in points) + (0,)
     down = tuple(bvals[i] - bvals[i + 1] for i in range(len(bvals) - 1))
     right = tuple(avals[i + 1] - avals[i] for i in range(len(avals) - 1))
-    return PathMatrix(down, right)
+    return down, right
+
+
+def path_from_lean_set(semigroup: SemigroupPair, lean: LeanSet) -> PathMatrix:
+    """The step matrix whose ES-turns are exactly the lean set's gap points."""
+    return PathMatrix(*_rows(semigroup, lean.gap_points))
 
 
 def lean_set_from_path(semigroup: SemigroupPair, matrix: PathMatrix) -> LeanSet:
@@ -102,28 +92,28 @@ def lean_set_from_path(semigroup: SemigroupPair, matrix: PathMatrix) -> LeanSet:
     return LeanSet._from_chain(semigroup, points)
 
 
-def es_turns(semigroup: SemigroupPair, matrix: PathMatrix) -> tuple[tuple[int, int], ...]:
-    """East-to-south corners, left to right; one per column except the last."""
+def _corners(semigroup: SemigroupPair, matrix: PathMatrix) -> list[tuple[int, int]]:
+    """Every corner after the start (0, alpha), left to right: SE-turn,
+    ES-turn, ..., SE-turn, then the end (beta, 0)."""
     _require_row_sums(semigroup, matrix)
     out = []
     a, b = 0, semigroup.alpha
-    for k in range(matrix.columns - 1):
-        b -= matrix.down[k]
-        a += matrix.right[k]
+    for down, right in zip(matrix.down, matrix.right):
+        b -= down
         out.append((a, b))
-    return tuple(out)
+        a += right
+        out.append((a, b))
+    return out
+
+
+def es_turns(semigroup: SemigroupPair, matrix: PathMatrix) -> tuple[tuple[int, int], ...]:
+    """East-to-south corners, left to right; one per column except the last."""
+    return tuple(_corners(semigroup, matrix)[1:-1:2])
 
 
 def se_turns(semigroup: SemigroupPair, matrix: PathMatrix) -> tuple[tuple[int, int], ...]:
     """South-to-east corners, left to right; one per column."""
-    _require_row_sums(semigroup, matrix)
-    out = []
-    a, b = 0, semigroup.alpha
-    for k in range(matrix.columns):
-        b -= matrix.down[k]
-        out.append((a, b))
-        a += matrix.right[k]
-    return tuple(out)
+    return tuple(_corners(semigroup, matrix)[0::2])
 
 
 def stays_below_diagonal(semigroup: SemigroupPair, matrix: PathMatrix) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .leansets import LeanSet
-from .paths import es_turns, path_from_lean_set, se_turns
+from .paths import PathMatrix, _corners, es_turns, path_from_lean_set, se_turns
 from .semigroup import SemigroupPair, gaps
 
 __all__ = ["RenderSpec", "render"]
@@ -37,26 +37,14 @@ class RenderSpec:
 
 def render(semigroup: SemigroupPair, lean: LeanSet, spec: RenderSpec = RenderSpec()) -> str:
     """Render the path of a lean set as text; no trailing newline."""
+    matrix = path_from_lean_set(semigroup, lean)
     if spec.format == "ascii":
-        return _ascii(semigroup, lean, spec)
-    return _svg(semigroup, lean, spec)
+        return _ascii(semigroup, matrix, spec)
+    return _svg(semigroup, matrix, spec)
 
 
-def _corners(semigroup: SemigroupPair, lean: LeanSet) -> list[tuple[int, int]]:
-    matrix = path_from_lean_set(semigroup, lean)
-    points = [(0, semigroup.alpha)]
-    x, y = 0, semigroup.alpha
-    for down, right in zip(matrix.down, matrix.right):
-        y -= down
-        points.append((x, y))
-        x += right
-        points.append((x, y))
-    return points
-
-
-def _ascii(semigroup: SemigroupPair, lean: LeanSet, spec: RenderSpec) -> str:
+def _ascii(semigroup: SemigroupPair, matrix: PathMatrix, spec: RenderSpec) -> str:
     alpha, beta = semigroup.alpha, semigroup.beta
-    matrix = path_from_lean_set(semigroup, lean)
     grid = [[" "] * (beta + 1) for _ in range(alpha + 1)]
 
     def put(x: int, y: int, mark: str) -> None:
@@ -83,7 +71,7 @@ def _ascii(semigroup: SemigroupPair, lean: LeanSet, spec: RenderSpec) -> str:
     return "\n".join("".join(row).rstrip() for row in grid)
 
 
-def _svg(semigroup: SemigroupPair, lean: LeanSet, spec: RenderSpec) -> str:
+def _svg(semigroup: SemigroupPair, matrix: PathMatrix, spec: RenderSpec) -> str:
     alpha, beta = semigroup.alpha, semigroup.beta
     cell = spec.cell
     margin = 2 * cell
@@ -116,10 +104,9 @@ def _svg(semigroup: SemigroupPair, lean: LeanSet, spec: RenderSpec) -> str:
             f'<line x1="{px(0)}" y1="{py(alpha)}" x2="{px(beta)}" y2="{py(0)}" '
             f'stroke="#444444" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    trail = " ".join(f"{px(a)},{py(b)}" for a, b in _corners(semigroup, lean))
+    trail = " ".join(f"{px(a)},{py(b)}" for a, b in [(0, alpha)] + _corners(semigroup, matrix))
     parts.append(f'<polyline points="{trail}" fill="none" stroke="#000000" stroke-width="3"/>')
     if spec.markers:
-        matrix = path_from_lean_set(semigroup, lean)
         for a, b in se_turns(semigroup, matrix):
             parts.append(
                 f'<circle cx="{px(a)}" cy="{py(b)}" r="{radius}" '

@@ -37,6 +37,8 @@ class SemigroupPair:
     beta: int
     product: int = field(init=False, repr=False, compare=False)
     frobenius: int = field(init=False, repr=False, compare=False)
+    _beta_inverse: int = field(init=False, repr=False, compare=False)  # beta^-1 mod alpha
+    _alpha_inverse: int = field(init=False, repr=False, compare=False)  # alpha^-1 mod beta
 
     def __post_init__(self) -> None:
         if not isinstance(self.alpha, int) or not isinstance(self.beta, int):
@@ -47,6 +49,8 @@ class SemigroupPair:
             raise ValueError(f"generators must be coprime, got ({self.alpha}, {self.beta})")
         object.__setattr__(self, "product", self.alpha * self.beta)
         object.__setattr__(self, "frobenius", self.alpha * self.beta - self.alpha - self.beta)
+        object.__setattr__(self, "_beta_inverse", pow(self.beta, -1, self.alpha))
+        object.__setattr__(self, "_alpha_inverse", pow(self.alpha, -1, self.beta))
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,8 @@ def presentation(semigroup: SemigroupPair, n: int) -> Presentation:
     if not isinstance(n, int) or n <= 0:
         raise ValueError(f"presentation needs a positive integer, got {n!r}")
     alpha, beta = semigroup.alpha, semigroup.beta
-    b = (-n * pow(beta, -1, alpha)) % alpha
-    a = (-n * pow(alpha, -1, beta)) % beta
+    b = (-n * semigroup._beta_inverse) % alpha
+    a = (-n * semigroup._alpha_inverse) % beta
     p, rem = divmod(n + a * alpha + b * beta, semigroup.product)
     if rem != 0 or p <= 0:
         raise InvariantError(f"presentation of {n} failed: p={p}, remainder={rem}")

@@ -18,10 +18,10 @@ invariant it relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Union
 
-from .semigroup import SemigroupPair, is_member, membership_sieve
+from .leansets import _lean_chain
+from .semigroup import SemigroupPair, membership_sieve
 
 __all__ = [
     "Semimodule",
@@ -35,6 +35,14 @@ __all__ = [
 def _is_int(value) -> bool:
     """Whether value is an int proper; bool, float and str are refused, not coerced."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _sorted_ints(xs: Iterable) -> list[int]:
+    """The distinct values of xs, ascending, each checked to be an int proper."""
+    values = list(xs)
+    if not all(_is_int(v) for v in values):
+        raise ValueError(f"generators must be integers, got {values!r}")
+    return sorted(set(values))
 
 
 @dataclass(frozen=True)
@@ -57,11 +65,13 @@ class Semimodule:
             raise ValueError(f"generators must be non-negative integers, got {gens}")
         if list(gens) != sorted(set(gens)):
             raise ValueError(f"generators must be strictly ascending, got {gens}")
-        for x, y in combinations(gens, 2):
-            if is_member(self.semigroup, y - x):
-                raise ValueError(
-                    f"{y} - {x} lies in the semigroup, so {gens} is not minimal"
-                )
+        # Minimal exactly when the shift to 0 is lean: the monotone gap-chain criterion.
+        if _lean_chain(self.semigroup, [g - gens[0] for g in gens]) is None:
+            pair = self.semigroup
+            raise ValueError(
+                f"{gens} is not minimal: a difference of two generators lies in "
+                f"<{pair.alpha},{pair.beta}>"
+            )
 
     @classmethod
     def _trusted(cls, semigroup: SemigroupPair, gens: tuple[int, ...]) -> "Semimodule":
@@ -95,9 +105,7 @@ class Semimodule:
             gens = list(data["generators"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed semimodule object: {data!r}") from exc
-        if not all(_is_int(g) for g in gens):
-            raise ValueError(f"generators must be integers, got {gens!r}")
-        return cls(pair, tuple(sorted(set(gens))))
+        return cls(pair, tuple(_sorted_ints(gens)))
 
 
 def minimal_generators(semigroup: SemigroupPair, xs: Iterable[int]) -> tuple[int, ...]:
@@ -107,10 +115,10 @@ def minimal_generators(semigroup: SemigroupPair, xs: Iterable[int]) -> tuple[int
     of the generators found so far.  Past max(xs) + frobenius every integer
     is covered, so the sweep window stops there.
     """
-    values = sorted(set(xs))
+    values = _sorted_ints(xs)
     if not values:
         raise ValueError("cannot generate a semimodule from an empty set")
-    if values[0] < 0 or not all(isinstance(v, int) for v in values):
+    if values[0] < 0:
         raise ValueError(f"generators must be non-negative integers, got {values}")
     low = values[0]
     width = values[-1] + semigroup.frobenius + 1 - low + 1
@@ -137,7 +145,7 @@ def normalize(semigroup: SemigroupPair, gens: Union[Semimodule, Iterable[int]]) 
     is re-minimalised along the way, a Semimodule is only shifted."""
     if isinstance(gens, Semimodule):
         return gens.normalize()
-    values = sorted(set(gens))
+    values = _sorted_ints(gens)
     if not values:
         raise ValueError("cannot normalize an empty generator set")
     low = values[0]
@@ -158,9 +166,10 @@ def elements_up_to(semigroup: SemigroupPair, module: Semimodule, bound: int) -> 
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
     member = membership_sieve(semigroup, bound)
-    out: set[int] = set()
-    for g in module.gens:
-        if g > bound:
-            continue
-        out.update(g + d for d in range(bound - g + 1) if member[d])
-    return sorted(out)
+    return sorted(set().union(*(_coset(g, member, bound) for g in module.gens)))
+
+
+def _coset(start: int, member: list[bool], bound: int) -> set[int]:
+    """start + <alpha, beta> up to bound, given the membership sieve up to at
+    least bound - start; empty when start exceeds bound."""
+    return {start + d for d in range(bound - start + 1) if member[d]}

@@ -26,7 +26,7 @@ from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, admissible_rotation, lean_set_from_path
 from .semigroup import SemigroupPair, is_member, membership_sieve
-from .semimodules import Semimodule, minimal_generators
+from .semimodules import Semimodule, _coset, minimal_generators
 
 __all__ = [
     "FundamentalCouple",
@@ -206,9 +206,7 @@ def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
         raise ValueError("the defining union is empty for a single generator")
     window = 2 * semigroup.product + max(gens)
     member = membership_sieve(semigroup, window)
-    cosets = [
-        frozenset(g + d for d in range(window - g + 1) if member[d]) for g in gens
-    ]
+    cosets = [_coset(g, member, window) for g in gens]
     elements: set[int] = set()
     for one, other in combinations(cosets, 2):
         elements |= one & other

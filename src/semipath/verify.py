@@ -25,6 +25,7 @@ from .counting import (
 from .leansets import LeanSet, _gap_chains, enumerate_lean_sets, is_lean
 from .paths import (
     PathMatrix,
+    _rows,
     admissible_rotation,
     cyclic_rotations,
     lean_set_from_path,
@@ -32,7 +33,7 @@ from .paths import (
     stays_below_diagonal,
 )
 from .semigroup import SemigroupPair, gaps, is_member, membership_sieve, presentation
-from .semimodules import Semimodule, minimal_generators
+from .semimodules import Semimodule, _coset, minimal_generators
 from .syzygies import (
     _matrix_period,
     fundamental_couple,
@@ -214,10 +215,6 @@ def check_cycle_lemma(semigroup: SemigroupPair) -> CheckResult:
     return CheckResult("cycle-lemma", ok, f"{len(matrices)} matrices, {kind}")
 
 
-def _coset_elements(semigroup: SemigroupPair, start: int, member: list[bool], window: int):
-    return {start + d for d in range(window - start + 1) if member[d]}
-
-
 def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Semimodule]) -> list[CheckResult]:
     routes_ok = True
     couple_ok = True
@@ -237,9 +234,7 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Semimodule]) -> 
                 routes_ok = False
             window = 2 * semigroup.product + max(module.gens)
             member = membership_sieve(semigroup, window)
-            cosets = {
-                g: _coset_elements(semigroup, g, member, window) for g in module.gens
-            }
+            cosets = {g: _coset(g, member, window) for g in module.gens}
             all_pairs: set[int] = set()
             for x, y in combinations(module.gens, 2):
                 all_pairs |= cosets[x] & cosets[y]
@@ -319,11 +314,7 @@ def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
     alpha, beta = semigroup.alpha, semigroup.beta
     tally: Counter[int] = Counter()
     for chain in _gap_chains(semigroup, n - 1):
-        avals = (0,) + tuple(p.a for p in chain) + (beta,)
-        bvals = (alpha,) + tuple(p.b for p in chain) + (0,)
-        down = tuple(bvals[i] - bvals[i + 1] for i in range(len(bvals) - 1))
-        right = tuple(avals[i + 1] - avals[i] for i in range(len(avals) - 1))
-        tally[_matrix_period(alpha, beta, down, right)] += 1
+        tally[_matrix_period(alpha, beta, *_rows(semigroup, chain))] += 1
     return tally
 
 

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from semipath import SemigroupPair, Semimodule, enumerate_lean_sets
-from semipath.cli import main
+import semipath.cli
+from semipath import InvariantError, SemigroupPair, Semimodule, enumerate_lean_sets
+from semipath.cli import _build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -189,6 +190,8 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2 and "coprime" in err
     code, _, err = run(capsys, "couple", "5", "7", "--set", "0,5")
     assert code == 2
+    code, _, err = run(capsys, "orbit", "5", "7", "--set", "0,5")
+    assert code == 2 and "(0, 5) is not minimal" in err
     code, _, err = run(capsys, "syzygy", "5", "7", "--set", "1,2")
     assert code == 2
     code, _, err = run(capsys, "enumerate", "5", "7", "--gens", "9")
@@ -239,3 +242,21 @@ def test_orbits_checks_the_generator_count():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert err == b"error: generator count must lie in [1, 15], got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name, fake",
+    [
+        (["orbits", "5", "7", "--gens", "4", "--brute"], "brute_period_tally", lambda pair, n: {4: 1}),
+        (["count", "5", "7", "--brute"], "enumerate_lean_sets", lambda pair, r: iter(())),
+    ],
+    ids=["orbits", "count"],
+)
+def test_brute_force_disagreement_is_an_internal_error(capsys, monkeypatch, argv, name, fake):
+    monkeypatch.setattr(semipath.cli, name, fake)
+    args = _build_parser().parse_args(argv)
+    with pytest.raises(InvariantError):
+        args.handler(args)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ")

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from semipath import (
-    LatticePath,
     LeanSet,
     PathMatrix,
     SemigroupPair,
@@ -80,7 +79,6 @@ def test_turn_coordinates():
     matrix = PathMatrix((2, 1, 1, 1), (1, 2, 1, 3))
     assert es_turns(S57, matrix) == ((1, 3), (3, 2), (4, 1))
     assert se_turns(S57, matrix) == ((0, 3), (1, 2), (3, 1), (4, 0))
-    assert LatticePath.from_matrix(S57, matrix).es_turns == ((1, 3), (3, 2), (4, 1))
     assert se_turns(S57, PathMatrix((5,), (7,))) == ((0, 0),)
 
 

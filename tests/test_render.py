@@ -1,8 +1,10 @@
 """ASCII and SVG path pictures."""
 
+import hashlib
+
 import pytest
 
-from semipath import LeanSet, RenderSpec, SemigroupPair, render
+from semipath import LeanSet, RenderSpec, SemigroupPair, enumerate_lean_sets, render
 
 S57 = SemigroupPair(5, 7)
 
@@ -79,3 +81,13 @@ def test_render_spec_validation():
 def test_render_rejects_non_lean_sets():
     with pytest.raises(ValueError):
         LeanSet.from_members(S57, {0, 5})
+
+
+def test_every_5_7_picture_is_unchanged():
+    # sha256 of the ascii and the labelled svg picture of every lean set of
+    # (5,7), each followed by a newline, in enumeration order.
+    digest = hashlib.sha256()
+    for lean in enumerate_lean_sets(S57):
+        for spec in (RenderSpec(), RenderSpec(format="svg", labels=True)):
+            digest.update(render(S57, lean, spec).encode() + b"\n")
+    assert digest.hexdigest() == "583ab2c8a01035283d99bcb008032de898b3856056d7bb009a19b090d8fcd111"

@@ -17,6 +17,7 @@ from semipath import (
     minimal_generators,
     normalize,
 )
+from semipath.verify import _pairwise_lean
 
 S57 = SemigroupPair(5, 7)
 
@@ -122,3 +123,25 @@ def test_non_int_generators_are_refused_not_coerced(bad):
 def test_from_json_refuses_a_bool_equal_to_another_generator():
     with pytest.raises(ValueError):
         Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [True, 0, 1]})
+
+
+@pytest.mark.parametrize("bad", [True, 6.0, "6"], ids=repr)
+def test_minimal_generators_and_normalize_refuse_non_ints(bad):
+    with pytest.raises(ValueError):
+        minimal_generators(S57, [bad, 0, 6])
+    with pytest.raises(ValueError):
+        normalize(S57, [bad, 0, 6])
+
+
+def test_validation_agrees_with_the_pairwise_definition():
+    # Semimodule(...) checks minimality by the monotone gap-chain criterion;
+    # the definition is that no difference of two generators is a member.
+    for shift in (0, 4):
+        for size in range(1, 6):
+            for subset in combinations(range(15), size):
+                gens = tuple(g + shift for g in subset)
+                if _pairwise_lean(S57, gens):
+                    assert Semimodule(S57, gens).gens == gens
+                else:
+                    with pytest.raises(ValueError, match="is not minimal"):
+                        Semimodule(S57, gens)

@@ -30,6 +30,7 @@ from semipath import (
     syzygy_period,
     validate_fundamental_couple,
 )
+from semipath.verify import _pairwise_lean
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -245,6 +246,9 @@ def test_library_built_modules_pass_full_validation():
     derived += [orbit_witness(pair, n, n) for n in range(1, pair.alpha)]
     for module in derived:
         assert Semimodule(module.semigroup, module.gens) == module
+        # Semimodule(...) shares the chain criterion with the syzygy step; the
+        # pairwise definition shares nothing with it.
+        assert _pairwise_lean(pair, [g - module.gens[0] for g in module.gens])
 
 
 def test_random_route_equivalence_8_13():
