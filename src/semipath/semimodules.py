@@ -17,11 +17,12 @@ invariant it relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .leansets import _lean_chain
-from .semigroup import SemigroupPair, membership_sieve
+from .semigroup import SemigroupPair
 
 __all__ = [
     "Semimodule",
@@ -111,33 +112,18 @@ class Semimodule:
 def minimal_generators(semigroup: SemigroupPair, xs: Iterable[int]) -> tuple[int, ...]:
     """Minimal generating set of the semimodule generated by xs.
 
-    Greedy sweep: repeatedly pick the least element not covered by the cosets
-    of the generators found so far.  Past max(xs) + frobenius every integer
-    is covered, so the sweep window stops there.
+    An element is a minimal generator exactly when neither it minus alpha
+    nor it minus beta lies in the semimodule, so the generators are the
+    entries w_c of the Apery tuple with w_c - beta < w_((c - beta) mod alpha).
     """
     values = _sorted_ints(xs)
     if not values:
         raise ValueError("cannot generate a semimodule from an empty set")
     if values[0] < 0:
         raise ValueError(f"generators must be non-negative integers, got {values}")
-    low = values[0]
-    width = values[-1] + semigroup.frobenius + 1 - low + 1
-    member = membership_sieve(semigroup, width - 1)
-    in_module = [False] * width
-    for x in values:
-        base = x - low
-        for d in range(width - base):
-            if member[d]:
-                in_module[base + d] = True
-    covered = [False] * width
-    out = []
-    for offset in range(width):
-        if in_module[offset] and not covered[offset]:
-            out.append(low + offset)
-            for d in range(width - offset):
-                if member[d]:
-                    covered[offset + d] = True
-    return tuple(out)
+    alpha, beta = semigroup.alpha, semigroup.beta
+    w = _apery(semigroup, values)
+    return tuple(sorted(y for c, y in enumerate(w) if y - beta < w[(c - beta) % alpha]))
 
 
 def normalize(semigroup: SemigroupPair, gens: Union[Semimodule, Iterable[int]]) -> Semimodule:
@@ -165,11 +151,23 @@ def elements_up_to(semigroup: SemigroupPair, module: Semimodule, bound: int) -> 
     """All elements of the semimodule that do not exceed bound, sorted."""
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
-    member = membership_sieve(semigroup, bound)
-    return sorted(set().union(*(_coset(g, member, bound) for g in module.gens)))
+    alpha, w = semigroup.alpha, _apery(semigroup, module.gens)
+    return [y for y in range(bound + 1) if y >= w[y % alpha]]
 
 
-def _coset(start: int, member: list[bool], bound: int) -> set[int]:
-    """start + <alpha, beta> up to bound, given the membership sieve up to at
-    least bound - start; empty when start exceeds bound."""
-    return {start + d for d in range(bound - start + 1) if member[d]}
+def _apery(semigroup: SemigroupPair, xs: Iterable[int]) -> list[int]:
+    """The Apery tuple of the semimodule generated by the non-empty xs:
+    w[c] is its least element congruent to c mod alpha, so y is a member
+    exactly when y >= w[y % alpha].
+
+    w[c] is the least x + j*beta over x in xs, where j = (c - x)*beta^-1 mod
+    alpha is the one step count in [0, alpha) that reaches residue c; walking
+    j over [0, alpha) meets every residue once.  O(|xs| * alpha), no sieve.
+    """
+    alpha = semigroup.alpha
+    w = [math.inf] * alpha
+    for x in xs:
+        for y in range(x, x + semigroup.product, semigroup.beta):
+            if y < w[y % alpha]:
+                w[y % alpha] = y
+    return w

@@ -26,7 +26,7 @@ from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, admissible_rotation, lean_set_from_path
 from .semigroup import SemigroupPair, is_member, membership_sieve
-from .semimodules import Semimodule, _coset, minimal_generators
+from .semimodules import Semimodule
 
 __all__ = [
     "FundamentalCouple",
@@ -197,9 +197,11 @@ def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     """Brute-force syzygy from the definition, independent of the path route.
 
     Unions the pairwise intersections of generator cosets inside the window
-    [0, 2*alpha*beta + max generator], which provably contains every minimal
-    generator of the syzygy, then strips the result down to them.  Refuses
-    single-generator input, whose defining union is empty.
+    [0, 2*alpha*beta + max generator] into E; the window provably contains
+    every minimal generator of the syzygy, and the definitional filter
+    {y in E : y - alpha not in E and y - beta not in E} keeps exactly those,
+    because the window is closed downward.  Refuses single-generator input,
+    whose defining union is empty.
     """
     gens = module.gens
     if len(gens) < 2:
@@ -210,7 +212,15 @@ def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     elements: set[int] = set()
     for one, other in combinations(cosets, 2):
         elements |= one & other
-    return Semimodule(semigroup, minimal_generators(semigroup, elements))
+    alpha, beta = semigroup.alpha, semigroup.beta
+    minimal = sorted(y for y in elements if y - alpha not in elements and y - beta not in elements)
+    return Semimodule(semigroup, tuple(minimal))
+
+
+def _coset(start: int, member: list[bool], bound: int) -> set[int]:
+    """start + <alpha, beta> up to bound, given the membership sieve up to at
+    least bound - start; empty when start exceeds bound."""
+    return {start + d for d in range(bound - start + 1) if member[d]}
 
 
 def syzygy_matrix(matrix: PathMatrix) -> PathMatrix:

@@ -33,8 +33,9 @@ from .paths import (
     stays_below_diagonal,
 )
 from .semigroup import SemigroupPair, gaps, is_member, membership_sieve, presentation
-from .semimodules import Semimodule, _coset, minimal_generators
+from .semimodules import Semimodule
 from .syzygies import (
+    _coset,
     _matrix_period,
     fundamental_couple,
     syzygy,
@@ -88,19 +89,6 @@ def _random_composition(rng: random.Random, total: int, parts: int) -> tuple[int
     cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
     bounds = [0] + cuts + [total]
     return tuple(bounds[i + 1] - bounds[i] for i in range(parts))
-
-
-def _random_modules(semigroup: SemigroupPair, count: int, rng: random.Random) -> list[Semimodule]:
-    """Seeded sample of normalized semimodules with at least two generators."""
-    gap_values = [g.value for g in gaps(semigroup)]
-    out = []
-    while len(out) < count:
-        size = rng.randint(1, semigroup.alpha - 1)
-        xs = {0, *rng.sample(gap_values, size)}
-        gens = minimal_generators(semigroup, xs)
-        if len(gens) >= 2:
-            out.append(Semimodule(semigroup, gens))
-    return out
 
 
 def check_gap_arithmetic(semigroup: SemigroupPair) -> list[CheckResult]:
@@ -220,6 +208,9 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Semimodule]) -> 
     couple_ok = True
     matrix_ok = True
     consecutive_ok = True
+    # syzygy() takes normalized modules only, whose generators (0 and gaps) are
+    # at most the Frobenius number, so one sieve covers every window below.
+    member = membership_sieve(semigroup, 2 * semigroup.product + semigroup.frobenius)
     for module in modules:
         lean = LeanSet.from_members(semigroup, module.gens)
         couple = fundamental_couple(semigroup, lean)
@@ -233,7 +224,6 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Semimodule]) -> 
             if fast.gens != syzygy_oracle(semigroup, module).gens:
                 routes_ok = False
             window = 2 * semigroup.product + max(module.gens)
-            member = membership_sieve(semigroup, window)
             cosets = {g: _coset(g, member, window) for g in module.gens}
             all_pairs: set[int] = set()
             for x, y in combinations(module.gens, 2):

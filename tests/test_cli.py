@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import signal
@@ -174,6 +175,15 @@ def test_verify_deep_5_7(capsys):
         "orbit-tables-vs-iteration",
         "cycle-lemma",
     } <= names
+
+
+def test_verify_deep_7_8_stdout_is_unchanged(capsys):
+    # sha256 of the whole stdout, so no change to an oracle can alter a verdict
+    # or a detail line unnoticed.
+    code, out, _ = run(capsys, "verify", "7", "8", "--deep")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "aa69e5b9b3f0771c6d1d9c8e417c3c50d81fe050d63387e350cecf2fa09dacea"
 
 
 def test_determinism(capsys):

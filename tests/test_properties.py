@@ -1,0 +1,74 @@
+"""Property tests over random coprime pairs with beta <= 20.
+
+The Apery-tuple kernel behind minimal_generators and elements_up_to is
+checked against the double-loop membership of verify.naive_members and the
+definitional filter {y : y - alpha and y - beta are not members}; the
+element-route syzygy_oracle is checked against the path-route syzygy.
+"""
+
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from semipath import (
+    SemigroupPair,
+    Semimodule,
+    elements_up_to,
+    minimal_generators,
+    normalize,
+    syzygy,
+    syzygy_oracle,
+)
+from semipath.verify import naive_members
+
+PAIRS = [
+    SemigroupPair(alpha, beta)
+    for beta in range(3, 21)
+    for alpha in range(2, beta)
+    if math.gcd(alpha, beta) == 1
+]
+
+
+@st.composite
+def generator_sets(draw):
+    """A pair and a non-empty list of generators, reaching well above alpha*beta."""
+    pair = draw(st.sampled_from(PAIRS))
+    xs = draw(st.lists(st.integers(0, 3 * pair.product), min_size=1, max_size=8))
+    return pair, xs
+
+
+def module_elements(pair, xs, bound):
+    """The semimodule generated by xs up to bound, by the double-loop members."""
+    members = naive_members(pair, bound)
+    return {x + s for x in xs for s in members if x + s <= bound}
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets())
+def test_minimal_generators_is_the_definitional_filter(case):
+    pair, xs = case
+    # Every minimal generator lies in xs, and [0, max(xs)] is closed downward,
+    # so the filter is exact inside it.
+    elements = module_elements(pair, xs, max(xs))
+    expected = tuple(
+        sorted(y for y in elements if y - pair.alpha not in elements and y - pair.beta not in elements)
+    )
+    assert minimal_generators(pair, xs) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets(), st.integers(0, 1000))
+def test_elements_up_to_is_the_double_loop_union(case, bound):
+    pair, xs = case
+    module = Semimodule(pair, minimal_generators(pair, xs))
+    assert elements_up_to(pair, module, bound) == sorted(module_elements(pair, xs, bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_syzygy_oracle_agrees_with_the_path_route(case):
+    pair, xs = case
+    module = normalize(pair, xs)
+    assume(len(module.gens) >= 2)
+    assert syzygy_oracle(pair, module).gens == syzygy(pair, module).gens

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import semipath.semimodules
 from semipath import (
     InvariantError,
     LeanSet,
@@ -114,6 +115,16 @@ def test_syzygy_oracle_examples():
     assert syzygy_oracle(S57, module).gens == syzygy(S57, module).gens
     with pytest.raises(ValueError):
         syzygy_oracle(S57, Semimodule(S57, (0,)))
+
+
+def test_syzygy_oracle_shares_no_kernel_with_minimal_generators(monkeypatch):
+    # minimal_generators reads the Apery tuple; the oracle must reach neither.
+    def refuse(*args):
+        raise AssertionError("syzygy_oracle reached the library's generator kernel")
+
+    monkeypatch.setattr(semipath.semimodules, "_apery", refuse)
+    monkeypatch.setattr(semipath.semimodules, "minimal_generators", refuse)
+    assert syzygy_oracle(S57, Semimodule(S57, (0, 6, 8, 9))).gens == (13, 14, 15, 16)
 
 
 def test_route_equivalence_exhaustive_small_pairs():
