@@ -49,6 +49,14 @@ class PathMatrix:
             if any(not isinstance(v, int) or v < 1 for v in row):
                 raise ValueError(f"all run lengths must be integers >= 1, got {row}")
 
+    @classmethod
+    def _trusted(cls, down: tuple[int, ...], right: tuple[int, ...]) -> "PathMatrix":
+        """Build without validation, for the rows of a valid matrix, rotated."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "down", down)
+        object.__setattr__(matrix, "right", right)
+        return matrix
+
     @property
     def columns(self) -> int:
         return len(self.down)
@@ -132,7 +140,7 @@ def stays_below_diagonal(semigroup: SemigroupPair, matrix: PathMatrix) -> bool:
 def _rotated(matrix: PathMatrix, k: int) -> PathMatrix:
     if k == 0:
         return matrix
-    return PathMatrix(
+    return PathMatrix._trusted(
         matrix.down[k:] + matrix.down[:k], matrix.right[k:] + matrix.right[:k]
     )
 

@@ -212,9 +212,13 @@ def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     elements: set[int] = set()
     for one, other in combinations(cosets, 2):
         elements |= one & other
+    return Semimodule(semigroup, _window_generators(semigroup, elements))
+
+
+def _window_generators(semigroup: SemigroupPair, elements: set[int]) -> tuple[int, ...]:
+    """Minimal generators of a semimodule cut to a window that holds them all."""
     alpha, beta = semigroup.alpha, semigroup.beta
-    minimal = sorted(y for y in elements if y - alpha not in elements and y - beta not in elements)
-    return Semimodule(semigroup, tuple(minimal))
+    return tuple(sorted(y for y in elements if y - alpha not in elements and y - beta not in elements))
 
 
 def _coset(start: int, member: list[bool], bound: int) -> set[int]:
@@ -229,7 +233,7 @@ def syzygy_matrix(matrix: PathMatrix) -> PathMatrix:
     The result is generally not below the diagonal; its admissible rotation
     is the matrix of the normalized syzygy.
     """
-    return PathMatrix(matrix.down[1:] + matrix.down[:1], matrix.right)
+    return PathMatrix._trusted(matrix.down[1:] + matrix.down[:1], matrix.right)
 
 
 def _matrix_period(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> int:

@@ -22,7 +22,7 @@ from .counting import (
     narayana,
     orbit_count_table,
 )
-from .leansets import LeanSet, _gap_chains, enumerate_lean_sets, is_lean
+from .leansets import LeanSet, _gap_chains, _lean_chain, enumerate_lean_sets, is_lean
 from .paths import (
     PathMatrix,
     _rows,
@@ -37,6 +37,7 @@ from .semimodules import Semimodule
 from .syzygies import (
     _coset,
     _matrix_period,
+    _window_generators,
     fundamental_couple,
     syzygy,
     syzygy_matrix,
@@ -133,33 +134,29 @@ def _pairwise_lean(semigroup: SemigroupPair, values) -> bool:
     return all(not is_member(semigroup, y - x) for x, y in combinations(values, 2))
 
 
-def check_lean_enumeration(semigroup: SemigroupPair) -> list[CheckResult]:
-    per_r: Counter[int] = Counter()
-    stream: list[tuple[int, ...]] = []
-    seen = set()
+def check_lean_enumeration(semigroup: SemigroupPair, leans: list[LeanSet]) -> list[CheckResult]:
+    per_r = Counter(lean.gap_count for lean in leans)
     round_trip = True
     all_lean = True
-    for lean in enumerate_lean_sets(semigroup):
-        per_r[lean.gap_count] += 1
-        stream.append(lean.members)
-        seen.add(lean.members)
+    for lean in leans:
         if not (is_lean(semigroup, lean.members) and _pairwise_lean(semigroup, lean.members)):
             all_lean = False
         matrix = path_from_lean_set(semigroup, lean)
         if lean_set_from_path(semigroup, matrix).members != lean.members:
             round_trip = False
-    total = sum(per_r.values())
+    total = len(leans)
     counts_ok = total == count_lean_sets_total(semigroup) and all(
         per_r.get(r, 0) == count_lean_sets(semigroup, r) for r in range(semigroup.alpha)
     )
+    distinct = len({lean.members for lean in leans}) == total
     filtered_ok = all(
         [l.members for l in enumerate_lean_sets(semigroup, r)]
-        == [m for m in stream if len(m) == r + 1]
+        == [l.members for l in leans if len(l.members) == r + 1]
         for r in range(min(semigroup.alpha, 4))
     )
     return [
         CheckResult("lean-count-formulas", counts_ok, f"{total} sets, every r"),
-        CheckResult("lean-stream", all_lean and len(seen) == total and filtered_ok, "no duplicates, filter consistent"),
+        CheckResult("lean-stream", all_lean and distinct and filtered_ok, "no duplicates, filter consistent"),
         CheckResult("path-round-trip", round_trip, "lean set -> matrix -> lean set"),
     ]
 
@@ -203,7 +200,7 @@ def check_cycle_lemma(semigroup: SemigroupPair) -> CheckResult:
     return CheckResult("cycle-lemma", ok, f"{len(matrices)} matrices, {kind}")
 
 
-def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Semimodule]) -> list[CheckResult]:
+def check_syzygy_routes(semigroup: SemigroupPair, modules: list[tuple[LeanSet, Semimodule]]) -> list[CheckResult]:
     routes_ok = True
     couple_ok = True
     matrix_ok = True
@@ -211,8 +208,7 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Semimodule]) -> 
     # syzygy() takes normalized modules only, whose generators (0 and gaps) are
     # at most the Frobenius number, so one sieve covers every window below.
     member = membership_sieve(semigroup, 2 * semigroup.product + semigroup.frobenius)
-    for module in modules:
-        lean = LeanSet.from_members(semigroup, module.gens)
+    for lean, module in modules:
         couple = fundamental_couple(semigroup, lean)
         if not validate_fundamental_couple(semigroup, couple.gens, couple.syzygy_gens):
             couple_ok = False
@@ -221,26 +217,20 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Semimodule]) -> 
             couple_ok = False
         fast = syzygy(semigroup, module)
         if len(module.gens) >= 2:
-            if fast.gens != syzygy_oracle(semigroup, module).gens:
+            oracle = syzygy_oracle(semigroup, module)
+            if fast.gens != oracle.gens:
                 routes_ok = False
             window = 2 * semigroup.product + max(module.gens)
-            cosets = {g: _coset(g, member, window) for g in module.gens}
-            all_pairs: set[int] = set()
-            for x, y in combinations(module.gens, 2):
-                all_pairs |= cosets[x] & cosets[y]
-            order = couple.gens
+            cosets = [_coset(g, member, window) for g in couple.gens]
             consecutive: set[int] = set()
-            for x, y in zip(order, order[1:]):
-                consecutive |= cosets[x] & cosets[y]
-            consecutive |= cosets[order[0]] & cosets[order[-1]]
-            if all_pairs != consecutive:
+            for one, other in zip(cosets, cosets[1:] + cosets[:1]):
+                consecutive |= one & other
+            # The oracle cut the all-pairs union to this window; a cut is fixed by its generators.
+            if _window_generators(semigroup, consecutive) != oracle.gens:
                 consecutive_ok = False
-        matrix = path_from_lean_set(semigroup, lean)
-        rotated = admissible_rotation(semigroup, syzygy_matrix(matrix))[1]
-        if rotated != path_from_lean_set(
-            semigroup,
-            LeanSet.from_members(semigroup, fast.normalize().gens),
-        ):
+        rotated = admissible_rotation(semigroup, syzygy_matrix(path_from_lean_set(semigroup, lean)))[1]
+        chain = _lean_chain(semigroup, fast.normalize().gens)
+        if chain is None or rotated != PathMatrix(*_rows(semigroup, chain)):
             matrix_ok = False
     count = len(modules)
     return [
@@ -251,20 +241,18 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Semimodule]) -> 
     ]
 
 
-def check_periods(semigroup: SemigroupPair, modules: list[Semimodule], deep: bool) -> list[CheckResult]:
+def check_periods(semigroup: SemigroupPair, modules: list[tuple[LeanSet, Semimodule]], deep: bool) -> list[CheckResult]:
     division_ok = True
     matrix_ok = True
     tallies: dict[int, Counter[int]] = {}
-    for module in modules:
+    for lean, module in modules:
         report = syzygy_period(semigroup, module)
         n = report.n
         if n % report.period or semigroup.product % (n // report.period):
             division_ok = False
         if len({m.gens for m in report.cycle}) != report.period:
             division_ok = False
-        lean = LeanSet.from_members(semigroup, module.gens)
-        matrix = path_from_lean_set(semigroup, lean)
-        if _matrix_period(semigroup.alpha, semigroup.beta, matrix.down, matrix.right) != report.period:
+        if _matrix_period(semigroup.alpha, semigroup.beta, *_rows(semigroup, lean.gap_points)) != report.period:
             matrix_ok = False
         tallies.setdefault(n, Counter())[report.period] += 1
     results = [
@@ -313,15 +301,14 @@ def run_checks(semigroup: SemigroupPair, deep: bool = False) -> list[CheckResult
     results = check_gap_arithmetic(semigroup)
     total = count_lean_sets_total(semigroup)
     if total <= ENUMERATION_CAP:
-        results += check_lean_enumeration(semigroup)
-        modules = [
-            Semimodule(semigroup, lean.members) for lean in enumerate_lean_sets(semigroup)
-        ]
+        leans = list(enumerate_lean_sets(semigroup))
+        results += check_lean_enumeration(semigroup, leans)
+        modules = [(lean, Semimodule(semigroup, lean.members)) for lean in leans]
         if not deep and len(modules) > 200:
-            rng = random.Random(SAMPLE_SEED)
-            modules = rng.sample(modules, 200)
+            modules = random.Random(SAMPLE_SEED).sample(modules, 200)
         results += check_syzygy_routes(semigroup, modules)
         results += check_periods(semigroup, modules, deep)
+        del leans, modules  # freed before the cycle lemma builds its matrices
     else:
         results.append(
             CheckResult(

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import semipath.cli
+import semipath.verify
 from semipath import InvariantError, SemigroupPair, Semimodule, enumerate_lean_sets
 from semipath.cli import _build_parser, main
+from semipath.syzygies import FundamentalCouple, fundamental_couple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -177,13 +179,53 @@ def test_verify_deep_5_7(capsys):
     } <= names
 
 
-def test_verify_deep_7_8_stdout_is_unchanged(capsys):
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["7", "8", "--deep"], "aa69e5b9b3f0771c6d1d9c8e417c3c50d81fe050d63387e350cecf2fa09dacea"),
+        # more than 200 lean sets, so this run checks the seeded sample of modules
+        (["7", "11"], "5f9d5ed5cd41e76b0f76570336f7ed9c8224bbb1beee1a3c70eb50f87c4a7a06"),
+    ],
+    ids=["7-8-deep", "7-11"],
+)
+def test_verify_stdout_is_unchanged(capsys, argv, digest):
     # sha256 of the whole stdout, so no change to an oracle can alter a verdict
     # or a detail line unnoticed.
-    code, out, _ = run(capsys, "verify", "7", "8", "--deep")
+    code, out, _ = run(capsys, "verify", *argv)
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "aa69e5b9b3f0771c6d1d9c8e417c3c50d81fe050d63387e350cecf2fa09dacea"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _non_lean_syzygy(pair, module):
+    g0 = module.gens[0]
+    return Semimodule._trusted(pair, (g0, g0 + pair.alpha))
+
+
+def _couple_with_swapped_order(pair, lean):
+    couple = fundamental_couple(pair, lean)
+    gens = couple.gens
+    if len(gens) >= 3:
+        gens = (gens[0], gens[2], gens[1]) + gens[3:]
+    return FundamentalCouple(gens, couple.syzygy_gens)
+
+
+@pytest.mark.parametrize(
+    "argv, name, fake, failing",
+    [
+        (["5", "7"], "syzygy", _non_lean_syzygy,
+         {"syzygy-route-equivalence", "syzygy-matrix-route"}),
+        (["7", "11"], "fundamental_couple", _couple_with_swapped_order,
+         {"fundamental-couples", "syzygy-consecutive-union"}),
+    ],
+    ids=["non-lean-syzygy", "swapped-couple"],
+)
+def test_verify_reports_a_broken_route_as_failed_checks(capsys, monkeypatch, argv, name, fake, failing):
+    monkeypatch.setattr(semipath.verify, name, fake)
+    code, out, err = run(capsys, "verify", *argv)
+    lines = out.splitlines()
+    assert code == 3 and err == ""
+    assert len(lines) == 13
+    assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == failing
 
 
 def test_determinism(capsys):
