@@ -51,15 +51,11 @@ class PathMatrix:
 
     @classmethod
     def _trusted(cls, down: tuple[int, ...], right: tuple[int, ...]) -> "PathMatrix":
-        """Build without validation, for the rows of a valid matrix, rotated."""
+        """Build without validation, for rows known to be valid, such as rotated rows."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "down", down)
         object.__setattr__(matrix, "right", right)
         return matrix
-
-    @property
-    def columns(self) -> int:
-        return len(self.down)
 
 
 def _require_row_sums(semigroup: SemigroupPair, matrix: PathMatrix) -> None:
@@ -127,11 +123,16 @@ def se_turns(semigroup: SemigroupPair, matrix: PathMatrix) -> tuple[tuple[int, i
 def stays_below_diagonal(semigroup: SemigroupPair, matrix: PathMatrix) -> bool:
     """Whether every ES-turn (a, b) satisfies a*alpha + b*beta < alpha*beta."""
     _require_row_sums(semigroup, matrix)
-    alpha, beta, ab = semigroup.alpha, semigroup.beta, semigroup.product
+    return _below_diagonal(semigroup.alpha, semigroup.beta, matrix.down, matrix.right)
+
+
+def _below_diagonal(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> bool:
+    """stays_below_diagonal on raw rows whose sums are (alpha, beta)."""
+    ab = alpha * beta
     a, b = 0, alpha
-    for k in range(matrix.columns - 1):
-        b -= matrix.down[k]
-        a += matrix.right[k]
+    for k in range(len(down) - 1):
+        b -= down[k]
+        a += right[k]
         if a * alpha + b * beta >= ab:
             return False
     return True
@@ -147,7 +148,7 @@ def _rotated(matrix: PathMatrix, k: int) -> PathMatrix:
 
 def cyclic_rotations(matrix: PathMatrix) -> tuple[PathMatrix, ...]:
     """All simultaneous column rotations of the matrix, rotation 0 first."""
-    return tuple(_rotated(matrix, k) for k in range(matrix.columns))
+    return tuple(_rotated(matrix, k) for k in range(len(matrix.down)))
 
 
 def _admissible_index(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> int:

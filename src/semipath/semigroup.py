@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvariantError
 
@@ -52,9 +54,15 @@ class SemigroupPair:
         object.__setattr__(self, "_beta_inverse", pow(self.beta, -1, self.alpha))
         object.__setattr__(self, "_alpha_inverse", pow(self.alpha, -1, self.beta))
 
+    @cached_property
+    def _member_bits(self) -> int:
+        """Bit k is set exactly when k lies in <alpha, beta>, for k up to
+        2*alpha*beta + frobenius; read off the membership sieve once per pair."""
+        sieve = membership_sieve(self, 2 * self.product + self.frobenius)
+        return int("".join("1" if m else "0" for m in reversed(sieve)), 2)
 
-@dataclass(frozen=True)
-class Presentation:
+
+class Presentation(NamedTuple):
     """The unique triple (p, a, b) writing n as p*alpha*beta - a*alpha - b*beta."""
 
     p: int
@@ -65,8 +73,7 @@ class Presentation:
         return self.p * semigroup.product - self.a * semigroup.alpha - self.b * semigroup.beta
 
 
-@dataclass(frozen=True)
-class GapPoint:
+class GapPoint(NamedTuple):
     """A gap value alpha*beta - a*alpha - b*beta together with its point (a, b), a, b >= 1."""
 
     value: int

@@ -25,7 +25,7 @@ from itertools import combinations
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, admissible_rotation, lean_set_from_path
-from .semigroup import SemigroupPair, is_member, membership_sieve
+from .semigroup import SemigroupPair, is_member
 from .semimodules import Semimodule
 
 __all__ = [
@@ -200,31 +200,38 @@ def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     [0, 2*alpha*beta + max generator] into E; the window provably contains
     every minimal generator of the syzygy, and the definitional filter
     {y in E : y - alpha not in E and y - beta not in E} keeps exactly those,
-    because the window is closed downward.  Refuses single-generator input,
-    whose defining union is empty.
+    because the window is closed downward.  The sets are bitsets read from
+    the membership sieve, taken relative to the least generator, below which
+    E is empty.  Refuses single-generator input, whose defining union is empty.
     """
     gens = module.gens
     if len(gens) < 2:
         raise ValueError("the defining union is empty for a single generator")
-    window = 2 * semigroup.product + max(gens)
-    member = membership_sieve(semigroup, window)
-    cosets = [_coset(g, member, window) for g in gens]
-    elements: set[int] = set()
+    low = gens[0]
+    cosets = _cosets(semigroup, [g - low for g in gens], 2 * semigroup.product + gens[-1] - low)
+    elements = 0
     for one, other in combinations(cosets, 2):
         elements |= one & other
-    return Semimodule(semigroup, _window_generators(semigroup, elements))
+    return Semimodule._trusted(semigroup, tuple(y + low for y in _window_generators(semigroup, elements)))
 
 
-def _window_generators(semigroup: SemigroupPair, elements: set[int]) -> tuple[int, ...]:
-    """Minimal generators of a semimodule cut to a window that holds them all."""
-    alpha, beta = semigroup.alpha, semigroup.beta
-    return tuple(sorted(y for y in elements if y - alpha not in elements and y - beta not in elements))
+def _cosets(semigroup: SemigroupPair, offsets, window: int) -> list[int]:
+    """The cosets d + <alpha, beta> cut to [0, window], as bitsets, for
+    window <= 2*alpha*beta + frobenius and offsets d >= 0."""
+    bits, mask = semigroup._member_bits, (1 << window + 1) - 1
+    return [bits << d & mask for d in offsets]
 
 
-def _coset(start: int, member: list[bool], bound: int) -> set[int]:
-    """start + <alpha, beta> up to bound, given the membership sieve up to at
-    least bound - start; empty when start exceeds bound."""
-    return {start + d for d in range(bound - start + 1) if member[d]}
+def _window_generators(semigroup: SemigroupPair, elements: int) -> tuple[int, ...]:
+    """Minimal generators, ascending, of a semimodule given as a bitset cut to
+    a window that holds them all: the members y with y - alpha and y - beta outside."""
+    low = elements & ~(elements << semigroup.alpha) & ~(elements << semigroup.beta)
+    out = []
+    while low:
+        bit = low & -low
+        out.append(bit.bit_length() - 1)
+        low ^= bit
+    return tuple(out)
 
 
 def syzygy_matrix(matrix: PathMatrix) -> PathMatrix:

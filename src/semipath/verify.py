@@ -8,10 +8,11 @@ line per check; the heavy sweeps run only with deep=True or on request.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .counting import (
     _require_generator_count,
@@ -25,17 +26,16 @@ from .counting import (
 from .leansets import LeanSet, _gap_chains, _lean_chain, enumerate_lean_sets, is_lean
 from .paths import (
     PathMatrix,
+    _below_diagonal,
     _rows,
     admissible_rotation,
-    cyclic_rotations,
     lean_set_from_path,
     path_from_lean_set,
-    stays_below_diagonal,
 )
 from .semigroup import SemigroupPair, gaps, is_member, membership_sieve, presentation
 from .semimodules import Semimodule
 from .syzygies import (
-    _coset,
+    _cosets,
     _matrix_period,
     _window_generators,
     fundamental_couple,
@@ -56,6 +56,9 @@ __all__ = [
 
 ENUMERATION_CAP = 200_000
 SAMPLE_SEED = 91405
+
+# A lean set with its path matrix and validated module, derived once by run_checks.
+Enumerated = tuple[LeanSet, PathMatrix, Semimodule]
 
 
 @dataclass(frozen=True)
@@ -95,22 +98,12 @@ def _random_composition(rng: random.Random, total: int, parts: int) -> tuple[int
 def check_gap_arithmetic(semigroup: SemigroupPair) -> list[CheckResult]:
     bound = 3 * semigroup.product
     naive = naive_members(semigroup, bound)
-    round_trip = True
-    member_match = True
-    for n in range(1, bound + 1):
-        q = presentation(semigroup, n)
-        if (
-            q.value(semigroup) != n
-            or q.p < 1
-            or not 0 <= q.a < semigroup.beta
-            or not 0 <= q.b < semigroup.alpha
-        ):
-            round_trip = False
-            break
-    for n in range(bound + 1):
-        if is_member(semigroup, n) != (n in naive):
-            member_match = False
-            break
+    round_trip = all(
+        (q := presentation(semigroup, n)).value(semigroup) == n
+        and q.p >= 1 and 0 <= q.a < semigroup.beta and 0 <= q.b < semigroup.alpha
+        for n in range(1, bound + 1)
+    )
+    member_match = all(is_member(semigroup, n) == (n in naive) for n in range(bound + 1))
     gap_values = [g.value for g in gaps(semigroup)]
     gap_set = set(gap_values)
     expected_gaps = sorted(set(range(1, semigroup.product)) - naive)
@@ -130,18 +123,21 @@ def check_gap_arithmetic(semigroup: SemigroupPair) -> list[CheckResult]:
 
 
 def _pairwise_lean(semigroup: SemigroupPair, values) -> bool:
-    """The definition of leanness: no pairwise difference lies in the semigroup."""
-    return all(not is_member(semigroup, y - x) for x, y in combinations(values, 2))
+    """The definition of leanness: no pairwise difference of the ascending
+    values lies in the semigroup.  Membership is read from the sieve bitset,
+    not from presentation, the kernel of the chain criterion this checks."""
+    bits, frobenius = semigroup._member_bits, semigroup.frobenius
+    return all(y - x <= frobenius and not bits >> y - x & 1 for x, y in combinations(values, 2))
 
 
-def check_lean_enumeration(semigroup: SemigroupPair, leans: list[LeanSet]) -> list[CheckResult]:
+def check_lean_enumeration(semigroup: SemigroupPair, modules: list[Enumerated]) -> list[CheckResult]:
+    leans = [lean for lean, _, _ in modules]
     per_r = Counter(lean.gap_count for lean in leans)
     round_trip = True
     all_lean = True
-    for lean in leans:
+    for lean, matrix, _ in modules:
         if not (is_lean(semigroup, lean.members) and _pairwise_lean(semigroup, lean.members)):
             all_lean = False
-        matrix = path_from_lean_set(semigroup, lean)
         if lean_set_from_path(semigroup, matrix).members != lean.members:
             round_trip = False
     total = len(leans)
@@ -163,52 +159,31 @@ def check_lean_enumeration(semigroup: SemigroupPair, leans: list[LeanSet]) -> li
 
 def check_cycle_lemma(semigroup: SemigroupPair) -> CheckResult:
     alpha, beta = semigroup.alpha, semigroup.beta
-    exhaustive = (
-        sum(
-            len(list(compositions(alpha, k))) * len(list(compositions(beta, k)))
-            for k in range(1, alpha + 1)
-        )
-        <= 100_000
-    )
-    matrices = []
-    if exhaustive:
-        for k in range(1, alpha + 1):
-            downs = list(compositions(alpha, k))
-            rights = list(compositions(beta, k))
-            matrices.extend(PathMatrix(d, r) for d in downs for r in rights)
+    total = sum(math.comb(alpha - 1, k - 1) * math.comb(beta - 1, k - 1) for k in range(1, alpha + 1))
+    if total <= 100_000:
+        kind = "exhaustive"
+        rows = (row for k in range(1, alpha + 1) for row in product(compositions(alpha, k), compositions(beta, k)))
     else:
-        rng = random.Random(SAMPLE_SEED)
-        for _ in range(1000):
-            k = rng.randint(1, alpha)
-            matrices.append(
-                PathMatrix(
-                    _random_composition(rng, alpha, k), _random_composition(rng, beta, k)
-                )
-            )
+        total, kind, rng = 1000, "1000 sampled", random.Random(SAMPLE_SEED)
+        ks = (rng.randint(1, alpha) for _ in range(total))  # drawn lazily, each before its compositions
+        rows = [(_random_composition(rng, alpha, k), _random_composition(rng, beta, k)) for k in ks]
     ok = True
-    for matrix in matrices:
-        hits = [
-            i
-            for i, rotation in enumerate(cyclic_rotations(matrix))
-            if stays_below_diagonal(semigroup, rotation)
-        ]
-        index, rotated = admissible_rotation(semigroup, matrix)
-        if len(hits) != 1 or hits[0] != index or not stays_below_diagonal(semigroup, rotated):
+    for down, right in rows:
+        rotations = [(down[i:] + down[:i], right[i:] + right[:i]) for i in range(len(down))]
+        hits = [i for i, (d, r) in enumerate(rotations) if _below_diagonal(alpha, beta, d, r)]
+        index, rotated = admissible_rotation(semigroup, PathMatrix._trusted(down, right))
+        if hits != [index] or (rotated.down, rotated.right) != rotations[index]:
             ok = False
             break
-    kind = "exhaustive" if exhaustive else "1000 sampled"
-    return CheckResult("cycle-lemma", ok, f"{len(matrices)} matrices, {kind}")
+    return CheckResult("cycle-lemma", ok, f"{total} matrices, {kind}")
 
 
-def check_syzygy_routes(semigroup: SemigroupPair, modules: list[tuple[LeanSet, Semimodule]]) -> list[CheckResult]:
+def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Enumerated]) -> list[CheckResult]:
     routes_ok = True
     couple_ok = True
     matrix_ok = True
     consecutive_ok = True
-    # syzygy() takes normalized modules only, whose generators (0 and gaps) are
-    # at most the Frobenius number, so one sieve covers every window below.
-    member = membership_sieve(semigroup, 2 * semigroup.product + semigroup.frobenius)
-    for lean, module in modules:
+    for lean, matrix, module in modules:
         couple = fundamental_couple(semigroup, lean)
         if not validate_fundamental_couple(semigroup, couple.gens, couple.syzygy_gens):
             couple_ok = False
@@ -220,15 +195,15 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[tuple[LeanSet, S
             oracle = syzygy_oracle(semigroup, module)
             if fast.gens != oracle.gens:
                 routes_ok = False
-            window = 2 * semigroup.product + max(module.gens)
-            cosets = [_coset(g, member, window) for g in couple.gens]
-            consecutive: set[int] = set()
+            # syzygy() takes normalized modules only, so the oracle's window starts at 0.
+            cosets = _cosets(semigroup, couple.gens, 2 * semigroup.product + max(module.gens))
+            consecutive = 0
             for one, other in zip(cosets, cosets[1:] + cosets[:1]):
                 consecutive |= one & other
             # The oracle cut the all-pairs union to this window; a cut is fixed by its generators.
             if _window_generators(semigroup, consecutive) != oracle.gens:
                 consecutive_ok = False
-        rotated = admissible_rotation(semigroup, syzygy_matrix(path_from_lean_set(semigroup, lean)))[1]
+        rotated = admissible_rotation(semigroup, syzygy_matrix(matrix))[1]
         chain = _lean_chain(semigroup, fast.normalize().gens)
         if chain is None or rotated != PathMatrix(*_rows(semigroup, chain)):
             matrix_ok = False
@@ -241,18 +216,18 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[tuple[LeanSet, S
     ]
 
 
-def check_periods(semigroup: SemigroupPair, modules: list[tuple[LeanSet, Semimodule]], deep: bool) -> list[CheckResult]:
+def check_periods(semigroup: SemigroupPair, modules: list[Enumerated], deep: bool) -> list[CheckResult]:
     division_ok = True
     matrix_ok = True
     tallies: dict[int, Counter[int]] = {}
-    for lean, module in modules:
+    for _, matrix, module in modules:
         report = syzygy_period(semigroup, module)
         n = report.n
         if n % report.period or semigroup.product % (n // report.period):
             division_ok = False
         if len({m.gens for m in report.cycle}) != report.period:
             division_ok = False
-        if _matrix_period(semigroup.alpha, semigroup.beta, *_rows(semigroup, lean.gap_points)) != report.period:
+        if _matrix_period(semigroup.alpha, semigroup.beta, matrix.down, matrix.right) != report.period:
             matrix_ok = False
         tallies.setdefault(n, Counter())[report.period] += 1
     results = [
@@ -301,14 +276,16 @@ def run_checks(semigroup: SemigroupPair, deep: bool = False) -> list[CheckResult
     results = check_gap_arithmetic(semigroup)
     total = count_lean_sets_total(semigroup)
     if total <= ENUMERATION_CAP:
-        leans = list(enumerate_lean_sets(semigroup))
-        results += check_lean_enumeration(semigroup, leans)
-        modules = [(lean, Semimodule(semigroup, lean.members)) for lean in leans]
+        modules = [
+            (lean, path_from_lean_set(semigroup, lean), Semimodule(semigroup, lean.members))
+            for lean in enumerate_lean_sets(semigroup)
+        ]
+        results += check_lean_enumeration(semigroup, modules)
         if not deep and len(modules) > 200:
             modules = random.Random(SAMPLE_SEED).sample(modules, 200)
         results += check_syzygy_routes(semigroup, modules)
         results += check_periods(semigroup, modules, deep)
-        del leans, modules  # freed before the cycle lemma builds its matrices
+        del modules  # freed before the cycle lemma runs
     else:
         results.append(
             CheckResult(

@@ -185,8 +185,10 @@ def test_verify_deep_5_7(capsys):
         (["7", "8", "--deep"], "aa69e5b9b3f0771c6d1d9c8e417c3c50d81fe050d63387e350cecf2fa09dacea"),
         # more than 200 lean sets, so this run checks the seeded sample of modules
         (["7", "11"], "5f9d5ed5cd41e76b0f76570336f7ed9c8224bbb1beee1a3c70eb50f87c4a7a06"),
+        # every module of (7,11): the benchmark's own verify input
+        (["7", "11", "--deep"], "c6c89c18cd5f7fc7a00119a954427a9f350b6a0e2fb43166d6acde394ebfecfc"),
     ],
-    ids=["7-8-deep", "7-11"],
+    ids=["7-8-deep", "7-11", "7-11-deep"],
 )
 def test_verify_stdout_is_unchanged(capsys, argv, digest):
     # sha256 of the whole stdout, so no change to an oracle can alter a verdict
@@ -199,6 +201,10 @@ def test_verify_stdout_is_unchanged(capsys, argv, digest):
 def _non_lean_syzygy(pair, module):
     g0 = module.gens[0]
     return Semimodule._trusted(pair, (g0, g0 + pair.alpha))
+
+
+def _unrotated(pair, matrix):
+    return 0, matrix
 
 
 def _couple_with_swapped_order(pair, lean):
@@ -216,8 +222,10 @@ def _couple_with_swapped_order(pair, lean):
          {"syzygy-route-equivalence", "syzygy-matrix-route"}),
         (["7", "11"], "fundamental_couple", _couple_with_swapped_order,
          {"fundamental-couples", "syzygy-consecutive-union"}),
+        (["5", "7"], "admissible_rotation", _unrotated,
+         {"syzygy-matrix-route", "cycle-lemma"}),
     ],
-    ids=["non-lean-syzygy", "swapped-couple"],
+    ids=["non-lean-syzygy", "swapped-couple", "unrotated"],
 )
 def test_verify_reports_a_broken_route_as_failed_checks(capsys, monkeypatch, argv, name, fake, failing):
     monkeypatch.setattr(semipath.verify, name, fake)

@@ -3,9 +3,11 @@
 The Apery-tuple kernel behind minimal_generators and elements_up_to is
 checked against the double-loop membership of verify.naive_members and the
 definitional filter {y : y - alpha and y - beta are not members}; the
-element-route syzygy_oracle is checked against the path-route syzygy.
+element-route syzygy_oracle is checked against the path-route syzygy and
+against a set-based reading of its definition.
 """
 
+import itertools
 import math
 
 from hypothesis import assume, given, settings
@@ -72,3 +74,22 @@ def test_syzygy_oracle_agrees_with_the_path_route(case):
     module = normalize(pair, xs)
     assume(len(module.gens) >= 2)
     assert syzygy_oracle(pair, module).gens == syzygy(pair, module).gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets(), st.integers(0, 500))
+def test_syzygy_oracle_is_the_pairwise_coset_definition(case, shift):
+    pair, xs = case
+    low = normalize(pair, xs)
+    assume(len(low.gens) >= 2)
+    module = Semimodule(pair, tuple(g + shift for g in low.gens))
+    # The union of the pairwise coset intersections, cut to the oracle's
+    # window, and its minimal elements by the definitional filter.
+    window = 2 * pair.product + max(module.gens)
+    members = naive_members(pair, window)
+    cosets = [{g + s for s in members if g + s <= window} for g in module.gens]
+    union = set().union(*(one & other for one, other in itertools.combinations(cosets, 2)))
+    expected = tuple(
+        sorted(y for y in union if y - pair.alpha not in union and y - pair.beta not in union)
+    )
+    assert syzygy_oracle(pair, module).gens == expected

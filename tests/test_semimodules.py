@@ -5,7 +5,10 @@ from itertools import combinations
 
 import pytest
 
+import semipath.leansets
+import semipath.semigroup
 from semipath import (
+    Presentation,
     SemigroupPair,
     Semimodule,
     elements_up_to,
@@ -17,7 +20,7 @@ from semipath import (
     minimal_generators,
     normalize,
 )
-from semipath.verify import _pairwise_lean
+from semipath.verify import _pairwise_lean, naive_members
 
 S57 = SemigroupPair(5, 7)
 
@@ -145,3 +148,26 @@ def test_validation_agrees_with_the_pairwise_definition():
                 else:
                     with pytest.raises(ValueError, match="is not minimal"):
                         Semimodule(S57, gens)
+
+
+def test_pairwise_definition_shares_no_kernel_with_the_chain_criterion(monkeypatch):
+    # _pairwise_lean cross-checks _lean_chain, which reads presentations; a
+    # presentation kernel that calls every number a gap must not sway it.
+    pair = SemigroupPair(7, 11)
+    members = naive_members(pair, 2 * pair.product)
+    rng = random.Random(711)
+    candidates = [lean.members for lean in enumerate_lean_sets(pair)]
+    candidates += [
+        (0, *sorted(rng.sample(range(1, 2 * pair.product), rng.randint(1, 5)))) for _ in range(2000)
+    ]
+    expected = [all(y - x not in members for x, y in combinations(c, 2)) for c in candidates]
+    assert True in expected and False in expected
+
+    def every_number_a_gap(semigroup, n):
+        return Presentation(1, 1, 1)
+
+    for namespace in (semipath.semigroup, semipath.leansets):
+        monkeypatch.setattr(namespace, "presentation", every_number_a_gap)
+    fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patch
+    assert not is_member(fresh, 7)
+    assert [_pairwise_lean(fresh, c) for c in candidates] == expected

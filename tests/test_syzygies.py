@@ -5,7 +5,10 @@ from itertools import combinations
 
 import pytest
 
+import semipath.leansets
+import semipath.semigroup
 import semipath.semimodules
+import semipath.syzygies
 from semipath import (
     InvariantError,
     LeanSet,
@@ -118,13 +121,22 @@ def test_syzygy_oracle_examples():
 
 
 def test_syzygy_oracle_shares_no_kernel_with_minimal_generators(monkeypatch):
-    # minimal_generators reads the Apery tuple; the oracle must reach neither.
+    # minimal_generators reads the Apery tuple and the path route reads
+    # presentations through the gap-chain criterion; the oracle reaches none.
     def refuse(*args):
-        raise AssertionError("syzygy_oracle reached the library's generator kernel")
+        raise AssertionError("syzygy_oracle reached a kernel of the library's routes")
 
+    module = Semimodule(S57, (0, 6, 8, 9))
+    shifted = Semimodule(S57, (40, 46, 48, 49))
     monkeypatch.setattr(semipath.semimodules, "_apery", refuse)
     monkeypatch.setattr(semipath.semimodules, "minimal_generators", refuse)
-    assert syzygy_oracle(S57, Semimodule(S57, (0, 6, 8, 9))).gens == (13, 14, 15, 16)
+    for namespace in (semipath.semigroup, semipath.leansets):
+        monkeypatch.setattr(namespace, "presentation", refuse)
+    for namespace in (semipath.leansets, semipath.semimodules, semipath.syzygies):
+        monkeypatch.setattr(namespace, "_lean_chain", refuse)
+    fresh = SemigroupPair(5, 7)  # its membership bitset is built under the patches
+    assert syzygy_oracle(fresh, module).gens == (13, 14, 15, 16)
+    assert syzygy_oracle(S57, shifted).gens == (53, 54, 55, 56)
 
 
 def test_route_equivalence_exhaustive_small_pairs():
