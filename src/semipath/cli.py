@@ -74,12 +74,15 @@ def cmd_member(args) -> int:
 def cmd_enumerate(args) -> int:
     pair = _pair(args)
     gap_count = None if args.gens is None else _gens_to_r(pair, args.gens)
+    # One write per line.  The --json line is Semimodule.to_json() as
+    # json.dumps(..., separators=(",", ":")) writes it, spelled out.
+    write = sys.stdout.write
+    prefix, suffix = "", "\n"
+    if args.json:
+        prefix = f'{{"alpha":{pair.alpha},"beta":{pair.beta},"generators":['
+        suffix = "]}\n"
     for lean in enumerate_lean_sets(pair, gap_count):
-        if args.json:
-            module = Semimodule._trusted(pair, lean.members)
-            print(json.dumps(module.to_json(), separators=(",", ":")))
-        else:
-            print(",".join(str(m) for m in lean.members))
+        write(prefix + ",".join(map(str, lean.members)) + suffix)
     return 0
 
 

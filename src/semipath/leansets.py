@@ -9,17 +9,19 @@ monotone chains of gap points directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .semigroup import GapPoint, SemigroupPair, gaps, presentation
 
 __all__ = ["LeanSet", "is_lean", "enumerate_lean_sets"]
 
 
-@dataclass(frozen=True)
-class LeanSet:
-    """A lean set, stored both as sorted values and as gap points sorted by a."""
+class LeanSet(NamedTuple):
+    """A lean set, stored both as sorted values and as gap points sorted by a.
+
+    A named tuple rather than a frozen dataclass: the enumerator builds one
+    per lean set, and a tuple is built in a fraction of the time.
+    """
 
     semigroup: SemigroupPair
     members: tuple[int, ...]
@@ -42,7 +44,7 @@ class LeanSet:
     @classmethod
     def _from_chain(cls, semigroup: SemigroupPair, chain: tuple[GapPoint, ...]) -> "LeanSet":
         """Build without validation from a chain of gap points, ascending in a."""
-        return cls(semigroup, (0,) + tuple(sorted(p.value for p in chain)), chain)
+        return cls(semigroup, (0, *sorted([p.value for p in chain])), chain)
 
 
 def _lean_chain(semigroup: SemigroupPair, values: Sequence[int]) -> tuple[GapPoint, ...] | None:
@@ -94,23 +96,42 @@ def _gap_chains(
     if gap_count is not None:
         for i in reversed(range(count)):
             reach[i] = 1 + max((reach[j] for j in succ[i]), default=0)
+    # stack[d] iterates the candidates for chain[d]: the successors of
+    # chain[d - 1], or every point at d = 0.
     chain: list[GapPoint] = []
-
-    def walk(cands) -> Iterator[tuple[GapPoint, ...]]:
+    stack = [iter(range(count))]
+    if gap_count is None:
+        yield ()
+        while stack:
+            for i in stack[-1]:
+                chain.append(points[i])
+                yield tuple(chain)
+                stack.append(iter(succ[i]))
+                break
+            else:
+                stack.pop()
+                if chain:
+                    chain.pop()
+        return
+    if gap_count == 0:
+        yield ()
+        return
+    last = gap_count - 1
+    while stack:
         depth = len(chain)
-        if gap_count is None:
-            yield tuple(chain)
-        elif depth == gap_count:
-            yield tuple(chain)
-            return
-        for i in cands:
-            if gap_count is not None and depth + reach[i] < gap_count:
+        for i in stack[-1]:
+            if depth + reach[i] < gap_count:
+                continue
+            if depth == last:
+                yield (*chain, points[i])
                 continue
             chain.append(points[i])
-            yield from walk(succ[i])
-            chain.pop()
-
-    yield from walk(range(count))
+            stack.append(iter(succ[i]))
+            break
+        else:
+            stack.pop()
+            if chain:
+                chain.pop()
 
 
 def enumerate_lean_sets(

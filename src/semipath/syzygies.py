@@ -25,7 +25,7 @@ from itertools import combinations
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, admissible_rotation, lean_set_from_path
-from .semigroup import SemigroupPair, is_member
+from .semigroup import SemigroupPair
 from .semimodules import Semimodule
 
 __all__ = [
@@ -114,7 +114,11 @@ def fundamental_couple(semigroup: SemigroupPair, lean: LeanSet) -> FundamentalCo
 
 
 def _is_gap(semigroup: SemigroupPair, value: int) -> bool:
-    return value >= 1 and not is_member(semigroup, value)
+    """Membership read from the sieve bitset, not from presentation, the
+    kernel of the fast route that validate_fundamental_couple cross-checks."""
+    if not isinstance(value, int):
+        raise ValueError(f"couple entries must be integers, got {value!r}")
+    return 1 <= value <= semigroup.frobenius and not semigroup._member_bits >> value & 1
 
 
 def validate_fundamental_couple(

@@ -30,7 +30,6 @@ from .paths import (
     _rows,
     admissible_rotation,
     lean_set_from_path,
-    path_from_lean_set,
 )
 from .semigroup import SemigroupPair, gaps, is_member, membership_sieve, presentation
 from .semimodules import Semimodule
@@ -276,8 +275,15 @@ def run_checks(semigroup: SemigroupPair, deep: bool = False) -> list[CheckResult
     results = check_gap_arithmetic(semigroup)
     total = count_lean_sets_total(semigroup)
     if total <= ENUMERATION_CAP:
+        # Built unvalidated: check_lean_enumeration tests every set and each
+        # syzygy step re-checks its chain, so a set that is not lean is an
+        # internal error (exit 3), not bad input.
         modules = [
-            (lean, path_from_lean_set(semigroup, lean), Semimodule(semigroup, lean.members))
+            (
+                lean,
+                PathMatrix._trusted(*_rows(semigroup, lean.gap_points)),
+                Semimodule._trusted(semigroup, lean.members),
+            )
             for lean in enumerate_lean_sets(semigroup)
         ]
         results += check_lean_enumeration(semigroup, modules)

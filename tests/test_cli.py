@@ -13,7 +13,7 @@ import pytest
 
 import semipath.cli
 import semipath.verify
-from semipath import InvariantError, SemigroupPair, Semimodule, enumerate_lean_sets
+from semipath import InvariantError, LeanSet, SemigroupPair, Semimodule, enumerate_lean_sets, gap_point
 from semipath.cli import _build_parser, main
 from semipath.syzygies import FundamentalCouple, fundamental_couple
 
@@ -196,6 +196,40 @@ def test_verify_stdout_is_unchanged(capsys, argv, digest):
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["enumerate", "7", "11"], "6220dfff515ca8209f03cbade9da2c74f8b41f20d0658bceac9240ad8b96a118"),
+        (["enumerate", "7", "11", "--json"], "add0d88996ab5c5ebc203df8359a0652814a9229402a95c27a20999671be5d6e"),
+        (["enumerate", "8", "13", "--gens", "5", "--json"],
+         "8a1be10e9e6caddb2fa1541162459a7f453711a72b9c8dbd469c17b7031e61b7"),
+        (["count", "8", "13", "--brute"], "8a9862cc81600fc3a3bb5216ecdce8d4faebe2f5929787f6f9943edf18f8fb5d"),
+    ],
+    ids=["enumerate-7-11", "enumerate-7-11-json", "enumerate-8-13-gens-5-json", "count-8-13-brute"],
+)
+def test_enumerate_stdout_is_unchanged(capsys, argv, digest):
+    # sha256 of the whole stdout: the order of the stream and every byte of each line.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_treats_a_non_lean_enumerated_set_as_an_internal_error(capsys, monkeypatch):
+    # 6 and 1 sit at (3, 2) and (4, 2) for <5,7>: b does not fall, and 6 - 1 lies in S.
+    real = semipath.verify.enumerate_lean_sets
+
+    def with_one_non_lean_set(semigroup, gap_count=None):
+        yield from real(semigroup, gap_count)
+        if gap_count is None:
+            yield LeanSet._from_chain(semigroup, (gap_point(semigroup, 6), gap_point(semigroup, 1)))
+
+    monkeypatch.setattr(semipath.verify, "enumerate_lean_sets", with_one_non_lean_set)
+    for argv in (["verify", "5", "7"], ["verify", "5", "7", "--deep"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == "internal error: generators (0, 1, 6) are not a monotone gap chain\n"
 
 
 def _non_lean_syzygy(pair, module):

@@ -16,6 +16,7 @@ from semipath import (
     is_lean,
     is_member,
 )
+from semipath.leansets import _gap_chains
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -31,6 +32,38 @@ def brute_lean_sets(pair):
             if all(not is_member(pair, y - x) for x, y in combinations(sorted(values), 2)):
                 out.append(frozenset(values))
     return out
+
+
+def recursive_gap_chains(pair, gap_count=None):
+    """Reference walker: the depth-first recursion, one generator frame per
+    level, with the same reach-table pruning."""
+    points = sorted(gaps(pair), key=lambda g: (g.a, g.b))
+    count = len(points)
+    succ = [
+        [j for j in range(i + 1, count) if points[j].a > points[i].a and points[j].b < points[i].b]
+        for i in range(count)
+    ]
+    reach = [1] * count
+    if gap_count is not None:
+        for i in reversed(range(count)):
+            reach[i] = 1 + max((reach[j] for j in succ[i]), default=0)
+    chain = []
+
+    def walk(cands):
+        depth = len(chain)
+        if gap_count is None:
+            yield tuple(chain)
+        elif depth == gap_count:
+            yield tuple(chain)
+            return
+        for i in cands:
+            if gap_count is not None and depth + reach[i] < gap_count:
+                continue
+            chain.append(points[i])
+            yield from walk(succ[i])
+            chain.pop()
+
+    yield from walk(range(count))
 
 
 @pytest.mark.parametrize(
@@ -138,3 +171,14 @@ def test_from_members_normalises_order_and_validates():
     assert [(p.a, p.b) for p in lean.gap_points] == [(1, 3), (3, 2), (4, 1)]
     with pytest.raises(ValueError):
         LeanSet.from_members(S57, [0, 5])
+
+
+def test_gap_chains_match_the_recursive_walk():
+    # Every gap_count, so that the branches the reach table prunes are covered.
+    for alpha in range(2, 9):
+        for beta in range(alpha + 1, 14):
+            if math.gcd(alpha, beta) != 1:
+                continue
+            pair = SemigroupPair(alpha, beta)
+            for gap_count in (None, *range(alpha)):
+                assert list(_gap_chains(pair, gap_count)) == list(recursive_gap_chains(pair, gap_count))

@@ -13,6 +13,7 @@ from semipath import (
     InvariantError,
     LeanSet,
     PathMatrix,
+    Presentation,
     SemigroupPair,
     Semimodule,
     admissible_rotation,
@@ -90,6 +91,37 @@ def test_validate_reports_first_failure():
     assert not result and result.clause == 1 and result.index == 3
     result = validate_fundamental_couple(S57, (0, 8, 9, 6), (15, 13, 16, 14))
     assert not result and result.clause == 2
+
+
+def test_couple_validation_shares_no_kernel_with_presentation(monkeypatch):
+    # validate_fundamental_couple cross-checks fundamental_couple and the
+    # syzygy step, whose chain criterion reads presentations; a presentation
+    # kernel that calls every number a gap must not sway its verdicts.
+    pair = SemigroupPair(7, 11)
+    couples = [fundamental_couple(pair, lean) for lean in enumerate_lean_sets(pair)]
+    pairs = [(c.gens, c.syzygy_gens) for c in couples]
+    for c in couples[1:80:7]:
+        i, j = list(c.gens), list(c.syzygy_gens)
+        pairs += [
+            (c.gens, (j[0] - pair.alpha, *j[1:])),  # J[0] off its congruence mod beta
+            ((0, *(g + pair.product for g in i[1:])), c.syzygy_gens),  # I above the gaps
+            ((0, pair.alpha, *i[2:]), c.syzygy_gens),  # I[1] a member
+        ]
+        if len(j) > 2:
+            pairs.append((c.gens, (j[0], j[1] + pair.product, *j[2:])))  # J[1] above the gaps
+    expected = [validate_fundamental_couple(pair, i, j) for i, j in pairs]
+    assert {v.clause for v in expected} == {None, 1, 2}
+
+    def every_number_a_gap(semigroup, n):
+        return Presentation(1, 1, 1)
+
+    for namespace in (semipath.semigroup, semipath.leansets):
+        monkeypatch.setattr(namespace, "presentation", every_number_a_gap)
+    fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patch
+    assert not semipath.semigroup.is_member(fresh, 7)
+    assert [validate_fundamental_couple(fresh, i, j) for i, j in pairs] == expected
+    with pytest.raises(ValueError, match="must be integers"):
+        validate_fundamental_couple(fresh, (0, 8.0, 6, 9), (15, 13, 16, 14))
 
 
 def test_syzygy_examples():
