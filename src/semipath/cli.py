@@ -20,7 +20,7 @@ from .counting import (
     orbit_count_table,
 )
 from .errors import InvariantError
-from .leansets import LeanSet, enumerate_lean_sets
+from .leansets import LeanSet, _gap_chains, enumerate_lean_sets
 from .render import RenderSpec, render
 from .semigroup import SemigroupPair, gaps, is_member
 from .semimodules import Semimodule
@@ -95,7 +95,7 @@ def cmd_count(args) -> int:
         gap_count = _gens_to_r(pair, args.gens)
         expected = count_lean_sets(pair, gap_count)
     if args.brute:
-        seen = sum(1 for _ in enumerate_lean_sets(pair, gap_count))
+        seen = sum(1 for _ in _gap_chains(pair, gap_count))
         if seen != expected:
             raise InvariantError(f"enumerated {seen} lean sets, formula says {expected}")
     print(expected)

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
-from .paths import PathMatrix, _admissible_index, admissible_rotation, lean_set_from_path
+from .paths import PathMatrix, _admissible_index, _corners, _rows, admissible_rotation, lean_set_from_path
 from .semigroup import SemigroupPair
 from .semimodules import Semimodule
 
@@ -247,9 +247,12 @@ def syzygy_matrix(matrix: PathMatrix) -> PathMatrix:
     return PathMatrix._trusted(matrix.down[1:] + matrix.down[:1], matrix.right)
 
 
-def _matrix_period(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Orbit length of the admissible matrix (down, right) by direct iteration."""
+def _walk(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> tuple[list, int]:
+    """Orbit of the admissible rows (down, right) under syzygy-and-normalize:
+    the top row advanced one column, then the admissible rotation.  Returns
+    the rows met, start first, and the period; the library's one orbit walker."""
     n = len(down)
+    met = [(down, right)]
     d, r = down, right
     for t in range(1, n + 1):
         d = d[1:] + d[:1]
@@ -258,47 +261,46 @@ def _matrix_period(alpha: int, beta: int, down: tuple[int, ...], right: tuple[in
             d = d[k:] + d[:k]
             r = r[k:] + r[:k]
         if d == down and r == right:
-            return t
+            return met, t
+        met.append((d, r))
     raise InvariantError(f"no syzygy recurrence within {n} steps for {down}/{right}")
 
 
-def _orbit(
-    semigroup: SemigroupPair, start: Semimodule, steps: int
-) -> tuple[list[Semimodule], list[int], int | None]:
-    """Walk normalize(syzygy(.)) from the normalized start for at most steps
-    steps, stopping when start recurs.  Returns the modules met, the shifts
-    with Syz^t(start) = cycle[t] + shifts[t], and the period (None if none)."""
-    cycle, shifts = [start], [0]
-    for t in range(1, steps + 1):
-        step = syzygy(semigroup, cycle[-1])
-        shifts.append(shifts[-1] + step.gens[0])
-        current = step.normalize()
-        if current == start:
-            return cycle, shifts, t
-        cycle.append(current)
-    return cycle, shifts, None
+def _cycle(semigroup: SemigroupPair, start: Semimodule) -> tuple[list[Semimodule], list[int]]:
+    """The orbit of a normalized module, walked on its path-matrix rows.
+
+    Returns the modules met, start first, and the shift min J of each one's
+    syzygy, so Syz(cycle[t]) = cycle[t + 1] + shifts[t] around the cycle.
+    With label(a, b) = alpha*beta - a*alpha - b*beta, a module is 0 plus its
+    ES-turn labels and J is its SE-turn labels.  The recurrence within
+    n = #generators steps, period | n and n/period | alpha*beta are
+    theorems; each failure is an internal error.
+    """
+    chain = _lean_chain(semigroup, start.gens)
+    if chain is None:
+        raise InvariantError(f"generators {start.gens} are not a monotone gap chain")
+    alpha, beta, product = semigroup.alpha, semigroup.beta, semigroup.product
+    met, period = _walk(alpha, beta, *_rows(semigroup, chain))
+    n = len(start.gens)
+    if n % period:
+        raise InvariantError(f"period {period} does not divide generator count {n}")
+    if product % (n // period):
+        raise InvariantError(f"n/period = {n // period} does not divide alpha*beta = {product}")
+    cycle, shifts = [], []
+    for down, right in met:
+        corners = _corners(semigroup, PathMatrix._trusted(down, right))  # SE, ES, ..., SE, end
+        labels = [product - a * alpha - b * beta for a, b in corners]
+        cycle.append(Semimodule._trusted(semigroup, tuple(sorted((0, *labels[1:-1:2])))))
+        shifts.append(min(labels[::2]))
+    return cycle, shifts
 
 
 def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
-    """Iterate normalize(syzygy(.)) until the start recurs.
-
-    The recurrence must arrive within n = #generators steps, the period must
-    divide n, and n/period must divide alpha*beta; each failure is an
-    internal error, the facts being theorems.
-    """
+    """Iterate normalize(syzygy(.)) until the start recurs, on path-matrix rows."""
     if not module.is_normalized:
         raise ValueError("orbit iteration needs a normalized semimodule")
-    n = len(module.gens)
-    cycle, _, period = _orbit(semigroup, module, n)
-    if period is None:
-        raise InvariantError(f"no syzygy recurrence within {n} steps for {module.gens}")
-    if n % period:
-        raise InvariantError(f"period {period} does not divide generator count {n}")
-    if semigroup.product % (n // period):
-        raise InvariantError(
-            f"n/period = {n // period} does not divide alpha*beta = {semigroup.product}"
-        )
-    return OrbitReport(n=n, period=period, cycle=tuple(cycle))
+    cycle, _ = _cycle(semigroup, module)
+    return OrbitReport(n=len(module.gens), period=len(cycle), cycle=tuple(cycle))
 
 
 def iterated_syzygy(semigroup: SemigroupPair, module: Semimodule, times: int) -> Semimodule:
@@ -306,26 +308,24 @@ def iterated_syzygy(semigroup: SemigroupPair, module: Semimodule, times: int) ->
 
     Syzygy commutes with shifts, so the orbit is walked on normalized
     modules and the accumulated shift restored.  Up to times = 2n, with
-    n = #generators, the walk simply takes times steps.  Beyond that the
-    period theorem is used: the start recurs within n steps, Syz^p(M) = M + c,
-    hence Syz^(qp+r)(M) = Syz^r(M) + qc, and at most n steps are taken.
+    n = #generators, the walk simply takes times syzygy steps.  Beyond that
+    the period theorem is used: the start recurs within n steps,
+    Syz^p(M) = M + c, hence Syz^(qp+r)(M) = Syz^r(M) + qc, and the one
+    cycle is read off the path-matrix rows.
     """
     if times < 1:
         raise ValueError(f"iteration count must be >= 1, got {times}")
     start = module.normalize()
-    n = len(start.gens)
-    if times <= 2 * n:
+    if times <= 2 * len(start.gens):
         current, shift = start, module.gens[0]
         for _ in range(times):
             step = syzygy(semigroup, current)
             shift += step.gens[0]
             current = step.normalize()
         return Semimodule._trusted(semigroup, tuple(g + shift for g in current.gens))
-    cycle, shifts, period = _orbit(semigroup, start, n)
-    if period is None:
-        raise InvariantError(f"no syzygy recurrence within {n} steps for {start.gens}")
-    laps, rest = divmod(times, period)
-    shift = module.gens[0] + shifts[rest] + laps * shifts[period]
+    cycle, shifts = _cycle(semigroup, start)
+    laps, rest = divmod(times, len(cycle))
+    shift = module.gens[0] + sum(shifts[:rest]) + laps * sum(shifts)
     return Semimodule._trusted(semigroup, tuple(g + shift for g in cycle[rest].gens))
 
 

@@ -23,6 +23,7 @@ from .counting import (
     narayana,
     orbit_count_table,
 )
+from .errors import InvariantError
 from .leansets import LeanSet, _gap_chains, _lean_chain, enumerate_lean_sets, is_lean
 from .paths import (
     PathMatrix,
@@ -35,7 +36,7 @@ from .semigroup import SemigroupPair, gaps, is_member, membership_sieve, present
 from .semimodules import Semimodule
 from .syzygies import (
     _cosets,
-    _matrix_period,
+    _walk,
     _window_generators,
     fundamental_couple,
     syzygy,
@@ -177,6 +178,15 @@ def check_cycle_lemma(semigroup: SemigroupPair) -> CheckResult:
     return CheckResult("cycle-lemma", ok, f"{total} matrices, {kind}")
 
 
+def _unless_it_raises(route, *args):
+    """The route's result, or None when it raises InvariantError on this
+    module; the caller fails that route's verdicts and goes on."""
+    try:
+        return route(*args)
+    except InvariantError:
+        return None
+
+
 def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Enumerated]) -> list[CheckResult]:
     routes_ok = True
     couple_ok = True
@@ -189,10 +199,10 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Enumerated]) -> 
         shifted = [j - min(couple.syzygy_gens) for j in couple.syzygy_gens]
         if not is_lean(semigroup, shifted):
             couple_ok = False
-        fast = syzygy(semigroup, module)
+        fast = _unless_it_raises(syzygy, semigroup, module)
         if len(module.gens) >= 2:
             oracle = syzygy_oracle(semigroup, module)
-            if fast.gens != oracle.gens:
+            if fast is None or fast.gens != oracle.gens:
                 routes_ok = False
             # syzygy() takes normalized modules only, so the oracle's window starts at 0.
             cosets = _cosets(semigroup, couple.gens, 2 * semigroup.product + max(module.gens))
@@ -203,7 +213,7 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Enumerated]) -> 
             if _window_generators(semigroup, consecutive) != oracle.gens:
                 consecutive_ok = False
         rotated = admissible_rotation(semigroup, syzygy_matrix(matrix))[1]
-        chain = _lean_chain(semigroup, fast.normalize().gens)
+        chain = None if fast is None else _lean_chain(semigroup, fast.normalize().gens)
         if chain is None or rotated != PathMatrix(*_rows(semigroup, chain)):
             matrix_ok = False
     count = len(modules)
@@ -215,18 +225,39 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Enumerated]) -> 
     ]
 
 
+def _definitional_cycle(semigroup: SemigroupPair, start: Semimodule) -> list[tuple[int, ...]]:
+    """Generators of the orbit of a normalized module by the definition: the
+    bitset-coset syzygy_oracle, shifted to 0, until the start recurs.  It
+    shares no kernel with the rows walk.  A single generator is its own
+    orbit; past n steps the walk stops with n + 1 entries, longer than any
+    orbit, so a missing recurrence fails the comparison."""
+    cycle = [start.gens]
+    if len(start.gens) == 1:
+        return cycle
+    for _ in range(len(start.gens)):
+        gens = syzygy_oracle(semigroup, Semimodule._trusted(semigroup, cycle[-1])).gens
+        gens = tuple(g - gens[0] for g in gens)
+        if gens == start.gens:
+            break
+        cycle.append(gens)
+    return cycle
+
+
 def check_periods(semigroup: SemigroupPair, modules: list[Enumerated], deep: bool) -> list[CheckResult]:
     division_ok = True
     matrix_ok = True
     tallies: dict[int, Counter[int]] = {}
-    for _, matrix, module in modules:
-        report = syzygy_period(semigroup, module)
+    for _, _, module in modules:
+        report = _unless_it_raises(syzygy_period, semigroup, module)
+        if report is None:
+            division_ok = matrix_ok = False
+            continue
         n = report.n
         if n % report.period or semigroup.product % (n // report.period):
             division_ok = False
         if len({m.gens for m in report.cycle}) != report.period:
             division_ok = False
-        if _matrix_period(semigroup.alpha, semigroup.beta, matrix.down, matrix.right) != report.period:
+        if [m.gens for m in report.cycle] != _definitional_cycle(semigroup, module):
             matrix_ok = False
         tallies.setdefault(n, Counter())[report.period] += 1
     results = [
@@ -266,7 +297,7 @@ def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
     alpha, beta = semigroup.alpha, semigroup.beta
     tally: Counter[int] = Counter()
     for chain in _gap_chains(semigroup, n - 1):
-        tally[_matrix_period(alpha, beta, *_rows(semigroup, chain))] += 1
+        tally[_walk(alpha, beta, *_rows(semigroup, chain))[1]] += 1
     return tally
 
 

@@ -226,10 +226,23 @@ def test_verify_treats_a_non_lean_enumerated_set_as_an_internal_error(capsys, mo
             yield LeanSet._from_chain(semigroup, (gap_point(semigroup, 6), gap_point(semigroup, 1)))
 
     monkeypatch.setattr(semipath.verify, "enumerate_lean_sets", with_one_non_lean_set)
-    for argv in (["verify", "5", "7"], ["verify", "5", "7", "--deep"]):
+    # The syzygy step and the orbit walk raise on that set; verify fails their
+    # verdicts and still prints every line.
+    failing = {
+        "lean-count-formulas",
+        "lean-stream",
+        "syzygy-route-equivalence",
+        "fundamental-couples",
+        "syzygy-matrix-route",
+        "period-divisibility",
+        "period-route-equivalence",
+    }
+    for argv, count in ((["verify", "5", "7"], 13), (["verify", "5", "7", "--deep"], 14)):
         code, out, err = run(capsys, *argv)
-        assert code == 3 and out == ""
-        assert err == "internal error: generators (0, 1, 6) are not a monotone gap chain\n"
+        lines = out.splitlines()
+        assert code == 3 and err == ""
+        assert len(lines) == count and "FAIL lean-stream: no duplicates, filter consistent" in lines
+        assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == failing
 
 
 def _non_lean_syzygy(pair, module):
@@ -268,6 +281,15 @@ def test_verify_reports_a_broken_route_as_failed_checks(capsys, monkeypatch, arg
     assert code == 3 and err == ""
     assert len(lines) == 13
     assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == failing
+
+
+def test_verify_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
+    # The rows walk then only cycles the top row; the definitional walk of
+    # period-route-equivalence shares no kernel with it and must disagree.
+    monkeypatch.setattr(semipath.syzygies, "_admissible_index", lambda alpha, beta, down, right: 0)
+    code, out, err = run(capsys, "verify", "7", "11", "--deep")
+    assert code == 3 and err == ""
+    assert "FAIL period-route-equivalence: matrix vs element iteration" in out.splitlines()
 
 
 def test_determinism(capsys):
@@ -342,7 +364,7 @@ def test_orbits_checks_the_generator_count():
     "argv, name, fake",
     [
         (["orbits", "5", "7", "--gens", "4", "--brute"], "brute_period_tally", lambda pair, n: {4: 1}),
-        (["count", "5", "7", "--brute"], "enumerate_lean_sets", lambda pair, r: iter(())),
+        (["count", "5", "7", "--brute"], "_gap_chains", lambda pair, r: iter(())),
     ],
     ids=["orbits", "count"],
 )

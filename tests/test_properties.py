@@ -4,7 +4,8 @@ The Apery-tuple kernel behind minimal_generators and elements_up_to is
 checked against the double-loop membership of verify.naive_members and the
 definitional filter {y : y - alpha and y - beta are not members}; the
 element-route syzygy_oracle is checked against the path-route syzygy and
-against a set-based reading of its definition.
+against a set-based reading of its definition; the orbit read off path-matrix
+rows is checked against public syzygy steps.
 """
 
 import itertools
@@ -17,10 +18,12 @@ from semipath import (
     SemigroupPair,
     Semimodule,
     elements_up_to,
+    iterated_syzygy,
     minimal_generators,
     normalize,
     syzygy,
     syzygy_oracle,
+    syzygy_period,
 )
 from semipath.verify import naive_members
 
@@ -93,3 +96,24 @@ def test_syzygy_oracle_is_the_pairwise_coset_definition(case, shift):
         sorted(y for y in union if y - pair.alpha not in union and y - pair.beta not in union)
     )
     assert syzygy_oracle(pair, module).gens == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets(), st.integers(0, 50), st.data())
+def test_period_theorem_matches_public_syzygy_steps(case, shift, data):
+    # Syz^(qp+r)(M) = Syz^r(M) + qc: beyond K = 2n, iterated_syzygy reads the
+    # orbit off path-matrix rows instead of stepping.
+    pair, xs = case
+    module = normalize(pair, xs)
+    n = len(module.gens)
+    times = data.draw(st.integers(2 * n + 1, 6 * n))
+    current, total, iterates = module, shift, [module]
+    for _ in range(times):
+        step = syzygy(pair, current)
+        total += step.gens[0]
+        current = step.normalize()
+        iterates.append(current)
+    shifted = Semimodule(pair, tuple(g + shift for g in module.gens))
+    assert iterated_syzygy(pair, shifted, times).gens == tuple(g + total for g in current.gens)
+    period = iterates.index(module, 1)
+    assert syzygy_period(pair, module).cycle == tuple(iterates[:period])

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import semipath.leansets
+import semipath.paths
 import semipath.semigroup
 import semipath.semimodules
 import semipath.syzygies
@@ -35,7 +36,7 @@ from semipath import (
     syzygy_period,
     validate_fundamental_couple,
 )
-from semipath.verify import _pairwise_lean
+from semipath.verify import _definitional_cycle, _pairwise_lean
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -139,8 +140,13 @@ def test_syzygy_requires_normalized():
 def test_syzygy_checks_the_chain_of_a_corrupt_module(gens):
     # 5 is no gap; the gaps 1, 6 and 8 sit at (4, 2), (3, 2) and (4, 1), so
     # neither pair has a rising and b falling (6 - 1 and 8 - 1 lie in S).
-    with pytest.raises(InvariantError):
-        syzygy(S57, Semimodule._trusted(S57, gens))
+    # The orbit walk, for syzygy_period and iterated_syzygy beyond K = 2n,
+    # checks the same chain.
+    module = Semimodule._trusted(S57, gens)
+    for route in (lambda: syzygy(S57, module), lambda: syzygy_period(S57, module),
+                  lambda: iterated_syzygy(S57, module, 100)):
+        with pytest.raises(InvariantError, match="not a monotone gap chain"):
+            route()
 
 
 def test_syzygy_oracle_examples():
@@ -169,6 +175,32 @@ def test_syzygy_oracle_shares_no_kernel_with_minimal_generators(monkeypatch):
     fresh = SemigroupPair(5, 7)  # its membership bitset is built under the patches
     assert syzygy_oracle(fresh, module).gens == (13, 14, 15, 16)
     assert syzygy_oracle(S57, shifted).gens == (53, 54, 55, 56)
+
+
+def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch):
+    # period-route-equivalence compares syzygy_period's cycle, walked on
+    # path-matrix rows, with verify's walk of the bitset-coset oracle; the
+    # oracle walk must reach none of the rows route's kernels.
+    def refuse(*args):
+        raise AssertionError("the definitional orbit walk reached a kernel of the rows walk")
+
+    pair = SemigroupPair(7, 11)
+    members = [lean.members for lean in enumerate_lean_sets(pair)]
+    expected = [
+        [m.gens for m in syzygy_period(pair, Semimodule._trusted(pair, gens)).cycle] for gens in members
+    ]
+    for name in ("_walk", "_admissible_index", "_rows", "_lean_chain"):
+        monkeypatch.setattr(semipath.syzygies, name, refuse)
+    for name in ("_admissible_index", "_rows"):
+        monkeypatch.setattr(semipath.paths, name, refuse)
+    for namespace in (semipath.semigroup, semipath.leansets):
+        monkeypatch.setattr(namespace, "presentation", refuse)
+    for namespace in (semipath.leansets, semipath.semimodules):
+        monkeypatch.setattr(namespace, "_lean_chain", refuse)
+    fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patches
+    got = [_definitional_cycle(fresh, Semimodule._trusted(fresh, gens)) for gens in members]
+    assert got == expected
+    assert {len(cycle) for cycle in got} == {1, 2, 3, 4, 5, 6}
 
 
 def test_route_equivalence_exhaustive_small_pairs():
@@ -252,6 +284,28 @@ def test_period_divisibility_exhaustive_5_7():
         assert S57.product % (n // report.period) == 0
         iterated = iterated_syzygy(S57, module, n).normalize()
         assert iterated == module
+
+
+def test_orbit_theorem_failures_are_internal_errors(monkeypatch):
+    module = Semimodule(S57, (0, 6, 8, 9))  # rows (2, 1, 1, 1) / (1, 2, 1, 3), period 4
+    real_walk = semipath.syzygies._walk
+    for period, message in ((3, "does not divide generator count"), (2, "does not divide alpha\\*beta")):
+        monkeypatch.setattr(semipath.syzygies, "_walk", lambda *rows, p=period: (real_walk(*rows)[0][:p], p))
+        with pytest.raises(InvariantError, match=message):
+            syzygy_period(S57, module)
+        with pytest.raises(InvariantError, match=message):
+            iterated_syzygy(S57, module, 9)
+    monkeypatch.undo()
+    # One stray rotation on the first step leaves the bottom row rotated for good.
+    calls = []
+
+    def rotate_only_once(*rows):
+        calls.append(rows)
+        return 1 if len(calls) == 1 else 0
+
+    monkeypatch.setattr(semipath.syzygies, "_admissible_index", rotate_only_once)
+    with pytest.raises(InvariantError, match="no syzygy recurrence within 4 steps"):
+        syzygy_period(S57, module)
 
 
 def test_iterated_syzygy():
