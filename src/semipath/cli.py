@@ -20,7 +20,7 @@ from .counting import (
     orbit_count_table,
 )
 from .errors import InvariantError
-from .leansets import LeanSet, _gap_chains, enumerate_lean_sets
+from .leansets import LeanSet, _gap_chains
 from .render import RenderSpec, render
 from .semigroup import SemigroupPair, gaps, is_member
 from .semimodules import Semimodule
@@ -74,15 +74,18 @@ def cmd_member(args) -> int:
 def cmd_enumerate(args) -> int:
     pair = _pair(args)
     gap_count = None if args.gens is None else _gens_to_r(pair, args.gens)
-    # One write per line.  The --json line is Semimodule.to_json() as
+    # One write per line, read straight off the gap chain: a lean set's
+    # members are 0 and its gap values ascending, and a GapPoint sorts by
+    # value first.  The --json line is Semimodule.to_json() as
     # json.dumps(..., separators=(",", ":")) writes it, spelled out.
     write = sys.stdout.write
-    prefix, suffix = "", "\n"
+    text = {g: f",{g.value}" for g in gaps(pair)}
+    prefix, suffix = "0", "\n"
     if args.json:
-        prefix = f'{{"alpha":{pair.alpha},"beta":{pair.beta},"generators":['
+        prefix = f'{{"alpha":{pair.alpha},"beta":{pair.beta},"generators":[0'
         suffix = "]}\n"
-    for lean in enumerate_lean_sets(pair, gap_count):
-        write(prefix + ",".join(map(str, lean.members)) + suffix)
+    for chain in _gap_chains(pair, gap_count):
+        write(prefix + "".join([text[g] for g in sorted(chain)]) + suffix)
     return 0
 
 

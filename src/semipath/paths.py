@@ -69,11 +69,15 @@ def _require_row_sums(semigroup: SemigroupPair, matrix: PathMatrix) -> None:
 def _rows(semigroup: SemigroupPair, points) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(down, right) runs of the path whose ES-turns are the gap points,
     given ascending in a; the one conversion from gap chains to matrix rows."""
-    avals = (0,) + tuple(p.a for p in points) + (semigroup.beta,)
-    bvals = (semigroup.alpha,) + tuple(p.b for p in points) + (0,)
-    down = tuple(bvals[i] - bvals[i + 1] for i in range(len(bvals) - 1))
-    right = tuple(avals[i + 1] - avals[i] for i in range(len(avals) - 1))
-    return down, right
+    down, right = [], []
+    last_a, last_b = 0, semigroup.alpha
+    for _, a, b in points:
+        down.append(last_b - b)
+        right.append(a - last_a)
+        last_a, last_b = a, b
+    down.append(last_b)
+    right.append(semigroup.beta - last_a)
+    return tuple(down), tuple(right)
 
 
 def path_from_lean_set(semigroup: SemigroupPair, lean: LeanSet) -> PathMatrix:
@@ -91,15 +95,15 @@ def lean_set_from_path(semigroup: SemigroupPair, matrix: PathMatrix) -> LeanSet:
         raise ValueError("path does not stay below the diagonal, it encodes no lean set")
     points = tuple(
         GapPoint(semigroup.product - a * semigroup.alpha - b * semigroup.beta, a, b)
-        for a, b in es_turns(semigroup, matrix)
+        for a, b in _corners(semigroup, matrix)[1:-1:2]  # the ES-turns; row sums checked above
     )
     return LeanSet._from_chain(semigroup, points)
 
 
 def _corners(semigroup: SemigroupPair, matrix: PathMatrix) -> list[tuple[int, int]]:
     """Every corner after the start (0, alpha), left to right: SE-turn,
-    ES-turn, ..., SE-turn, then the end (beta, 0)."""
-    _require_row_sums(semigroup, matrix)
+    ES-turn, ..., SE-turn, then the end (beta, 0).  The row sums are the
+    caller's to check; the library's own rows already have them."""
     out = []
     a, b = 0, semigroup.alpha
     for down, right in zip(matrix.down, matrix.right):
@@ -112,11 +116,13 @@ def _corners(semigroup: SemigroupPair, matrix: PathMatrix) -> list[tuple[int, in
 
 def es_turns(semigroup: SemigroupPair, matrix: PathMatrix) -> tuple[tuple[int, int], ...]:
     """East-to-south corners, left to right; one per column except the last."""
+    _require_row_sums(semigroup, matrix)
     return tuple(_corners(semigroup, matrix)[1:-1:2])
 
 
 def se_turns(semigroup: SemigroupPair, matrix: PathMatrix) -> tuple[tuple[int, int], ...]:
     """South-to-east corners, left to right; one per column."""
+    _require_row_sums(semigroup, matrix)
     return tuple(_corners(semigroup, matrix)[0::2])
 
 

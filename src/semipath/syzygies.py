@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
@@ -247,23 +248,30 @@ def syzygy_matrix(matrix: PathMatrix) -> PathMatrix:
     return PathMatrix._trusted(matrix.down[1:] + matrix.down[:1], matrix.right)
 
 
-def _walk(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> tuple[list, int]:
-    """Orbit of the admissible rows (down, right) under syzygy-and-normalize:
-    the top row advanced one column, then the admissible rotation.  Returns
-    the rows met, start first, and the period; the library's one orbit walker."""
-    n = len(down)
-    met = [(down, right)]
+def _steps(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> Iterator[tuple]:
+    """The n = len(down) successors of the admissible rows (down, right) under
+    syzygy-and-normalize, in order: the top row advanced one column, then the
+    admissible rotation.  The library's one orbit walker."""
     d, r = down, right
-    for t in range(1, n + 1):
+    for _ in range(len(down)):
         d = d[1:] + d[:1]
         k = _admissible_index(alpha, beta, d, r)
         if k:
             d = d[k:] + d[:k]
             r = r[k:] + r[:k]
-        if d == down and r == right:
+        yield d, r
+
+
+def _walk(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> tuple[list, int]:
+    """Orbit of the admissible rows (down, right): the rows met, start first,
+    and the period.  The start recurs within n steps, or InvariantError."""
+    start = (down, right)
+    met = [start]
+    for t, rows in enumerate(_steps(alpha, beta, down, right), 1):
+        if rows == start:
             return met, t
-        met.append((d, r))
-    raise InvariantError(f"no syzygy recurrence within {n} steps for {down}/{right}")
+        met.append(rows)
+    raise InvariantError(f"no syzygy recurrence within {len(down)} steps for {down}/{right}")
 
 
 def _cycle(semigroup: SemigroupPair, start: Semimodule) -> tuple[list[Semimodule], list[int]]:

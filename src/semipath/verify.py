@@ -36,7 +36,7 @@ from .semigroup import SemigroupPair, gaps, is_member, membership_sieve, present
 from .semimodules import Semimodule
 from .syzygies import (
     _cosets,
-    _walk,
+    _steps,
     _window_generators,
     fundamental_couple,
     syzygy,
@@ -292,12 +292,31 @@ def check_catalan_narayana(semigroup: SemigroupPair) -> CheckResult:
 
 def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
     """Period histogram over all n-generator semimodules, by iterating the
-    syzygy operation on their path matrices."""
+    syzygy operation on their path matrices.
+
+    A walk starts from every module, but only the least rows of a cycle, in
+    tuple order, count it: a walk that returns to its start at step t adds t
+    modules of period t, and one that first meets smaller rows stops
+    uncounted.  Constant memory; a missing recurrence, or counted cycles that
+    do not cover every module exactly, is an InvariantError.
+    """
     _require_generator_count(semigroup, n)
     alpha, beta = semigroup.alpha, semigroup.beta
     tally: Counter[int] = Counter()
+    modules = 0
     for chain in _gap_chains(semigroup, n - 1):
-        tally[_walk(alpha, beta, *_rows(semigroup, chain))[1]] += 1
+        modules += 1
+        start = _rows(semigroup, chain)
+        for t, rows in enumerate(_steps(alpha, beta, *start), 1):
+            if rows <= start:
+                if rows == start:
+                    tally[t] += t
+                break
+        else:
+            raise InvariantError(f"no syzygy recurrence within {n} steps for {start[0]}/{start[1]}")
+    counted = sum(tally.values())
+    if counted != modules:
+        raise InvariantError(f"the counted cycles hold {counted} modules, the walks started from {modules}")
     return tally
 
 

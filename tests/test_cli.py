@@ -205,15 +205,36 @@ def test_verify_stdout_is_unchanged(capsys, argv, digest):
         (["enumerate", "7", "11", "--json"], "add0d88996ab5c5ebc203df8359a0652814a9229402a95c27a20999671be5d6e"),
         (["enumerate", "8", "13", "--gens", "5", "--json"],
          "8a1be10e9e6caddb2fa1541162459a7f453711a72b9c8dbd469c17b7031e61b7"),
+        (["enumerate", "8", "13", "--gens", "4"],
+         "19f463227f89139ebfe0cb4cfb7e72c76479f7f88c2c43de082194b9cda698e1"),
         (["count", "8", "13", "--brute"], "8a9862cc81600fc3a3bb5216ecdce8d4faebe2f5929787f6f9943edf18f8fb5d"),
     ],
-    ids=["enumerate-7-11", "enumerate-7-11-json", "enumerate-8-13-gens-5-json", "count-8-13-brute"],
+    ids=["enumerate-7-11", "enumerate-7-11-json", "enumerate-8-13-gens-5-json", "enumerate-8-13-gens-4",
+         "count-8-13-brute"],
 )
 def test_enumerate_stdout_is_unchanged(capsys, argv, digest):
     # sha256 of the whole stdout: the order of the stream and every byte of each line.
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("alpha, beta", [(7, 11), (8, 13)])
+def test_enumerate_lines_spell_the_lean_set_members(capsys, alpha, beta):
+    # enumerate writes its lines straight from the gap chains; each must read
+    # as the members of the lean set that enumerate_lean_sets builds.
+    pair = SemigroupPair(alpha, beta)
+    for gens in (None, *range(1, alpha + 1)):
+        flags = [] if gens is None else ["--gens", str(gens)]
+        members = [
+            ",".join(map(str, lean.members))
+            for lean in enumerate_lean_sets(pair, None if gens is None else gens - 1)
+        ]
+        code, out, _ = run(capsys, "enumerate", str(alpha), str(beta), *flags)
+        assert code == 0 and out.splitlines() == members
+        code, out, _ = run(capsys, "enumerate", str(alpha), str(beta), *flags, "--json")
+        expected = [f'{{"alpha":{alpha},"beta":{beta},"generators":[{line}]}}' for line in members]
+        assert code == 0 and out.splitlines() == expected
 
 
 def test_verify_treats_a_non_lean_enumerated_set_as_an_internal_error(capsys, monkeypatch):
@@ -290,6 +311,17 @@ def test_verify_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "7", "11", "--deep")
     assert code == 3 and err == ""
     assert "FAIL period-route-equivalence: matrix vs element iteration" in out.splitlines()
+
+
+def test_orbits_brute_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
+    # The walk then only cycles the top row and leaves the admissible
+    # matrices, so the cycles counted from their least rows cannot cover
+    # every module.
+    monkeypatch.setattr(semipath.syzygies, "_admissible_index", lambda alpha, beta, down, right: 0)
+    for n in range(2, 7):
+        code, out, err = run(capsys, "orbits", "7", "11", "--gens", str(n), "--brute")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def test_determinism(capsys):

@@ -75,6 +75,14 @@ def test_row_sum_validation():
         lean_set_from_path(S57, PathMatrix((2, 3), (3, 3)))
 
 
+def test_turns_reject_bad_row_sums():
+    for turns in (es_turns, se_turns):
+        with pytest.raises(ValueError, match="row sums must be"):
+            turns(S57, PathMatrix((2, 2), (3, 4)))
+        with pytest.raises(ValueError, match="row sums must be"):
+            turns(S57, PathMatrix((2, 3), (3, 3)))
+
+
 def test_turn_coordinates():
     matrix = PathMatrix((2, 1, 1, 1), (1, 2, 1, 3))
     assert es_turns(S57, matrix) == ((1, 3), (3, 2), (4, 1))

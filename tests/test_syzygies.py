@@ -1,6 +1,9 @@
 """Fundamental couples, syzygy routes, orbit iteration."""
 
+import math
 import random
+import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -36,13 +39,22 @@ from semipath import (
     syzygy_period,
     validate_fundamental_couple,
 )
-from semipath.verify import _definitional_cycle, _pairwise_lean
+from semipath.leansets import _gap_chains
+from semipath.paths import _rows
+from semipath.syzygies import _walk
+from semipath.verify import _definitional_cycle, _pairwise_lean, brute_period_tally
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
 S1516 = SemigroupPair(15, 16)
 
 FIXED_POINT_GENS = (0, 4, 5, 8, 9, 10, 12, 13, 14, 17, 18, 22)
+SMALL_PAIRS = [
+    SemigroupPair(alpha, beta)
+    for alpha in range(2, 9)
+    for beta in range(alpha + 1, 14)
+    if math.gcd(alpha, beta) == 1
+]
 
 
 def coset_elements(pair, start, bound):
@@ -189,7 +201,7 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
     expected = [
         [m.gens for m in syzygy_period(pair, Semimodule._trusted(pair, gens)).cycle] for gens in members
     ]
-    for name in ("_walk", "_admissible_index", "_rows", "_lean_chain"):
+    for name in ("_steps", "_walk", "_admissible_index", "_rows", "_lean_chain"):
         monkeypatch.setattr(semipath.syzygies, name, refuse)
     for name in ("_admissible_index", "_rows"):
         monkeypatch.setattr(semipath.paths, name, refuse)
@@ -201,6 +213,46 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
     got = [_definitional_cycle(fresh, Semimodule._trusted(fresh, gens)) for gens in members]
     assert got == expected
     assert {len(cycle) for cycle in got} == {1, 2, 3, 4, 5, 6}
+
+
+def comprehension_rows(semigroup, points):
+    """Reference for paths._rows: the path's runs as differences of the
+    padded a and b coordinates of the ES-turns."""
+    avals = (0,) + tuple(p.a for p in points) + (semigroup.beta,)
+    bvals = (semigroup.alpha,) + tuple(p.b for p in points) + (0,)
+    down = tuple(bvals[i] - bvals[i + 1] for i in range(len(bvals) - 1))
+    right = tuple(avals[i + 1] - avals[i] for i in range(len(avals) - 1))
+    return down, right
+
+
+def test_rows_equal_the_coordinate_differences_on_every_chain():
+    for pair in SMALL_PAIRS:
+        for chain in _gap_chains(pair):
+            assert _rows(pair, chain) == comprehension_rows(pair, chain)
+
+
+def test_leader_tally_equals_the_per_module_tally():
+    # brute_period_tally counts each cycle once, from its least rows; a walk
+    # from every module to its own recurrence must give the same histogram.
+    for pair in SMALL_PAIRS:
+        for n in range(1, pair.alpha + 1):
+            per_module = Counter(
+                _walk(pair.alpha, pair.beta, *comprehension_rows(pair, chain))[1]
+                for chain in _gap_chains(pair, n - 1)
+            )
+            assert brute_period_tally(pair, n) == per_module, (pair, n)
+
+
+def test_brute_period_tally_runs_in_constant_memory():
+    # 41,405 modules; a set of the rows already seen would hold megabytes.
+    tracemalloc.start()
+    try:
+        tally = brute_period_tally(S1516, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(tally.values()) == 41405
+    assert peak < 1 << 20, peak
 
 
 def test_route_equivalence_exhaustive_small_pairs():
