@@ -3,111 +3,32 @@
 Gap arithmetic, lean sets, staircase lattice paths below a diagonal,
 syzygies with their orbit structure, closed-form counts, and brute-force
 verification of every formula.
+
+The package exports exactly the union of its layers' __all__ lists.
 """
 
-from .counting import (
-    CountRow,
-    CountTable,
-    catalan,
-    count_ell_periodic,
-    count_fixed_points,
-    count_lean_sets,
-    count_lean_sets_total,
-    narayana,
-    orbit_count_table,
-)
-from .errors import InvariantError
-from .leansets import LeanSet, enumerate_lean_sets, is_lean
-from .paths import (
-    PathMatrix,
-    admissible_rotation,
-    cyclic_rotations,
-    es_turns,
-    lean_set_from_path,
-    path_from_lean_set,
-    se_turns,
-    stays_below_diagonal,
-)
-from .render import RenderSpec, render
-from .semigroup import (
-    GapPoint,
-    Presentation,
-    SemigroupPair,
-    gap_point,
-    gaps,
-    is_member,
-    membership_sieve,
-    presentation,
-)
-from .semimodules import (
-    Semimodule,
-    elements_up_to,
-    is_isomorphic,
-    minimal_generators,
-    normalize,
-)
-from .syzygies import (
-    CoupleValidation,
-    FundamentalCouple,
-    OrbitReport,
-    fundamental_couple,
-    iterated_syzygy,
-    orbit_witness,
-    syzygy,
-    syzygy_matrix,
-    syzygy_oracle,
-    syzygy_period,
-    validate_fundamental_couple,
-)
+from . import counting, errors, leansets, paths, render, semigroup, semimodules, syzygies
+
+# Composed before the star imports: `from .render import *` rebinds
+# `render` from the submodule to the function of that name.
+__all__ = [
+    *counting.__all__,
+    *errors.__all__,
+    *leansets.__all__,
+    *paths.__all__,
+    *render.__all__,
+    *semigroup.__all__,
+    *semimodules.__all__,
+    *syzygies.__all__,
+]
+
+from .counting import *
+from .errors import *
+from .leansets import *
+from .paths import *
+from .render import *
+from .semigroup import *
+from .semimodules import *
+from .syzygies import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CountRow",
-    "CountTable",
-    "CoupleValidation",
-    "FundamentalCouple",
-    "GapPoint",
-    "InvariantError",
-    "LeanSet",
-    "OrbitReport",
-    "PathMatrix",
-    "Presentation",
-    "RenderSpec",
-    "SemigroupPair",
-    "Semimodule",
-    "admissible_rotation",
-    "catalan",
-    "count_ell_periodic",
-    "count_fixed_points",
-    "count_lean_sets",
-    "count_lean_sets_total",
-    "cyclic_rotations",
-    "elements_up_to",
-    "enumerate_lean_sets",
-    "es_turns",
-    "fundamental_couple",
-    "gap_point",
-    "gaps",
-    "is_isomorphic",
-    "is_lean",
-    "is_member",
-    "iterated_syzygy",
-    "lean_set_from_path",
-    "membership_sieve",
-    "minimal_generators",
-    "narayana",
-    "normalize",
-    "orbit_count_table",
-    "orbit_witness",
-    "path_from_lean_set",
-    "presentation",
-    "render",
-    "se_turns",
-    "stays_below_diagonal",
-    "syzygy",
-    "syzygy_matrix",
-    "syzygy_oracle",
-    "syzygy_period",
-    "validate_fundamental_couple",
-]

@@ -201,9 +201,13 @@ def cmd_verify(args) -> int:
     return 3 if failed else 0
 
 
-def _add_pair(parser: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, help: str, handler) -> argparse.ArgumentParser:
+    """Add the subcommand `name`: the pair alpha beta first, run by `handler`."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("alpha", type=int, help="smaller generator")
     parser.add_argument("beta", type=int, help="larger generator, coprime to alpha")
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,73 +218,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gaps", help="list the gaps of <alpha,beta>")
-    _add_pair(p)
-    p.set_defaults(handler=cmd_gaps)
+    _command(sub, "gaps", "list the gaps of <alpha,beta>", cmd_gaps)
 
-    p = sub.add_parser("member", help="test membership of n in <alpha,beta>")
-    _add_pair(p)
+    p = _command(sub, "member", "test membership of n in <alpha,beta>", cmd_member)
     p.add_argument("n", type=int)
-    p.set_defaults(handler=cmd_member)
 
-    p = sub.add_parser("enumerate", help="stream all lean sets, one per line")
-    _add_pair(p)
+    p = _command(sub, "enumerate", "stream all lean sets, one per line", cmd_enumerate)
     p.add_argument("--gens", type=int, default=None, help="only sets with this many generators")
     p.add_argument("--json", action="store_true", help="emit semimodule JSON objects")
-    p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser("count", help="count lean sets by closed form")
-    _add_pair(p)
+    p = _command(sub, "count", "count lean sets by closed form", cmd_count)
     p.add_argument("--gens", type=int, default=None)
     p.add_argument("--brute", action="store_true", help="recount by enumeration and compare")
-    p.set_defaults(handler=cmd_count)
 
-    p = sub.add_parser("couple", help="fundamental couple [I, J] of a lean set")
-    _add_pair(p)
+    p = _command(sub, "couple", "fundamental couple [I, J] of a lean set", cmd_couple)
     p.add_argument("--set", required=True, help="comma-separated lean set containing 0")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_couple)
 
-    p = sub.add_parser("syzygy", help="generators of the (iterated) syzygy")
-    _add_pair(p)
+    p = _command(sub, "syzygy", "generators of the (iterated) syzygy", cmd_syzygy)
     p.add_argument("--set", required=True, help="comma-separated lean set containing 0")
     p.add_argument("--iterate", type=int, default=1, metavar="K", help="apply the syzygy K times")
     p.add_argument("--normalize", action="store_true", help="shift the result to contain 0")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_syzygy)
 
-    p = sub.add_parser("orbit", help="orbit of a semimodule under syzygy-and-normalize")
-    _add_pair(p)
+    p = _command(sub, "orbit", "orbit of a semimodule under syzygy-and-normalize", cmd_orbit)
     p.add_argument("--set", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_orbit)
 
-    p = sub.add_parser("orbits", help="orbit count table for n-generator semimodules")
-    _add_pair(p)
+    p = _command(sub, "orbits", "orbit count table for n-generator semimodules", cmd_orbits)
     p.add_argument("--gens", type=int, required=True)
     p.add_argument("--brute", action="store_true", help="confirm by iterating every module")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_orbits)
 
-    p = sub.add_parser("fixed-points", help="count semimodules isomorphic to their syzygy")
-    _add_pair(p)
+    p = _command(sub, "fixed-points", "count semimodules isomorphic to their syzygy", cmd_fixed_points)
     p.add_argument("--gens", type=int, default=None)
-    p.set_defaults(handler=cmd_fixed_points)
 
-    p = sub.add_parser("render", help="draw the path of a lean set")
-    _add_pair(p)
+    p = _command(sub, "render", "draw the path of a lean set", cmd_render)
     p.add_argument("--set", required=True)
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--cell", type=int, default=20, help="svg cell size in pixels")
     p.add_argument("--labels", action="store_true", help="svg: label lattice points with gap values")
     p.add_argument("--no-diagonal", action="store_true")
     p.add_argument("--no-markers", action="store_true")
-    p.set_defaults(handler=cmd_render)
 
-    p = sub.add_parser("verify", help="run the brute-force cross-check suite")
-    _add_pair(p)
+    p = _command(sub, "verify", "run the brute-force cross-check suite", cmd_verify)
     p.add_argument("--deep", action="store_true", help="exhaustive sweeps, including orbit tables")
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 

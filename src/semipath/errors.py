@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InvariantError"]
+
 
 class InvariantError(AssertionError):
     """A mathematical invariant the code relies on failed.

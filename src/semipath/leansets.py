@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .semigroup import GapPoint, SemigroupPair, gaps, presentation
+from .semigroup import GapPoint, SemigroupPair, _is_int, gaps, presentation
 
 __all__ = ["LeanSet", "is_lean", "enumerate_lean_sets"]
 
@@ -142,9 +142,9 @@ def enumerate_lean_sets(
     With gap_count = r only the sets with exactly r gaps are produced, in the
     same relative order as the unfiltered stream.
     """
-    if gap_count is not None and not 0 <= gap_count <= semigroup.alpha - 1:
+    if gap_count is not None and not (_is_int(gap_count) and 0 <= gap_count < semigroup.alpha):
         raise ValueError(
-            f"gap count must lie in [0, {semigroup.alpha - 1}], got {gap_count}"
+            f"gap count must be an integer in [0, {semigroup.alpha - 1}], got {gap_count!r}"
         )
     for chain in _gap_chains(semigroup, gap_count):
         yield LeanSet._from_chain(semigroup, chain)

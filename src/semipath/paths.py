@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .leansets import LeanSet
-from .semigroup import GapPoint, SemigroupPair
+from .semigroup import GapPoint, SemigroupPair, _is_int
 
 __all__ = [
     "PathMatrix",
@@ -46,7 +46,7 @@ class PathMatrix:
         if not self.down:
             raise ValueError("a path matrix needs at least one column")
         for row in (self.down, self.right):
-            if any(not isinstance(v, int) or v < 1 for v in row):
+            if any(not _is_int(v) or v < 1 for v in row):
                 raise ValueError(f"all run lengths must be integers >= 1, got {row}")
 
     @classmethod

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """The library's one integer test: bool, float and str are refused, not coerced."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SemigroupPair:
     """A coprime generator pair (alpha, beta) with 2 <= alpha < beta."""
@@ -43,7 +48,7 @@ class SemigroupPair:
     _alpha_inverse: int = field(init=False, repr=False, compare=False)  # alpha^-1 mod beta
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, int) or not isinstance(self.beta, int):
+        if not _is_int(self.alpha) or not _is_int(self.beta):
             raise ValueError(f"generators must be integers, got ({self.alpha!r}, {self.beta!r})")
         if self.alpha < 2 or self.alpha >= self.beta:
             raise ValueError(f"need 2 <= alpha < beta, got ({self.alpha}, {self.beta})")
@@ -88,7 +93,7 @@ def presentation(semigroup: SemigroupPair, n: int) -> Presentation:
     a = -n/alpha mod beta.  The remaining factor p is then an exact positive
     integer; anything else means the arithmetic is broken.
     """
-    if not isinstance(n, int) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise ValueError(f"presentation needs a positive integer, got {n!r}")
     alpha, beta = semigroup.alpha, semigroup.beta
     b = (-n * semigroup._beta_inverse) % alpha
@@ -101,7 +106,7 @@ def presentation(semigroup: SemigroupPair, n: int) -> Presentation:
 
 def is_member(semigroup: SemigroupPair, n: int) -> bool:
     """Whether n lies in <alpha, beta>."""
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"membership is defined for non-negative integers, got {n!r}")
     if n == 0:
         return True

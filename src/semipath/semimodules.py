@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .leansets import _lean_chain
-from .semigroup import SemigroupPair
+from .semigroup import SemigroupPair, _is_int
 
 __all__ = [
     "Semimodule",
@@ -31,11 +31,6 @@ __all__ = [
     "is_isomorphic",
     "elements_up_to",
 ]
-
-
-def _is_int(value) -> bool:
-    """Whether value is an int proper; bool, float and str are refused, not coerced."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _sorted_ints(xs: Iterable) -> list[int]:

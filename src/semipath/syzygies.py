@@ -26,7 +26,7 @@ from typing import Iterator
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, _corners, _rows, admissible_rotation, lean_set_from_path
-from .semigroup import SemigroupPair
+from .semigroup import SemigroupPair, _is_int
 from .semimodules import Semimodule
 
 __all__ = [
@@ -117,7 +117,7 @@ def fundamental_couple(semigroup: SemigroupPair, lean: LeanSet) -> FundamentalCo
 def _is_gap(semigroup: SemigroupPair, value: int) -> bool:
     """Membership read from the sieve bitset, not from presentation, the
     kernel of the fast route that validate_fundamental_couple cross-checks."""
-    if not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"couple entries must be integers, got {value!r}")
     return 1 <= value <= semigroup.frobenius and not semigroup._member_bits >> value & 1
 

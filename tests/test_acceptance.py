@@ -3,11 +3,14 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
+import importlib
+import inspect
 import math
 import random
 import time
 from collections import Counter
 
+import semipath
 from semipath import (
     LeanSet,
     PathMatrix,
@@ -202,3 +205,43 @@ def test_criterion_9_catalan_narayana():
         for r in range(alpha):
             assert count_lean_sets(pair, r) == narayana(alpha, r)
     report("criterion 9", "totals are Catalan numbers, per-size counts are Narayana numbers")
+
+
+# The package's public names, by the layer module that defines each.
+LAYER_NAMES = {
+    "counting": (
+        "CountRow", "CountTable", "catalan", "count_ell_periodic", "count_fixed_points",
+        "count_lean_sets", "count_lean_sets_total", "narayana", "orbit_count_table",
+    ),
+    "errors": ("InvariantError",),
+    "leansets": ("LeanSet", "enumerate_lean_sets", "is_lean"),
+    "paths": (
+        "PathMatrix", "admissible_rotation", "cyclic_rotations", "es_turns",
+        "lean_set_from_path", "path_from_lean_set", "se_turns", "stays_below_diagonal",
+    ),
+    "render": ("RenderSpec", "render"),
+    "semigroup": (
+        "GapPoint", "Presentation", "SemigroupPair", "gap_point", "gaps", "is_member",
+        "membership_sieve", "presentation",
+    ),
+    "semimodules": ("Semimodule", "elements_up_to", "is_isomorphic", "minimal_generators", "normalize"),
+    "syzygies": (
+        "CoupleValidation", "FundamentalCouple", "OrbitReport", "fundamental_couple",
+        "iterated_syzygy", "orbit_witness", "syzygy", "syzygy_matrix", "syzygy_oracle",
+        "syzygy_period", "validate_fundamental_couple",
+    ),
+}
+
+
+def test_package_api_is_pinned():
+    names = sorted(name for layer in LAYER_NAMES.values() for name in layer)
+    assert len(names) == 47
+    assert sorted(semipath.__all__) == names
+    for layer, layer_names in LAYER_NAMES.items():
+        module = importlib.import_module(f"semipath.{layer}")
+        for name in layer_names:
+            value = getattr(semipath, name)
+            assert value is getattr(module, name)
+            assert value.__module__ == module.__name__
+    assert inspect.isfunction(semipath.render)
+    assert semipath.__version__ == "0.1.0"

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ from semipath.cli import _build_parser, main
 from semipath.syzygies import FundamentalCouple, fundamental_couple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CLI_SURFACE = Path(__file__).with_name("cli_surface.json")
 
 
 def run(capsys, *argv):
@@ -373,7 +375,8 @@ def test_closed_pipe_exits_quietly():
     assert proc.stdout.readline()
     proc.stdout.close()
     assert proc.wait(timeout=60) == 141
-    assert proc.stderr.read() == b""
+    with proc.stderr:
+        assert proc.stderr.read() == b""
 
 
 def test_interrupt_exits_130_without_traceback():
@@ -408,3 +411,38 @@ def test_brute_force_disagreement_is_an_internal_error(capsys, monkeypatch, argv
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("internal error: ")
+
+
+def _actions(parser):
+    """Each action of a parser as plain data, the fields its --help is made from."""
+    rows = []
+    for action in parser._actions:
+        row = {
+            name: getattr(action, name)
+            for name in ("option_strings", "dest", "default", "required", "metavar", "help")
+        }
+        row["type"] = getattr(action.type, "__name__", None)
+        row["choices"] = None if action.choices is None else list(action.choices)
+        rows.append(row)
+    return rows
+
+
+def cli_surface():
+    """The top parser's actions, and each subcommand's name, help and actions."""
+    parser = _build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        "semipath": _actions(parser),
+        "commands": [
+            {"name": choice.dest, "help": choice.help, "actions": _actions(sub.choices[choice.dest])}
+            for choice in sub._choices_actions
+        ],
+    }
+
+
+def test_cli_surface_is_pinned():
+    # Compared as data rather than as --help text, which argparse wraps to the
+    # terminal width; a deliberate change to the CLI updates cli_surface.json.
+    surface = cli_surface()
+    assert len(surface["commands"]) == 11
+    assert surface == json.loads(CLI_SURFACE.read_text())

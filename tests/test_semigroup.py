@@ -6,13 +6,18 @@ import pytest
 
 from semipath import (
     InvariantError,
+    LeanSet,
+    PathMatrix,
     Presentation,
     SemigroupPair,
+    enumerate_lean_sets,
     gap_point,
     gaps,
+    is_lean,
     is_member,
     membership_sieve,
     presentation,
+    validate_fundamental_couple,
 )
 
 S57 = SemigroupPair(5, 7)
@@ -165,3 +170,26 @@ def test_gap_point_lookup():
 
 def test_presentation_value_method():
     assert Presentation(1, 1, 1).value(S57) == 23
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LeanSet.from_members(S57, [0, True]),
+        lambda: is_lean(S57, [0, True]),
+        lambda: gap_point(S57, True),
+        lambda: is_member(S57, True),
+        lambda: presentation(S57, True),
+        lambda: PathMatrix((True, 4), (3, 4)),
+        lambda: list(enumerate_lean_sets(S57, 1.0)),
+        lambda: validate_fundamental_couple(S57, (0, True), (8, 35)),
+    ],
+    ids=[
+        "from_members", "is_lean", "gap_point", "is_member", "presentation",
+        "PathMatrix", "enumerate_lean_sets", "validate_fundamental_couple",
+    ],
+)
+def test_library_boundary_refuses_non_int(call):
+    # bool is an int subclass and 1.0 == 1: both used to pass as integers here.
+    with pytest.raises(ValueError):
+        call()
