@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .semigroup import SemigroupPair
+from .semigroup import SemigroupPair, _is_int
 
 __all__ = [
     "CountRow",
@@ -68,8 +68,8 @@ def _exact_div(numerator: int, divisor: int, context: str) -> int:
 
 
 def _require_generator_count(semigroup: SemigroupPair, n: int) -> None:
-    if not 1 <= n <= semigroup.alpha:
-        raise ValueError(f"generator count must lie in [1, {semigroup.alpha}], got {n}")
+    if not (_is_int(n) and 1 <= n <= semigroup.alpha):
+        raise ValueError(f"generator count must lie in [1, {semigroup.alpha}], got {n!r}")
 
 
 def _divisors(n: int) -> list[int]:
@@ -98,8 +98,8 @@ def _mobius(n: int) -> int:
 
 def count_lean_sets(semigroup: SemigroupPair, r: int) -> int:
     """Number of lean sets with exactly r gaps: C(alpha-1, r) C(beta-1, r) / (r+1)."""
-    if r < 0:
-        raise ValueError(f"gap count must be non-negative, got {r}")
+    if not (_is_int(r) and r >= 0):
+        raise ValueError(f"gap count must be a non-negative integer, got {r!r}")
     numerator = math.comb(semigroup.alpha - 1, r) * math.comb(semigroup.beta - 1, r)
     return _exact_div(numerator, r + 1, f"lean-set count for r={r}")
 
@@ -116,16 +116,16 @@ def narayana(alpha: int, r: int) -> int:
     Equals the count of lean sets with r gaps for the pair (alpha, alpha+1);
     computed from its own formula so the two routes stay independent.
     """
-    if alpha < 1 or r < 0:
-        raise ValueError(f"need alpha >= 1 and r >= 0, got ({alpha}, {r})")
+    if not (_is_int(alpha) and _is_int(r) and alpha >= 1 and r >= 0):
+        raise ValueError(f"need integers alpha >= 1 and r >= 0, got ({alpha!r}, {r!r})")
     numerator = math.comb(alpha, r) * math.comb(alpha, r + 1)
     return _exact_div(numerator, alpha, f"narayana({alpha}, {r})")
 
 
 def catalan(n: int) -> int:
     """Catalan number C(2n, n) / (n+1); the lean-set total for (n, n+1)."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    if not (_is_int(n) and n >= 0):
+        raise ValueError(f"need an integer n >= 0, got {n!r}")
     return _exact_div(math.comb(2 * n, n), n + 1, f"catalan({n})")
 
 
@@ -139,8 +139,8 @@ def count_ell_periodic(semigroup: SemigroupPair, n: int, ell: int) -> int:
     """
     alpha, beta = semigroup.alpha, semigroup.beta
     _require_generator_count(semigroup, n)
-    if ell < 1 or n % ell:
-        raise ValueError(f"ell must be a positive divisor of n={n}, got {ell}")
+    if not (_is_int(ell) and ell >= 1 and n % ell == 0):
+        raise ValueError(f"ell must be a positive divisor of n={n}, got {ell!r}")
     quotient = n // ell
     if semigroup.product % quotient:
         return 0

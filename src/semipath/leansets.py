@@ -137,14 +137,14 @@ def _gap_chains(
 def enumerate_lean_sets(
     semigroup: SemigroupPair, gap_count: int | None = None
 ) -> Iterator[LeanSet]:
-    """Yield every lean set exactly once, chains ordered lexicographically by (a, b).
+    """Every lean set exactly once, chains ordered lexicographically by (a, b).
 
     With gap_count = r only the sets with exactly r gaps are produced, in the
-    same relative order as the unfiltered stream.
+    same relative order as the unfiltered stream.  The gap count is checked
+    at the call, before the first set is drawn.
     """
     if gap_count is not None and not (_is_int(gap_count) and 0 <= gap_count < semigroup.alpha):
         raise ValueError(
             f"gap count must be an integer in [0, {semigroup.alpha - 1}], got {gap_count!r}"
         )
-    for chain in _gap_chains(semigroup, gap_count):
-        yield LeanSet._from_chain(semigroup, chain)
+    return (LeanSet._from_chain(semigroup, chain) for chain in _gap_chains(semigroup, gap_count))

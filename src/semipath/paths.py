@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathMatrix:
     """Run lengths of a staircase path: down runs on top, right runs below."""
 

@@ -41,7 +41,7 @@ def _sorted_ints(xs: Iterable) -> list[int]:
     return sorted(set(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Semimodule:
     """A semimodule held by its minimal generators, ascending.
 

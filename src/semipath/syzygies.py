@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
-from .paths import PathMatrix, _admissible_index, _corners, _rows, admissible_rotation, lean_set_from_path
+from .paths import PathMatrix, _admissible_index, _rows, admissible_rotation, lean_set_from_path
 from .semigroup import SemigroupPair, _is_int
 from .semimodules import Semimodule
 
@@ -117,8 +117,6 @@ def fundamental_couple(semigroup: SemigroupPair, lean: LeanSet) -> FundamentalCo
 def _is_gap(semigroup: SemigroupPair, value: int) -> bool:
     """Membership read from the sieve bitset, not from presentation, the
     kernel of the fast route that validate_fundamental_couple cross-checks."""
-    if not _is_int(value):
-        raise ValueError(f"couple entries must be integers, got {value!r}")
     return 1 <= value <= semigroup.frobenius and not semigroup._member_bits >> value & 1
 
 
@@ -135,6 +133,8 @@ def validate_fundamental_couple(
     """
     iseq = tuple(gens)
     jseq = tuple(syzygy_gens)
+    if not all(_is_int(v) for v in iseq + jseq):
+        raise ValueError(f"couple entries must be integers, got I={iseq!r}, J={jseq!r}")
     if len(iseq) != len(jseq) or not iseq:
         return CoupleValidation(
             False, None, None, f"I and J must be equally long and non-empty, got {len(iseq)} and {len(jseq)}"
@@ -212,19 +212,19 @@ def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     gens = module.gens
     if len(gens) < 2:
         raise ValueError("the defining union is empty for a single generator")
-    low = gens[0]
-    cosets = _cosets(semigroup, [g - low for g in gens], 2 * semigroup.product + gens[-1] - low)
     elements = 0
-    for one, other in combinations(cosets, 2):
+    for one, other in combinations(_cosets(semigroup, gens), 2):
         elements |= one & other
-    return Semimodule._trusted(semigroup, tuple(y + low for y in _window_generators(semigroup, elements)))
+    return Semimodule._trusted(semigroup, tuple(y + gens[0] for y in _window_generators(semigroup, elements)))
 
 
-def _cosets(semigroup: SemigroupPair, offsets, window: int) -> list[int]:
-    """The cosets d + <alpha, beta> cut to [0, window], as bitsets, for
-    window <= 2*alpha*beta + frobenius and offsets d >= 0."""
-    bits, mask = semigroup._member_bits, (1 << window + 1) - 1
-    return [bits << d & mask for d in offsets]
+def _cosets(semigroup: SemigroupPair, gens) -> list[int]:
+    """The cosets g + <alpha, beta> of the generators, in the given order,
+    as bitsets taken relative to the least generator and cut to the oracle's
+    window [0, 2*alpha*beta + max - min]."""
+    low = min(gens)
+    bits, mask = semigroup._member_bits, (1 << 2 * semigroup.product + max(gens) - low + 1) - 1
+    return [bits << g - low & mask for g in gens]
 
 
 def _window_generators(semigroup: SemigroupPair, elements: int) -> tuple[int, ...]:
@@ -296,10 +296,14 @@ def _cycle(semigroup: SemigroupPair, start: Semimodule) -> tuple[list[Semimodule
         raise InvariantError(f"n/period = {n // period} does not divide alpha*beta = {product}")
     cycle, shifts = [], []
     for down, right in met:
-        corners = _corners(semigroup, PathMatrix._trusted(down, right))  # SE, ES, ..., SE, end
-        labels = [product - a * alpha - b * beta for a, b in corners]
-        cycle.append(Semimodule._trusted(semigroup, tuple(sorted((0, *labels[1:-1:2])))))
-        shifts.append(min(labels[::2]))
+        # Labels summed from the start's 0: a down run d adds d*beta up to an SE-turn, a
+        # right run r subtracts r*alpha up to an ES-turn; the last is the end, labelled 0.
+        label, es, se = 0, [], []
+        for d, r in zip(down, right):
+            se.append(label := label + d * beta)
+            es.append(label := label - r * alpha)
+        cycle.append(Semimodule._trusted(semigroup, tuple(sorted(es))))
+        shifts.append(min(se))
     return cycle, shifts
 
 

@@ -123,11 +123,12 @@ def check_gap_arithmetic(semigroup: SemigroupPair) -> list[CheckResult]:
 
 
 def _pairwise_lean(semigroup: SemigroupPair, values) -> bool:
-    """The definition of leanness: no pairwise difference of the ascending
-    values lies in the semigroup.  Membership is read from the sieve bitset,
-    not from presentation, the kernel of the chain criterion this checks."""
+    """The definition of leanness, for the values shifted to start at 0: no
+    pairwise difference lies in the semigroup.  Membership is read from the
+    sieve bitset, not from presentation, the kernel of the chain criterion
+    this checks."""
     bits, frobenius = semigroup._member_bits, semigroup.frobenius
-    return all(y - x <= frobenius and not bits >> y - x & 1 for x, y in combinations(values, 2))
+    return all(y - x <= frobenius and not bits >> y - x & 1 for x, y in combinations(sorted(values), 2))
 
 
 def check_lean_enumeration(semigroup: SemigroupPair, modules: list[Enumerated]) -> list[CheckResult]:
@@ -187,25 +188,30 @@ def _unless_it_raises(route, *args):
         return None
 
 
-def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Enumerated]) -> list[CheckResult]:
+def check_syzygy_routes(
+    semigroup: SemigroupPair, modules: list[Enumerated]
+) -> tuple[list[CheckResult], dict]:
+    """The syzygy verdicts, and sigma: the generators of each module with two
+    or more, mapped to those of its normalized syzygy_oracle syzygy."""
     routes_ok = True
     couple_ok = True
     matrix_ok = True
     consecutive_ok = True
+    sigma = {}
     for lean, matrix, module in modules:
         couple = fundamental_couple(semigroup, lean)
         if not validate_fundamental_couple(semigroup, couple.gens, couple.syzygy_gens):
             couple_ok = False
-        shifted = [j - min(couple.syzygy_gens) for j in couple.syzygy_gens]
-        if not is_lean(semigroup, shifted):
+        if not _pairwise_lean(semigroup, couple.syzygy_gens):  # differences ignore J's shift
             couple_ok = False
         fast = _unless_it_raises(syzygy, semigroup, module)
         if len(module.gens) >= 2:
             oracle = syzygy_oracle(semigroup, module)
+            sigma[module.gens] = oracle.normalize().gens
             if fast is None or fast.gens != oracle.gens:
                 routes_ok = False
-            # syzygy() takes normalized modules only, so the oracle's window starts at 0.
-            cosets = _cosets(semigroup, couple.gens, 2 * semigroup.product + max(module.gens))
+            # The oracle's cosets in couple order, relative to 0: syzygy() takes normalized modules.
+            cosets = _cosets(semigroup, couple.gens)
             consecutive = 0
             for one, other in zip(cosets, cosets[1:] + cosets[:1]):
                 consecutive |= one & other
@@ -214,7 +220,7 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Enumerated]) -> 
                 consecutive_ok = False
         rotated = admissible_rotation(semigroup, syzygy_matrix(matrix))[1]
         chain = None if fast is None else _lean_chain(semigroup, fast.normalize().gens)
-        if chain is None or rotated != PathMatrix(*_rows(semigroup, chain)):
+        if chain is None or rotated != PathMatrix._trusted(*_rows(semigroup, chain)):
             matrix_ok = False
     count = len(modules)
     return [
@@ -222,28 +228,39 @@ def check_syzygy_routes(semigroup: SemigroupPair, modules: list[Enumerated]) -> 
         CheckResult("fundamental-couples", couple_ok, "conditions hold, J lean after shift"),
         CheckResult("syzygy-matrix-route", matrix_ok, "top-row rotation matches"),
         CheckResult("syzygy-consecutive-union", consecutive_ok, "pairwise = consecutive + outer"),
-    ]
+    ], sigma
 
 
-def _definitional_cycle(semigroup: SemigroupPair, start: Semimodule) -> list[tuple[int, ...]]:
+def _definitional_cycle(
+    semigroup: SemigroupPair, start: Semimodule, sigma: dict | None = None
+) -> list[tuple[int, ...]]:
     """Generators of the orbit of a normalized module by the definition: the
-    bitset-coset syzygy_oracle, shifted to 0, until the start recurs.  It
-    shares no kernel with the rows walk.  A single generator is its own
-    orbit; past n steps the walk stops with n + 1 entries, longer than any
-    orbit, so a missing recurrence fails the comparison."""
+    memoized map sigma, the bitset-coset syzygy_oracle shifted to 0, followed
+    until the start recurs; a module missing from sigma gets one oracle call,
+    kept there.  It shares no kernel with the rows walk.  A single generator
+    is its own orbit; past n steps the walk stops with n + 1 entries, longer
+    than any orbit, so a missing recurrence fails the comparison."""
     cycle = [start.gens]
     if len(start.gens) == 1:
         return cycle
+    sigma = {} if sigma is None else sigma
     for _ in range(len(start.gens)):
-        gens = syzygy_oracle(semigroup, Semimodule._trusted(semigroup, cycle[-1])).gens
-        gens = tuple(g - gens[0] for g in gens)
+        gens = sigma.get(cycle[-1])
+        if gens is None:
+            module = Semimodule._trusted(semigroup, cycle[-1])
+            gens = sigma[cycle[-1]] = syzygy_oracle(semigroup, module).normalize().gens
         if gens == start.gens:
             break
         cycle.append(gens)
     return cycle
 
 
-def check_periods(semigroup: SemigroupPair, modules: list[Enumerated], deep: bool) -> list[CheckResult]:
+def check_periods(
+    semigroup: SemigroupPair, modules: list[Enumerated], deep: bool, sigma: dict
+) -> list[CheckResult]:
+    """Each syzygy_period cycle, walked on path-matrix rows, against the period
+    theorems and the definitional walk along check_syzygy_routes' sigma map;
+    deep adds the period tallies against the closed-form orbit tables."""
     division_ok = True
     matrix_ok = True
     tallies: dict[int, Counter[int]] = {}
@@ -257,7 +274,7 @@ def check_periods(semigroup: SemigroupPair, modules: list[Enumerated], deep: boo
             division_ok = False
         if len({m.gens for m in report.cycle}) != report.period:
             division_ok = False
-        if [m.gens for m in report.cycle] != _definitional_cycle(semigroup, module):
+        if [m.gens for m in report.cycle] != _definitional_cycle(semigroup, module, sigma):
             matrix_ok = False
         tallies.setdefault(n, Counter())[report.period] += 1
     results = [
@@ -339,9 +356,9 @@ def run_checks(semigroup: SemigroupPair, deep: bool = False) -> list[CheckResult
         results += check_lean_enumeration(semigroup, modules)
         if not deep and len(modules) > 200:
             modules = random.Random(SAMPLE_SEED).sample(modules, 200)
-        results += check_syzygy_routes(semigroup, modules)
-        results += check_periods(semigroup, modules, deep)
-        del modules  # freed before the cycle lemma runs
+        routes, sigma = check_syzygy_routes(semigroup, modules)
+        results += routes + check_periods(semigroup, modules, deep, sigma)
+        del modules, sigma  # freed before the cycle lemma runs
     else:
         results.append(
             CheckResult(

@@ -153,6 +153,13 @@ def test_filter_bounds():
         list(enumerate_lean_sets(S57, -1))
 
 
+@pytest.mark.parametrize("gap_count", [9, -1, 1.0, True])
+def test_enumerate_lean_sets_checks_its_gap_count_at_the_call(gap_count):
+    # Not at the first next(): a stream handed on unread still fails here.
+    with pytest.raises(ValueError, match="gap count"):
+        enumerate_lean_sets(S57, gap_count)
+
+
 def test_counts_match_formulas_small_sweep():
     for alpha in range(2, 9):
         for beta in range(alpha + 1, 14):

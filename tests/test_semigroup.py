@@ -10,12 +10,18 @@ from semipath import (
     PathMatrix,
     Presentation,
     SemigroupPair,
+    catalan,
+    count_ell_periodic,
+    count_fixed_points,
+    count_lean_sets,
     enumerate_lean_sets,
     gap_point,
     gaps,
     is_lean,
     is_member,
     membership_sieve,
+    narayana,
+    orbit_count_table,
     presentation,
     validate_fundamental_couple,
 )
@@ -183,13 +189,26 @@ def test_presentation_value_method():
         lambda: PathMatrix((True, 4), (3, 4)),
         lambda: list(enumerate_lean_sets(S57, 1.0)),
         lambda: validate_fundamental_couple(S57, (0, True), (8, 35)),
+        lambda: count_lean_sets(S57, True),
+        lambda: count_lean_sets(S57, 2.0),
+        lambda: count_fixed_points(S57, 2.0),
+        lambda: count_ell_periodic(S57, 4, True),
+        lambda: orbit_count_table(S57, 4.0),
+        lambda: narayana(4.0, 1),
+        lambda: narayana(4, True),
+        lambda: catalan(True),
+        lambda: catalan(2.0),
     ],
     ids=[
         "from_members", "is_lean", "gap_point", "is_member", "presentation",
         "PathMatrix", "enumerate_lean_sets", "validate_fundamental_couple",
+        "count_lean_sets-bool", "count_lean_sets-float", "count_fixed_points",
+        "count_ell_periodic", "orbit_count_table", "narayana-alpha", "narayana-r",
+        "catalan-bool", "catalan-float",
     ],
 )
 def test_library_boundary_refuses_non_int(call):
-    # bool is an int subclass and 1.0 == 1: both used to pass as integers here.
+    # bool is an int subclass and 1.0 == 1: neither may pass as an integer,
+    # be read as 1, or reach math.comb or range and raise TypeError there.
     with pytest.raises(ValueError):
         call()

@@ -13,6 +13,7 @@ import semipath.paths
 import semipath.semigroup
 import semipath.semimodules
 import semipath.syzygies
+import semipath.verify
 from semipath import (
     InvariantError,
     LeanSet,
@@ -42,7 +43,13 @@ from semipath import (
 from semipath.leansets import _gap_chains
 from semipath.paths import _rows
 from semipath.syzygies import _walk
-from semipath.verify import _definitional_cycle, _pairwise_lean, brute_period_tally
+from semipath.verify import (
+    _definitional_cycle,
+    _pairwise_lean,
+    brute_period_tally,
+    check_syzygy_routes,
+    run_checks,
+)
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -213,6 +220,56 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
     got = [_definitional_cycle(fresh, Semimodule._trusted(fresh, gens)) for gens in members]
     assert got == expected
     assert {len(cycle) for cycle in got} == {1, 2, 3, 4, 5, 6}
+
+
+def test_verify_deep_calls_the_oracle_once_per_module(monkeypatch):
+    # check_syzygy_routes calls syzygy_oracle once per module with two or more
+    # generators and keeps the normalized syzygies in the map sigma; the
+    # definitional orbit walks of check_periods then follow sigma by lookup.
+    pair = SemigroupPair(7, 11)
+    oracle, calls = semipath.verify.syzygy_oracle, []
+
+    def counted(semigroup, module):
+        calls.append(module.gens)
+        return oracle(semigroup, module)
+
+    monkeypatch.setattr(semipath.verify, "syzygy_oracle", counted)
+    results = run_checks(pair, deep=True)
+    assert len(results) == 14 and all(r.ok and not r.skipped for r in results)
+    multi = sum(1 for lean in enumerate_lean_sets(pair) if lean.gap_count)
+    assert multi == 1767
+    assert len(set(calls)) == len(calls) <= multi
+
+
+def test_j_leanness_verdict_shares_no_kernel_with_presentation(monkeypatch):
+    # fundamental-couples also asks whether J, shifted to 0, is lean; the
+    # syzygy step it cross-checks reads presentations through the chain
+    # criterion, so a presentation kernel that calls every number a gap must
+    # not sway that verdict.
+    pair = SemigroupPair(7, 11)
+    leans = list(enumerate_lean_sets(pair))
+    js = [fundamental_couple(pair, lean).syzygy_gens for lean in leans]
+    for j in js[1::40]:
+        for bumped in ((j[0] + pair.alpha, *j[1:]), (j[0] + pair.product, *j[1:])):
+            if len(set(bumped)) == len(bumped):
+                js.append(bumped)
+    expected = [is_lean(pair, [v - min(j) for v in j]) for j in js]
+    assert set(expected) == {True, False}
+    modules = [
+        (lean, PathMatrix._trusted(*_rows(pair, lean.gap_points)), Semimodule._trusted(pair, lean.members))
+        for lean in leans
+    ]
+
+    def every_number_a_gap(semigroup, n):
+        return Presentation(1, 1, 1)
+
+    for namespace in (semipath.semigroup, semipath.leansets):
+        monkeypatch.setattr(namespace, "presentation", every_number_a_gap)
+    fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patch
+    assert not is_lean(fresh, [0, 1, 2])  # the patch sways the chain criterion
+    assert [_pairwise_lean(fresh, j) for j in js] == expected
+    results, _ = check_syzygy_routes(fresh, modules)
+    assert {r.name: r.ok for r in results}["fundamental-couples"]
 
 
 def comprehension_rows(semigroup, points):
