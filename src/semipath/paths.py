@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .leansets import LeanSet
-from .semigroup import GapPoint, SemigroupPair, _is_int
+from .semigroup import GapPoint, SemigroupPair, _is_int, _require_same_pair
 
 __all__ = [
     "PathMatrix",
@@ -80,8 +80,22 @@ def _rows(semigroup: SemigroupPair, points) -> tuple[tuple[int, ...], tuple[int,
     return tuple(down), tuple(right)
 
 
+def _labels(semigroup: SemigroupPair, down, right) -> tuple[list[int], list[int]]:
+    """(es, se): the ES- and SE-turn labels alpha*beta - a*alpha - b*beta of
+    the path with these rows, left to right; the last ES label is the end's 0.
+    Summed from the start's 0: a down run d adds d*beta up to an SE-turn, a
+    right run r subtracts r*alpha up to an ES-turn.  The one label sum."""
+    alpha, beta = semigroup.alpha, semigroup.beta
+    label, es, se = 0, [], []
+    for d, r in zip(down, right):
+        se.append(label := label + d * beta)
+        es.append(label := label - r * alpha)
+    return es, se
+
+
 def path_from_lean_set(semigroup: SemigroupPair, lean: LeanSet) -> PathMatrix:
     """The step matrix whose ES-turns are exactly the lean set's gap points."""
+    _require_same_pair(semigroup, lean)
     return PathMatrix(*_rows(semigroup, lean.gap_points))
 
 

@@ -36,6 +36,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_same_pair(semigroup: SemigroupPair, obj) -> None:
+    """Refuse a module or lean set of another pair: its numbers name other
+    gaps, so every route would answer, or fail, on the wrong semigroup."""
+    if obj.semigroup != semigroup:
+        raise ValueError(f"input built over {obj.semigroup!r} was passed with {semigroup!r}")
+
+
 @dataclass(frozen=True)
 class SemigroupPair:
     """A coprime generator pair (alpha, beta) with 2 <= alpha < beta."""
@@ -144,8 +151,8 @@ def membership_sieve(semigroup: SemigroupPair, limit: int) -> list[bool]:
     Independent of the presentation route, which makes it a convenient second
     opinion and the workhorse for windowed semimodule computations.
     """
-    if limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
+    if not _is_int(limit) or limit < 0:
+        raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
     member = [False] * (limit + 1)
     member[0] = True
     alpha, beta = semigroup.alpha, semigroup.beta

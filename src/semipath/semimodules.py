@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .leansets import _lean_chain
-from .semigroup import SemigroupPair, _is_int
+from .semigroup import SemigroupPair, _is_int, _require_same_pair
 
 __all__ = [
     "Semimodule",
@@ -144,8 +144,9 @@ def is_isomorphic(
 
 def elements_up_to(semigroup: SemigroupPair, module: Semimodule, bound: int) -> list[int]:
     """All elements of the semimodule that do not exceed bound, sorted."""
-    if bound < 0:
-        raise ValueError(f"bound must be non-negative, got {bound}")
+    _require_same_pair(semigroup, module)
+    if not _is_int(bound) or bound < 0:
+        raise ValueError(f"bound must be a non-negative integer, got {bound!r}")
     alpha, w = semigroup.alpha, _apery(semigroup, module.gens)
     return [y for y in range(bound + 1) if y >= w[y % alpha]]
 

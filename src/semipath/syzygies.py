@@ -25,8 +25,8 @@ from typing import Iterator
 
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
-from .paths import PathMatrix, _admissible_index, _rows, admissible_rotation, lean_set_from_path
-from .semigroup import SemigroupPair, _is_int
+from .paths import PathMatrix, _admissible_index, _labels, _rows, admissible_rotation, lean_set_from_path
+from .semigroup import SemigroupPair, _is_int, _require_same_pair
 from .semimodules import Semimodule
 
 __all__ = [
@@ -98,20 +98,9 @@ def fundamental_couple(semigroup: SemigroupPair, lean: LeanSet) -> FundamentalCo
     direction: v(a_r, 0), v(a_{r-1}, b_r), ..., v(a_1, b_2), v(0, b_1).
     A gapless set gets I = [0], J = [alpha*beta].
     """
-    points = lean.gap_points
-    product = semigroup.product
-
-    def label(a: int, b: int) -> int:
-        return product - a * semigroup.alpha - b * semigroup.beta
-
-    if not points:
-        return FundamentalCouple((0,), (product,))
-    reverse = points[::-1]
-    gens = (0,) + tuple(p.value for p in reverse)
-    syz = [label(reverse[0].a, 0)]
-    syz.extend(label(nxt.a, prev.b) for prev, nxt in zip(reverse, reverse[1:]))
-    syz.append(label(0, reverse[-1].b))
-    return FundamentalCouple(gens, tuple(syz))
+    _require_same_pair(semigroup, lean)
+    es, se = _labels(semigroup, *_rows(semigroup, lean.gap_points))
+    return FundamentalCouple(tuple(es[::-1]), tuple(se[::-1]))
 
 
 def _is_gap(semigroup: SemigroupPair, value: int) -> bool:
@@ -189,13 +178,14 @@ def syzygy(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     with a rising and b falling; that O(n) check stands in for validating
     the module again, and its failure is an internal error.
     """
+    _require_same_pair(semigroup, module)
     if not module.is_normalized:
         raise ValueError("syzygy needs a normalized semimodule; normalize first")
     chain = _lean_chain(semigroup, module.gens)
     if chain is None:
         raise InvariantError(f"generators {module.gens} are not a monotone gap chain")
-    couple = fundamental_couple(semigroup, LeanSet._from_chain(semigroup, chain))
-    return Semimodule._trusted(semigroup, tuple(sorted(couple.syzygy_gens)))
+    _, se = _labels(semigroup, *_rows(semigroup, chain))
+    return Semimodule._trusted(semigroup, tuple(sorted(se)))
 
 
 def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
@@ -209,6 +199,7 @@ def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     the membership sieve, taken relative to the least generator, below which
     E is empty.  Refuses single-generator input, whose defining union is empty.
     """
+    _require_same_pair(semigroup, module)
     gens = module.gens
     if len(gens) < 2:
         raise ValueError("the defining union is empty for a single generator")
@@ -296,12 +287,7 @@ def _cycle(semigroup: SemigroupPair, start: Semimodule) -> tuple[list[Semimodule
         raise InvariantError(f"n/period = {n // period} does not divide alpha*beta = {product}")
     cycle, shifts = [], []
     for down, right in met:
-        # Labels summed from the start's 0: a down run d adds d*beta up to an SE-turn, a
-        # right run r subtracts r*alpha up to an ES-turn; the last is the end, labelled 0.
-        label, es, se = 0, [], []
-        for d, r in zip(down, right):
-            se.append(label := label + d * beta)
-            es.append(label := label - r * alpha)
+        es, se = _labels(semigroup, down, right)
         cycle.append(Semimodule._trusted(semigroup, tuple(sorted(es))))
         shifts.append(min(se))
     return cycle, shifts
@@ -309,6 +295,7 @@ def _cycle(semigroup: SemigroupPair, start: Semimodule) -> tuple[list[Semimodule
 
 def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
     """Iterate normalize(syzygy(.)) until the start recurs, on path-matrix rows."""
+    _require_same_pair(semigroup, module)
     if not module.is_normalized:
         raise ValueError("orbit iteration needs a normalized semimodule")
     cycle, _ = _cycle(semigroup, module)
@@ -325,8 +312,9 @@ def iterated_syzygy(semigroup: SemigroupPair, module: Semimodule, times: int) ->
     Syz^p(M) = M + c, hence Syz^(qp+r)(M) = Syz^r(M) + qc, and the one
     cycle is read off the path-matrix rows.
     """
-    if times < 1:
-        raise ValueError(f"iteration count must be >= 1, got {times}")
+    _require_same_pair(semigroup, module)
+    if not _is_int(times) or times < 1:
+        raise ValueError(f"iteration count must be an integer >= 1, got {times!r}")
     start = module.normalize()
     if times <= 2 * len(start.gens):
         current, shift = start, module.gens[0]
@@ -349,8 +337,8 @@ def orbit_witness(semigroup: SemigroupPair, n: int, ell: int) -> Semimodule:
     split into smaller repeating blocks, which pins the period to ell.
     """
     alpha, beta = semigroup.alpha, semigroup.beta
-    if n < 1 or ell < 1 or n % ell:
-        raise ValueError(f"need ell dividing n with both positive, got n={n}, ell={ell}")
+    if not (_is_int(n) and _is_int(ell)) or n < 1 or ell < 1 or n % ell:
+        raise ValueError(f"need integers ell dividing n with both positive, got n={n!r}, ell={ell!r}")
     if n >= alpha:
         raise ValueError(f"witness construction needs n < alpha, got n={n}, alpha={alpha}")
     quotient = n // ell

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import semipath.cli
+import semipath.syzygies
 import semipath.verify
 from semipath import InvariantError, LeanSet, SemigroupPair, Semimodule, enumerate_lean_sets, gap_point
 from semipath.cli import _build_parser, main
@@ -313,6 +314,29 @@ def test_verify_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "7", "11", "--deep")
     assert code == 3 and err == ""
     assert "FAIL period-route-equivalence: matrix vs element iteration" in out.splitlines()
+
+
+def test_verify_catches_labels_read_right_run_first(capsys, monkeypatch):
+    # The couple, the syzygy step and the orbit cycle all read paths._labels;
+    # a label sum that takes each right run before its down run must fail
+    # every verdict whose oracle shares no kernel with it.
+    def right_run_first(semigroup, down, right):
+        label, es, se = 0, [], []
+        for d, r in zip(down, right):
+            es.append(label := label - r * semigroup.alpha)
+            se.append(label := label + d * semigroup.beta)
+        return es, se
+
+    monkeypatch.setattr(semipath.syzygies, "_labels", right_run_first)
+    code, out, err = run(capsys, "verify", "7", "11", "--deep")
+    assert code == 3 and err == ""
+    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
+        "syzygy-route-equivalence",
+        "fundamental-couples",
+        "syzygy-matrix-route",
+        "syzygy-consecutive-union",
+        "period-route-equivalence",
+    }
 
 
 def test_orbits_brute_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):

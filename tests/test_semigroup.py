@@ -10,24 +10,29 @@ from semipath import (
     PathMatrix,
     Presentation,
     SemigroupPair,
+    Semimodule,
     catalan,
     count_ell_periodic,
     count_fixed_points,
     count_lean_sets,
+    elements_up_to,
     enumerate_lean_sets,
     gap_point,
     gaps,
     is_lean,
     is_member,
+    iterated_syzygy,
     membership_sieve,
     narayana,
     orbit_count_table,
+    orbit_witness,
     presentation,
     validate_fundamental_couple,
 )
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
+M57 = Semimodule(S57, (0, 6, 8, 9))
 
 
 def search_presentation(pair, n):
@@ -198,13 +203,24 @@ def test_presentation_value_method():
         lambda: narayana(4, True),
         lambda: catalan(True),
         lambda: catalan(2.0),
+        lambda: iterated_syzygy(S57, M57, True),
+        lambda: iterated_syzygy(S57, M57, 2.0),
+        lambda: iterated_syzygy(S57, M57, 100.0),
+        lambda: membership_sieve(S57, True),
+        lambda: membership_sieve(S57, 2.0),
+        lambda: elements_up_to(S57, M57, True),
+        lambda: elements_up_to(S57, M57, 2.5),
+        lambda: orbit_witness(S57, True, True),
+        lambda: orbit_witness(S57, 2.0, 1),
     ],
     ids=[
         "from_members", "is_lean", "gap_point", "is_member", "presentation",
         "PathMatrix", "enumerate_lean_sets", "validate_fundamental_couple",
         "count_lean_sets-bool", "count_lean_sets-float", "count_fixed_points",
         "count_ell_periodic", "orbit_count_table", "narayana-alpha", "narayana-r",
-        "catalan-bool", "catalan-float",
+        "catalan-bool", "catalan-float", "iterated_syzygy-bool", "iterated_syzygy-float",
+        "iterated_syzygy-float-past-2n", "membership_sieve-bool", "membership_sieve-float",
+        "elements_up_to-bool", "elements_up_to-float", "orbit_witness-bool", "orbit_witness-float",
     ],
 )
 def test_library_boundary_refuses_non_int(call):

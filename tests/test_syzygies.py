@@ -15,6 +15,7 @@ import semipath.semimodules
 import semipath.syzygies
 import semipath.verify
 from semipath import (
+    FundamentalCouple,
     InvariantError,
     LeanSet,
     PathMatrix,
@@ -23,6 +24,7 @@ from semipath import (
     Semimodule,
     admissible_rotation,
     cyclic_rotations,
+    elements_up_to,
     enumerate_lean_sets,
     fundamental_couple,
     gaps,
@@ -34,6 +36,7 @@ from semipath import (
     normalize,
     orbit_witness,
     path_from_lean_set,
+    render,
     syzygy,
     syzygy_matrix,
     syzygy_oracle,
@@ -177,6 +180,36 @@ def test_syzygy_oracle_examples():
         syzygy_oracle(S57, Semimodule(S57, (0,)))
 
 
+S49 = SemigroupPair(4, 9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lean: fundamental_couple(S49, lean),
+        lambda lean: path_from_lean_set(S49, lean),
+        lambda lean: render(S49, lean),
+        lambda lean: syzygy(S49, Semimodule._trusted(S57, lean.members)),
+        lambda lean: syzygy_oracle(S49, Semimodule._trusted(S57, lean.members)),
+        lambda lean: syzygy_period(S49, Semimodule._trusted(S57, lean.members)),
+        lambda lean: iterated_syzygy(S49, Semimodule._trusted(S57, lean.members), 3),
+        lambda lean: elements_up_to(S49, Semimodule._trusted(S57, lean.members), 40),
+    ],
+    ids=[
+        "fundamental_couple", "path_from_lean_set", "render", "syzygy", "syzygy_oracle",
+        "syzygy_period", "iterated_syzygy", "elements_up_to",
+    ],
+)
+def test_a_module_or_lean_set_of_another_pair_is_refused(call):
+    # Its numbers name gaps of <5,7>; read as <4,9> they gave silently wrong
+    # results or an internal error, so the boundary refuses them outright.
+    leans = list(enumerate_lean_sets(S57))
+    assert len(leans) == 66
+    for lean in leans:
+        with pytest.raises(ValueError, match="built over"):
+            call(lean)
+
+
 def test_syzygy_oracle_shares_no_kernel_with_minimal_generators(monkeypatch):
     # minimal_generators reads the Apery tuple and the path route reads
     # presentations through the gap-chain criterion; the oracle reaches none.
@@ -191,6 +224,8 @@ def test_syzygy_oracle_shares_no_kernel_with_minimal_generators(monkeypatch):
         monkeypatch.setattr(namespace, "presentation", refuse)
     for namespace in (semipath.leansets, semipath.semimodules, semipath.syzygies):
         monkeypatch.setattr(namespace, "_lean_chain", refuse)
+    for namespace in (semipath.paths, semipath.syzygies):
+        monkeypatch.setattr(namespace, "_labels", refuse)
     fresh = SemigroupPair(5, 7)  # its membership bitset is built under the patches
     assert syzygy_oracle(fresh, module).gens == (13, 14, 15, 16)
     assert syzygy_oracle(S57, shifted).gens == (53, 54, 55, 56)
@@ -208,9 +243,9 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
     expected = [
         [m.gens for m in syzygy_period(pair, Semimodule._trusted(pair, gens)).cycle] for gens in members
     ]
-    for name in ("_steps", "_walk", "_admissible_index", "_rows", "_lean_chain"):
+    for name in ("_steps", "_walk", "_admissible_index", "_rows", "_labels", "_lean_chain"):
         monkeypatch.setattr(semipath.syzygies, name, refuse)
-    for name in ("_admissible_index", "_rows"):
+    for name in ("_admissible_index", "_rows", "_labels"):
         monkeypatch.setattr(semipath.paths, name, refuse)
     for namespace in (semipath.semigroup, semipath.leansets):
         monkeypatch.setattr(namespace, "presentation", refuse)
@@ -286,6 +321,24 @@ def test_rows_equal_the_coordinate_differences_on_every_chain():
     for pair in SMALL_PAIRS:
         for chain in _gap_chains(pair):
             assert _rows(pair, chain) == comprehension_rows(pair, chain)
+
+
+def gap_point_couple(semigroup, lean):
+    """Reference for the label sum paths._labels: I is 0 and the gap values
+    right to left, J the SE-turn labels v(a_r, 0), v(a_{r-1}, b_r), ...,
+    v(0, b_1) with v(a, b) = alpha*beta - a*alpha - b*beta, read off the
+    gap points padded by a_0 = 0 and b_{r+1} = 0."""
+    points = lean.gap_points
+    avals = (0,) + tuple(p.a for p in points)
+    bvals = tuple(p.b for p in points) + (0,)
+    labels = [semigroup.product - a * semigroup.alpha - b * semigroup.beta for a, b in zip(avals, bvals)]
+    return FundamentalCouple((0,) + tuple(p.value for p in points[::-1]), tuple(labels[::-1]))
+
+
+def test_couple_equals_the_gap_point_labels_on_every_lean_set():
+    for pair in SMALL_PAIRS:
+        for lean in enumerate_lean_sets(pair):
+            assert fundamental_couple(pair, lean) == gap_point_couple(pair, lean), (pair, lean.members)
 
 
 def test_leader_tally_equals_the_per_module_tally():
