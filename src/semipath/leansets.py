@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .semigroup import GapPoint, SemigroupPair, _is_int, gaps, presentation
+from .semigroup import GapPoint, SemigroupPair, _is_int, _sorted_ints, gaps, presentation
 
 __all__ = ["LeanSet", "is_lean", "enumerate_lean_sets"]
 
@@ -33,7 +33,7 @@ class LeanSet(NamedTuple):
 
     @classmethod
     def from_members(cls, semigroup: SemigroupPair, xs: Iterable[int]) -> "LeanSet":
-        values = sorted(set(xs))
+        values = _sorted_ints(xs, "members")
         chain = _lean_chain(semigroup, values)
         if chain is None:
             raise ValueError(
@@ -50,16 +50,26 @@ class LeanSet(NamedTuple):
 def _lean_chain(semigroup: SemigroupPair, values: Sequence[int]) -> tuple[GapPoint, ...] | None:
     """The gap points of the ascending values after their leading 0, sorted
     by a, when a strictly increases and b strictly decreases along them, that
-    is, when the values form a lean set; else None.  One presentation each.
+    is, when the values form a lean set; else None.  The values must be ints:
+    the public callers test them first.  Each value up to the Frobenius
+    number is presented once per pair and remembered in its _gap_points;
+    a larger one is no gap.
     """
     if not values or values[0] != 0:
         raise ValueError("a lean set must consist of non-negative integers and contain 0")
+    memo, frobenius = semigroup._gap_points, semigroup.frobenius
     points = []
     for x in values[1:]:
-        q = presentation(semigroup, x)
-        if q.p != 1 or q.a == 0 or q.b == 0:
+        if x > frobenius:
             return None
-        points.append(GapPoint(x, q.a, q.b))
+        try:
+            point = memo[x]
+        except KeyError:
+            q = presentation(semigroup, x)
+            point = memo[x] = GapPoint(x, q.a, q.b) if q.p == 1 and q.a and q.b else None
+        if point is None:
+            return None
+        points.append(point)
     points.sort(key=lambda g: g.a)
     if all(p.a < q.a and p.b > q.b for p, q in zip(points, points[1:])):
         return tuple(points)
@@ -74,7 +84,7 @@ def is_lean(semigroup: SemigroupPair, xs: Iterable[int]) -> bool:
     decreasing.  verify.check_lean_enumeration compares this criterion with
     the pairwise definition.
     """
-    return _lean_chain(semigroup, sorted(set(xs))) is not None
+    return _lean_chain(semigroup, _sorted_ints(xs, "members")) is not None
 
 
 def _gap_chains(

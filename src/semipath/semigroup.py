@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InvariantError
 
@@ -34,6 +34,14 @@ __all__ = [
 def _is_int(value) -> bool:
     """The library's one integer test: bool, float and str are refused, not coerced."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _sorted_ints(xs: Iterable, what: str = "generators") -> list[int]:
+    """The distinct values of xs, ascending, each checked to be an int proper."""
+    values = list(xs)
+    if not all(_is_int(v) for v in values):
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return sorted(set(values))
 
 
 def _require_same_pair(semigroup: SemigroupPair, obj) -> None:
@@ -72,6 +80,13 @@ class SemigroupPair:
         2*alpha*beta + frobenius; read off the membership sieve once per pair."""
         sieve = membership_sieve(self, 2 * self.product + self.frobenius)
         return int("".join("1" if m else "0" for m in reversed(sieve)), 2)
+
+    @cached_property
+    def _gap_points(self) -> dict[int, GapPoint | None]:
+        """The GapPoint of each value 1 <= x <= frobenius asked for so far, or
+        None when x is no gap; filled by leansets._lean_chain, one presentation
+        per value.  One memo per pair object, like _member_bits."""
+        return {}
 
 
 class Presentation(NamedTuple):

@@ -12,7 +12,9 @@ Semimodule.from_json, validate their input in full.  Every semimodule the
 library derives from an already-valid one (shifts, syzygies, orbit cycles,
 enumerated lean sets) is built by the private Semimodule._trusted, which
 skips that validation; the syzygy step instead re-checks, in O(n), the
-invariant it relies on.
+invariant it relies on.  Both checks read the monotone gap-chain criterion,
+which presents each value once per pair and remembers its gap point on the
+SemigroupPair object.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .leansets import _lean_chain
-from .semigroup import SemigroupPair, _is_int, _require_same_pair
+from .semigroup import SemigroupPair, _is_int, _require_same_pair, _sorted_ints
 
 __all__ = [
     "Semimodule",
@@ -31,14 +33,6 @@ __all__ = [
     "is_isomorphic",
     "elements_up_to",
 ]
-
-
-def _sorted_ints(xs: Iterable) -> list[int]:
-    """The distinct values of xs, ascending, each checked to be an int proper."""
-    values = list(xs)
-    if not all(_is_int(v) for v in values):
-        raise ValueError(f"generators must be integers, got {values!r}")
-    return sorted(set(values))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +119,7 @@ def normalize(semigroup: SemigroupPair, gens: Union[Semimodule, Iterable[int]]) 
     """Shift so the least generator becomes 0; a plain iterable of integers
     is re-minimalised along the way, a Semimodule is only shifted."""
     if isinstance(gens, Semimodule):
+        _require_same_pair(semigroup, gens)
         return gens.normalize()
     values = _sorted_ints(gens)
     if not values:

@@ -170,10 +170,10 @@ def check_cycle_lemma(semigroup: SemigroupPair) -> CheckResult:
         rows = [(_random_composition(rng, alpha, k), _random_composition(rng, beta, k)) for k in ks]
     ok = True
     for down, right in rows:
-        rotations = [(down[i:] + down[:i], right[i:] + right[:i]) for i in range(len(down))]
-        hits = [i for i, (d, r) in enumerate(rotations) if _below_diagonal(alpha, beta, d, r)]
+        n, downs, rights = len(down), down + down, right + right  # rotation i: [i:i + n] of each
+        hits = [i for i in range(n) if _below_diagonal(alpha, beta, downs[i:i + n], rights[i:i + n])]
         index, rotated = admissible_rotation(semigroup, PathMatrix._trusted(down, right))
-        if hits != [index] or (rotated.down, rotated.right) != rotations[index]:
+        if hits != [index] or (rotated.down, rotated.right) != (downs[index:index + n], rights[index:index + n]):
             ok = False
             break
     return CheckResult("cycle-lemma", ok, f"{total} matrices, {kind}")

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import semipath.leansets
 from semipath import (
     LeanSet,
     SemigroupPair,
@@ -17,6 +18,7 @@ from semipath import (
     is_member,
 )
 from semipath.leansets import _gap_chains
+from semipath.verify import run_checks
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -189,3 +191,38 @@ def test_gap_chains_match_the_recursive_walk():
             pair = SemigroupPair(alpha, beta)
             for gap_count in (None, *range(alpha)):
                 assert list(_gap_chains(pair, gap_count)) == list(recursive_gap_chains(pair, gap_count))
+
+
+def test_a_warmed_gap_point_memo_does_not_admit_non_ints():
+    # A dict lookup reads True and 1.0 as 1, so once the gap point of 1 is
+    # remembered only the integer test at the boundary can refuse them.
+    assert is_lean(S57, [0, 1])
+    assert 1 in S57._gap_points
+    for call in (
+        lambda: is_lean(S57, [0, True]),
+        lambda: LeanSet.from_members(S57, [0, 1.0]),
+        lambda: LeanSet.from_members(S57, [0, True]),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+
+
+def test_chain_criterion_presents_each_value_once_per_pair(monkeypatch):
+    # verify --deep meets every lean set several times; the memo on the pair
+    # bounds the presentations by the Frobenius number, 59 on <7,11>.
+    calls = []
+    present = semipath.leansets.presentation
+
+    def counted(semigroup, n):
+        calls.append(n)
+        return present(semigroup, n)
+
+    monkeypatch.setattr(semipath.leansets, "presentation", counted)
+    pair = SemigroupPair(7, 11)
+    results = run_checks(pair, deep=True)
+    assert all(result.ok for result in results)
+    assert 0 < len(calls) <= pair.frobenius == 59
+    assert len(set(calls)) == len(calls)
+    # Each pair object has its own memo, so a pair built under a patched
+    # kernel never reads gap points presented by the real one.
+    assert SemigroupPair(7, 11)._gap_points is not SemigroupPair(7, 11)._gap_points

@@ -28,6 +28,7 @@ from semipath import (
     enumerate_lean_sets,
     fundamental_couple,
     gaps,
+    is_isomorphic,
     is_lean,
     iterated_syzygy,
     lean_set_from_path,
@@ -194,10 +195,14 @@ S49 = SemigroupPair(4, 9)
         lambda lean: syzygy_period(S49, Semimodule._trusted(S57, lean.members)),
         lambda lean: iterated_syzygy(S49, Semimodule._trusted(S57, lean.members), 3),
         lambda lean: elements_up_to(S49, Semimodule._trusted(S57, lean.members), 40),
+        lambda lean: normalize(S49, Semimodule._trusted(S57, lean.members)),
+        lambda lean: is_isomorphic(
+            S57, Semimodule._trusted(S57, lean.members), Semimodule._trusted(S49, lean.members)
+        ),
     ],
     ids=[
         "fundamental_couple", "path_from_lean_set", "render", "syzygy", "syzygy_oracle",
-        "syzygy_period", "iterated_syzygy", "elements_up_to",
+        "syzygy_period", "iterated_syzygy", "elements_up_to", "normalize", "is_isomorphic",
     ],
 )
 def test_a_module_or_lean_set_of_another_pair_is_refused(call):
