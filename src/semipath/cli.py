@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect
 
 from .counting import (
     _require_generator_count,
@@ -74,18 +75,44 @@ def cmd_member(args) -> int:
 def cmd_enumerate(args) -> int:
     pair = _pair(args)
     gap_count = None if args.gens is None else _gens_to_r(pair, args.gens)
-    # One write per line, read straight off the gap chain: a lean set's
-    # members are 0 and its gap values ascending, and a GapPoint sorts by
-    # value first.  The --json line is Semimodule.to_json() as
-    # json.dumps(..., separators=(",", ":")) writes it, spelled out.
-    write = sys.stdout.write
-    text = {g: f",{g.value}" for g in gaps(pair)}
+    # Each line is its parent chain's line with one value spliced in, so no
+    # line is sorted or joined.  A parent's value is (line, values, offsets):
+    # the parent's whole output line, its gap values ascending, and the char
+    # offset in that line at which a value belongs when k of the gap values
+    # are smaller, offsets[k], for 0 <= k <= len(values).  A lean set's
+    # members are 0 and its gap values ascending; the --json line is
+    # Semimodule.to_json() as json.dumps(..., separators=(",", ":")) writes
+    # it, spelled out.
+    texts = [f",{x}" for x in range(pair.frobenius + 1)]
     prefix, suffix = "0", "\n"
     if args.json:
         prefix = f'{{"alpha":{pair.alpha},"beta":{pair.beta},"generators":[0'
         suffix = "]}\n"
-    for chain in _gap_chains(pair, gap_count):
-        write(prefix + "".join([text[g] for g in sorted(chain)]) + suffix)
+
+    def line(parent, point):
+        text, values, offsets = parent
+        x = point.value
+        at = offsets[bisect(values, x)]
+        return text[:at] + texts[x] + text[at:]
+
+    def grow(parent, point):
+        text, values, offsets = parent
+        x = point.value
+        k = bisect(values, x)
+        at, width = offsets[k], len(texts[x])
+        return (
+            text[:at] + texts[x] + text[at:],
+            values[:k] + [x] + values[k:],
+            offsets[: k + 1] + [o + width for o in offsets[k:]],
+        )
+
+    root = (prefix + suffix, [], [len(prefix)])
+    lines = _gap_chains(pair, gap_count, root, line, grow)
+    write = sys.stdout.write
+    if not gap_count:  # the empty chain comes first, as root itself
+        write(next(lines)[0])
+    for text in lines:
+        write(text)
     return 0
 
 

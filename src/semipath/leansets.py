@@ -9,7 +9,7 @@ monotone chains of gap points directly.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .semigroup import GapPoint, SemigroupPair, _is_int, _sorted_ints, gaps, presentation
 
@@ -87,61 +87,65 @@ def is_lean(semigroup: SemigroupPair, xs: Iterable[int]) -> bool:
     return _lean_chain(semigroup, _sorted_ints(xs, "members")) is not None
 
 
+def _extend(chain: tuple[GapPoint, ...], point: GapPoint) -> tuple[GapPoint, ...]:
+    return chain + (point,)
+
+
 def _gap_chains(
-    semigroup: SemigroupPair, gap_count: int | None = None
-) -> Iterator[tuple[GapPoint, ...]]:
+    semigroup: SemigroupPair,
+    gap_count: int | None = None,
+    root: Any = (),
+    item: Callable[[Any, GapPoint], Any] = _extend,
+    grow: Callable[[Any, GapPoint], Any] = _extend,
+) -> Iterator[Any]:
     """Chains of gap points with a strictly increasing and b strictly decreasing.
 
     Depth-first in lexicographic (a, b) order, which yields every chain before
     its extensions.  With a gap_count filter, branches whose longest possible
     chain stays short of the target are pruned via a reach table.
+
+    Each chain is yielded as a value built from its parent chain's value:
+    root is the empty chain's value, yielded first when it is in the stream;
+    then, for each chain in order, item(parent, point) builds the value
+    yielded for it, and, when the walk goes on to extend that chain,
+    grow(parent, point) builds the value kept for it as the parent of its
+    extensions, after item.  point is the chain's last gap point.  With the
+    defaults every value is the chain itself, a tuple of gap points.
     """
-    points = sorted(gaps(semigroup), key=lambda g: (g.a, g.b))
-    count = len(points)
-    succ = [
-        [j for j in range(i + 1, count) if points[j].a > points[i].a and points[j].b < points[i].b]
-        for i in range(count)
-    ]
-    reach = [1] * count
-    if gap_count is not None:
-        for i in reversed(range(count)):
-            reach[i] = 1 + max((reach[j] for j in succ[i]), default=0)
-    # stack[d] iterates the candidates for chain[d]: the successors of
-    # chain[d - 1], or every point at d = 0.
-    chain: list[GapPoint] = []
-    stack = [iter(range(count))]
-    if gap_count is None:
-        yield ()
-        while stack:
-            for i in stack[-1]:
-                chain.append(points[i])
-                yield tuple(chain)
-                stack.append(iter(succ[i]))
-                break
-            else:
-                stack.pop()
-                if chain:
-                    chain.pop()
-        return
-    if gap_count == 0:
-        yield ()
-        return
-    last = gap_count - 1
+    # Each node is (reach, point, successors): the successors are the nodes a
+    # chain can go on to from the point, in (a, b) order, and reach is the
+    # most points a chain starting at the point can have.
+    nodes: list[tuple[int, GapPoint, list]] = []
+    for p in sorted(gaps(semigroup), key=lambda g: (g.a, g.b), reverse=True):
+        nxt = [n for n in nodes if n[1].a > p.a and n[1].b < p.b]
+        nodes.insert(0, (1 + max((n[0] for n in nxt), default=0), p, nxt))
+    if not gap_count:
+        yield root
+        if gap_count == 0:
+            return
+    # Unfiltered, every chain is yielded and extended; filtered, only chains
+    # of gap_count points are yielded, and a node whose reach falls short of
+    # gap_count at its depth is pruned.
+    need, first, last = (0, 0, len(nodes)) if gap_count is None else (gap_count, gap_count - 1, gap_count - 1)
+    # stack[d] iterates the candidates at depth d: the successors of the
+    # chain that values[d] stands for, or every node at d = 0.
+    values, stack = [root], [iter(nodes)]
     while stack:
-        depth = len(chain)
-        for i in stack[-1]:
-            if depth + reach[i] < gap_count:
+        depth = len(values) - 1
+        parent, floor = values[-1], need - depth
+        emit, extend = depth >= first, depth < last
+        for far, point, nxt in stack[-1]:
+            if far < floor:
                 continue
-            if depth == last:
-                yield (*chain, points[i])
-                continue
-            chain.append(points[i])
-            stack.append(iter(succ[i]))
-            break
+            if emit:
+                yield item(parent, point)
+            if extend and nxt:
+                values.append(grow(parent, point))
+                stack.append(iter(nxt))
+                break
         else:
             stack.pop()
-            if chain:
-                chain.pop()
+            values.pop()
 
 
 def enumerate_lean_sets(

@@ -14,13 +14,15 @@ enumerated lean sets) is built by the private Semimodule._trusted, which
 skips that validation; the syzygy step instead re-checks, in O(n), the
 invariant it relies on.  Both checks read the monotone gap-chain criterion,
 which presents each value once per pair and remembers its gap point on the
-SemigroupPair object.
+SemigroupPair object; consecutive from_json objects over one pair share one
+such object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .leansets import _lean_chain
@@ -91,11 +93,20 @@ class Semimodule:
     @classmethod
     def from_json(cls, data: dict) -> "Semimodule":
         try:
-            pair = SemigroupPair(data["alpha"], data["beta"])
+            alpha, beta = data["alpha"], data["beta"]
+            pair = (_shared_pair if _is_int(alpha) and _is_int(beta) else SemigroupPair)(alpha, beta)
             gens = list(data["generators"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed semimodule object: {data!r}") from exc
         return cls(pair, tuple(_sorted_ints(gens)))
+
+
+@lru_cache(maxsize=1)
+def _shared_pair(alpha: int, beta: int) -> SemigroupPair:
+    """The pair of the last from_json object, so that consecutive objects over
+    one pair share its gap-point memo.  Only ints may reach it: a cache key
+    reads 5.0 as 5, and the pair of an earlier (5, 7) would admit it."""
+    return SemigroupPair(alpha, beta)
 
 
 def minimal_generators(semigroup: SemigroupPair, xs: Iterable[int]) -> tuple[int, ...]:

@@ -222,10 +222,11 @@ def test_enumerate_stdout_is_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("alpha, beta", [(7, 11), (8, 13)])
+@pytest.mark.parametrize("alpha, beta", [(2, 5), (3, 4), (5, 7), (7, 11), (8, 13)])
 def test_enumerate_lines_spell_the_lean_set_members(capsys, alpha, beta):
-    # enumerate writes its lines straight from the gap chains; each must read
-    # as the members of the lean set that enumerate_lean_sets builds.
+    # enumerate builds each line from its parent chain's line; each must read
+    # as the members of the lean set that enumerate_lean_sets builds.  <2,5>
+    # has chains of one gap only, and --gens 1 yields only the empty chain.
     pair = SemigroupPair(alpha, beta)
     for gens in (None, *range(1, alpha + 1)):
         flags = [] if gens is None else ["--gens", str(gens)]

@@ -193,6 +193,23 @@ def test_gap_chains_match_the_recursive_walk():
                 assert list(_gap_chains(pair, gap_count)) == list(recursive_gap_chains(pair, gap_count))
 
 
+@pytest.mark.parametrize("pair", [S57, SemigroupPair(7, 11)], ids=["5-7", "7-11"])
+def test_gap_chains_grow_exactly_the_chains_they_extend(pair):
+    # item's values are yielded; grow builds a parent's value once, before
+    # its first extension, and only for chains the stream extends.
+    for gap_count in (None, *range(pair.alpha)):
+        grown = []
+
+        def grow(parent, point):
+            grown.append((*parent, point))
+            return grown[-1]
+
+        chains = list(recursive_gap_chains(pair, gap_count))
+        items = _gap_chains(pair, gap_count, (), lambda parent, point: (*parent, point), grow)
+        assert list(items) == chains
+        assert grown == list(dict.fromkeys(c[:d] for c in chains for d in range(1, len(c))))
+
+
 def test_a_warmed_gap_point_memo_does_not_admit_non_ints():
     # A dict lookup reads True and 1.0 as 1, so once the gap point of 1 is
     # remembered only the integer test at the boundary can refuse them.

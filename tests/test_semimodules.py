@@ -128,6 +128,28 @@ def test_from_json_refuses_a_bool_equal_to_another_generator():
         Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [True, 0, 1]})
 
 
+def test_consecutive_from_json_objects_share_their_pair():
+    # A stream of JSON lines over one pair reads every line on one pair
+    # object, so its gap-point memo is filled once.
+    first = Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [0, 6, 8, 9]})
+    second = Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [0, 1]})
+    assert second.semigroup is first.semigroup
+    assert 6 in first.semigroup._gap_points
+    other = Semimodule.from_json({"alpha": 7, "beta": 11, "generators": [0, 1]})
+    assert other.semigroup is not first.semigroup
+    # The public constructor still builds a fresh pair, with its own memo.
+    assert SemigroupPair(7, 11) is not other.semigroup
+    assert SemigroupPair(7, 11)._gap_points is not other.semigroup._gap_points
+
+
+@pytest.mark.parametrize("alpha, beta", [(5.0, 7), (5, 7.0)], ids=repr)
+def test_a_shared_from_json_pair_does_not_admit_non_int_generators(alpha, beta):
+    # A cache key reads 5.0 as 5; the pair of the warm (5, 7) must not be reused.
+    Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [0, 1]})
+    with pytest.raises(ValueError, match="must be integers"):
+        Semimodule.from_json({"alpha": alpha, "beta": beta, "generators": [0, 1]})
+
+
 @pytest.mark.parametrize("bad", [True, 6.0, "6"], ids=repr)
 def test_minimal_generators_and_normalize_refuse_non_ints(bad):
     with pytest.raises(ValueError):
