@@ -340,6 +340,29 @@ def test_verify_catches_labels_read_right_run_first(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("leader, answer", [(True, 0), (False, 1)], ids=["never", "twice"])
+def test_verify_catches_a_cycle_not_checked_exactly_once(capsys, monkeypatch, leader, answer):
+    # verify --deep checks each cycle once, from its least rows; the cycles
+    # walked must cover the modules exactly, so a leader test that passes
+    # over one cycle, or starts one a second time, fails named verdicts.
+    real, changed = semipath.verify._leader_period, []
+
+    def once_wrong(alpha, beta, start):
+        period = real(alpha, beta, start)
+        if bool(period) == leader and not changed:
+            changed.append(start)
+            return answer
+        return period
+
+    monkeypatch.setattr(semipath.verify, "_leader_period", once_wrong)
+    code, out, err = run(capsys, "verify", "7", "11", "--deep")
+    assert code == 3 and err == "" and changed
+    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
+        "period-route-equivalence",
+        "orbit-tables-vs-iteration",
+    }
+
+
 def test_orbits_brute_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
     # The walk then only cycles the top row and leaves the admissible
     # matrices, so the cycles counted from their least rows cannot cover

@@ -35,6 +35,7 @@ from semipath import (
     membership_sieve,
     minimal_generators,
     normalize,
+    orbit_count_table,
     orbit_witness,
     path_from_lean_set,
     render,
@@ -51,7 +52,6 @@ from semipath.verify import (
     _definitional_cycle,
     _pairwise_lean,
     brute_period_tally,
-    check_syzygy_routes,
     run_checks,
 )
 
@@ -257,15 +257,15 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
     for namespace in (semipath.leansets, semipath.semimodules):
         monkeypatch.setattr(namespace, "_lean_chain", refuse)
     fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patches
-    got = [_definitional_cycle(fresh, Semimodule._trusted(fresh, gens)) for gens in members]
+    got = [[m.gens for m, _ in _definitional_cycle(fresh, Semimodule._trusted(fresh, gens))] for gens in members]
     assert got == expected
     assert {len(cycle) for cycle in got} == {1, 2, 3, 4, 5, 6}
 
 
 def test_verify_deep_calls_the_oracle_once_per_module(monkeypatch):
-    # check_syzygy_routes calls syzygy_oracle once per module with two or more
-    # generators and keeps the normalized syzygies in the map sigma; the
-    # definitional orbit walks of check_periods then follow sigma by lookup.
+    # Each orbit is walked once, from its least rows, by the definitional
+    # walk, which calls syzygy_oracle once per member with two or more
+    # generators; the syzygy verdicts of each member read that one result.
     pair = SemigroupPair(7, 11)
     oracle, calls = semipath.verify.syzygy_oracle, []
 
@@ -295,10 +295,6 @@ def test_j_leanness_verdict_shares_no_kernel_with_presentation(monkeypatch):
                 js.append(bumped)
     expected = [is_lean(pair, [v - min(j) for v in j]) for j in js]
     assert set(expected) == {True, False}
-    modules = [
-        (lean, PathMatrix._trusted(*_rows(pair, lean.gap_points)), Semimodule._trusted(pair, lean.members))
-        for lean in leans
-    ]
 
     def every_number_a_gap(semigroup, n):
         return Presentation(1, 1, 1)
@@ -308,7 +304,7 @@ def test_j_leanness_verdict_shares_no_kernel_with_presentation(monkeypatch):
     fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patch
     assert not is_lean(fresh, [0, 1, 2])  # the patch sways the chain criterion
     assert [_pairwise_lean(fresh, j) for j in js] == expected
-    results, _ = check_syzygy_routes(fresh, modules)
+    results = run_checks(fresh, deep=True)  # every module's couple, member of a walked orbit
     assert {r.name: r.ok for r in results}["fundamental-couples"]
 
 
@@ -368,6 +364,36 @@ def test_brute_period_tally_runs_in_constant_memory():
         tracemalloc.stop()
     assert sum(tally.values()) == 41405
     assert peak < 1 << 20, peak
+
+
+def test_verify_deep_runs_in_constant_memory():
+    # 1,768 modules, each checked as the lean stream passes it; a list of the
+    # modules with their path matrices, or a map of their syzygies, would
+    # hold more than a megabyte.
+    tracemalloc.start()
+    try:
+        results = run_checks(SemigroupPair(7, 11), deep=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 14 and all(r.ok for r in results)
+    assert peak < 1 << 20, peak
+
+
+def test_verify_deep_walks_each_orbit_once(monkeypatch):
+    # Only the least rows of a cycle start its check, so syzygy_period runs
+    # once per orbit, not once per module.
+    pair = SemigroupPair(7, 11)
+    period, starts = semipath.verify.syzygy_period, []
+
+    def counted(semigroup, module):
+        starts.append(module.gens)
+        return period(semigroup, module)
+
+    monkeypatch.setattr(semipath.verify, "syzygy_period", counted)
+    assert all(r.ok for r in run_checks(pair, deep=True))
+    orbits = sum(row.orbits for n in range(1, pair.alpha + 1) for row in orbit_count_table(pair, n).rows)
+    assert len(set(starts)) == len(starts) == orbits == 439
 
 
 def test_route_equivalence_exhaustive_small_pairs():
