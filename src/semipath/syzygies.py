@@ -12,8 +12,11 @@ validate_fundamental_couple.
 Taking syzygies and renormalising permutes the isomorphism classes with a
 fixed number of generators; on matrices it advances the top row by one
 column while keeping the bottom row, followed by the admissible rotation.
-Iterating yields orbits, whose minimal length always divides the generator
-count n, with n/length dividing alpha*beta.
+Iterating yields orbits, whose minimal length p always divides the generator
+count n.  Each SE label is the ES label before it plus d*beta, and the down
+runs d sum to alpha, so sum J = sum I + alpha*beta; around a cycle this
+telescopes to n * (sum of the p shifts min J) = p * alpha*beta, the lap
+identity: Syz^n(M) = M + alpha*beta for every normalized M.
 """
 
 from __future__ import annotations
@@ -265,68 +268,54 @@ def _walk(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) 
     raise InvariantError(f"no syzygy recurrence within {len(down)} steps for {down}/{right}")
 
 
-def _cycle(semigroup: SemigroupPair, start: Semimodule) -> tuple[list[Semimodule], list[int]]:
-    """The orbit of a normalized module, walked on its path-matrix rows.
-
-    Returns the modules met, start first, and the shift min J of each one's
-    syzygy, so Syz(cycle[t]) = cycle[t + 1] + shifts[t] around the cycle.
-    With label(a, b) = alpha*beta - a*alpha - b*beta, a module is 0 plus its
-    ES-turn labels and J is its SE-turn labels.  The recurrence within
-    n = #generators steps, period | n and n/period | alpha*beta are
-    theorems; each failure is an internal error.
-    """
-    chain = _lean_chain(semigroup, start.gens)
-    if chain is None:
-        raise InvariantError(f"generators {start.gens} are not a monotone gap chain")
-    alpha, beta, product = semigroup.alpha, semigroup.beta, semigroup.product
-    met, period = _walk(alpha, beta, *_rows(semigroup, chain))
-    n = len(start.gens)
-    if n % period:
-        raise InvariantError(f"period {period} does not divide generator count {n}")
-    if product % (n // period):
-        raise InvariantError(f"n/period = {n // period} does not divide alpha*beta = {product}")
-    cycle, shifts = [], []
-    for down, right in met:
-        es, se = _labels(semigroup, down, right)
-        cycle.append(Semimodule._trusted(semigroup, tuple(sorted(es))))
-        shifts.append(min(se))
-    return cycle, shifts
-
-
 def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
-    """Iterate normalize(syzygy(.)) until the start recurs, on path-matrix rows."""
+    """Iterate normalize(syzygy(.)) until the start recurs, on path-matrix rows.
+
+    A cycle module is 0 plus its ES-turn labels, and its syzygy's shift is
+    min J, the least SE-turn label.  The recurrence within n = #generators
+    steps, period | n and the lap identity n * (shift sum) = period * alpha*beta
+    are theorems; each failure is an internal error.
+    """
     _require_same_pair(semigroup, module)
     if not module.is_normalized:
         raise ValueError("orbit iteration needs a normalized semimodule")
-    cycle, _ = _cycle(semigroup, module)
-    return OrbitReport(n=len(module.gens), period=len(cycle), cycle=tuple(cycle))
+    chain = _lean_chain(semigroup, module.gens)
+    if chain is None:
+        raise InvariantError(f"generators {module.gens} are not a monotone gap chain")
+    met, period = _walk(semigroup.alpha, semigroup.beta, *_rows(semigroup, chain))
+    n = len(module.gens)
+    if n % period:
+        raise InvariantError(f"period {period} does not divide generator count {n}")
+    cycle, shift = [], 0
+    for down, right in met:
+        es, se = _labels(semigroup, down, right)
+        cycle.append(Semimodule._trusted(semigroup, tuple(sorted(es))))
+        shift += min(se)
+    if shift * n != period * semigroup.product:
+        raise InvariantError(f"lap identity fails: {n} x shift sum {shift} != period {period} x alpha*beta")
+    return OrbitReport(n=n, period=period, cycle=tuple(cycle))
 
 
 def iterated_syzygy(semigroup: SemigroupPair, module: Semimodule, times: int) -> Semimodule:
     """The times-fold syzygy.
 
-    Syzygy commutes with shifts, so the orbit is walked on normalized
-    modules and the accumulated shift restored.  Up to times = 2n, with
-    n = #generators, the walk simply takes times syzygy steps.  Beyond that
-    the period theorem is used: the start recurs within n steps,
-    Syz^p(M) = M + c, hence Syz^(qp+r)(M) = Syz^r(M) + qc, and the one
-    cycle is read off the path-matrix rows.
+    Syzygy commutes with shifts, so the walk steps normalized modules and
+    adds up the shifts.  Up to times = 2n, with n = #generators, it takes
+    times syzygy steps.  Beyond that the lap identity Syz^n(M) = M + alpha*beta
+    takes the whole laps at once, and between 1 and n steps remain.
     """
     _require_same_pair(semigroup, module)
     if not _is_int(times) or times < 1:
         raise ValueError(f"iteration count must be an integer >= 1, got {times!r}")
-    start = module.normalize()
-    if times <= 2 * len(start.gens):
-        current, shift = start, module.gens[0]
-        for _ in range(times):
-            step = syzygy(semigroup, current)
-            shift += step.gens[0]
-            current = step.normalize()
-        return Semimodule._trusted(semigroup, tuple(g + shift for g in current.gens))
-    cycle, shifts = _cycle(semigroup, start)
-    laps, rest = divmod(times, len(cycle))
-    shift = module.gens[0] + sum(shifts[:rest]) + laps * sum(shifts)
-    return Semimodule._trusted(semigroup, tuple(g + shift for g in cycle[rest].gens))
+    current = module.normalize()
+    n = len(current.gens)
+    steps = times if times <= 2 * n else (times - 1) % n + 1
+    shift = module.gens[0] + (times - steps) // n * semigroup.product
+    for _ in range(steps):
+        step = syzygy(semigroup, current)
+        shift += step.gens[0]
+        current = step.normalize()
+    return Semimodule._trusted(semigroup, tuple(g + shift for g in current.gens))
 
 
 def orbit_witness(semigroup: SemigroupPair, n: int, ell: int) -> Semimodule:

@@ -222,17 +222,19 @@ def check_periods(
     semigroup: SemigroupPair, table: dict, start: Semimodule, failed: set[str], tallies: dict[int, Counter[int]]
 ) -> int:
     """One orbit, from its start: the definitional walk against the cycle of
-    syzygy_period, walked on path-matrix rows, and that cycle against the
-    period theorems; then the syzygy verdicts of every member the walk met,
-    from the oracle syzygy it holds.  Failing verdict names go into failed,
-    the period into tallies[n] once per member; returns the members walked."""
+    syzygy_period, walked on path-matrix rows, that cycle against period | n
+    and the walk's oracle shifts against the lap identity (they sum to
+    len(walk) * alpha*beta / n); then the syzygy verdicts of every member the
+    walk met, from the oracle syzygy it holds.  Failing verdict names go into
+    failed, the period into tallies[n] once per member; returns the members walked."""
     walk = _definitional_cycle(semigroup, start)
     report = _unless_it_raises(syzygy_period, semigroup, start)
     if report is None:
         failed.update(("period-divisibility", "period-route-equivalence"))
     else:
         n, period = report.n, report.period
-        if n % period or semigroup.product % (n // period) or len({m.gens for m in report.cycle}) != period:
+        shift = sum(semigroup.product if oracle is None else oracle.gens[0] for _, oracle in walk)
+        if n % period or shift * n != len(walk) * semigroup.product or len({m.gens for m in report.cycle}) != period:
             failed.add("period-divisibility")
         if [m.gens for m in report.cycle] != [module.gens for module, _ in walk]:
             failed.add("period-route-equivalence")

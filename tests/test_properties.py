@@ -4,8 +4,9 @@ The Apery-tuple kernel behind minimal_generators and elements_up_to is
 checked against the double-loop membership of verify.naive_members and the
 definitional filter {y : y - alpha and y - beta are not members}; the
 element-route syzygy_oracle is checked against the path-route syzygy and
-against a set-based reading of its definition; the orbit read off path-matrix
-rows is checked against public syzygy steps.
+against a set-based reading of its definition; iterated_syzygy and
+syzygy_period are checked against public syzygy steps, and the period
+against the row periods of the path matrix.
 """
 
 import itertools
@@ -15,12 +16,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semipath import (
+    LeanSet,
     SemigroupPair,
     Semimodule,
     elements_up_to,
     iterated_syzygy,
     minimal_generators,
     normalize,
+    path_from_lean_set,
     syzygy,
     syzygy_oracle,
     syzygy_period,
@@ -101,19 +104,39 @@ def test_syzygy_oracle_is_the_pairwise_coset_definition(case, shift):
 @settings(max_examples=200, deadline=None)
 @given(generator_sets(), st.integers(0, 50), st.data())
 def test_period_theorem_matches_public_syzygy_steps(case, shift, data):
-    # Syz^(qp+r)(M) = Syz^r(M) + qc: beyond K = 2n, iterated_syzygy reads the
-    # orbit off path-matrix rows instead of stepping.
+    # Syz^(qn+r)(M) = Syz^r(M) + q*alpha*beta: beyond K = 2n, iterated_syzygy
+    # takes the whole laps of n steps at once by the lap identity.
     pair, xs = case
     module = normalize(pair, xs)
     n = len(module.gens)
     times = data.draw(st.integers(2 * n + 1, 6 * n))
-    current, total, iterates = module, shift, [module]
+    current, total, iterates, totals = module, shift, [module], [shift]
     for _ in range(times):
         step = syzygy(pair, current)
         total += step.gens[0]
         current = step.normalize()
         iterates.append(current)
+        totals.append(total)
     shifted = Semimodule(pair, tuple(g + shift for g in module.gens))
     assert iterated_syzygy(pair, shifted, times).gens == tuple(g + total for g in current.gens)
     period = iterates.index(module, 1)
     assert syzygy_period(pair, module).cycle == tuple(iterates[:period])
+    # One lap of n public steps brings the module back, shifted by alpha*beta.
+    assert iterates[n] == module and totals[n] - shift == pair.product
+
+
+def row_period(row):
+    """The least rotation that fixes row, by string periodicity: the first
+    place after 0 where the row occurs in itself doubled."""
+    text = "".join(map(chr, row))
+    return (text + text).find(text, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets())
+def test_period_is_the_gcd_of_the_row_periods(case):
+    pair, xs = case
+    module = normalize(pair, xs)
+    matrix = path_from_lean_set(pair, LeanSet.from_members(pair, module.gens))
+    expected = math.gcd(row_period(matrix.down), row_period(matrix.right))
+    assert syzygy_period(pair, module).period == expected

@@ -163,8 +163,8 @@ def test_syzygy_requires_normalized():
 def test_syzygy_checks_the_chain_of_a_corrupt_module(gens):
     # 5 is no gap; the gaps 1, 6 and 8 sit at (4, 2), (3, 2) and (4, 1), so
     # neither pair has a rising and b falling (6 - 1 and 8 - 1 lie in S).
-    # The orbit walk, for syzygy_period and iterated_syzygy beyond K = 2n,
-    # checks the same chain.
+    # syzygy_period's orbit walk checks the same chain, and iterated_syzygy
+    # takes at least one syzygy step however far beyond K = 2n it reaches.
     module = Semimodule._trusted(S57, gens)
     for route in (lambda: syzygy(S57, module), lambda: syzygy_period(S57, module),
                   lambda: iterated_syzygy(S57, module, 100)):
@@ -475,19 +475,27 @@ def test_period_divisibility_exhaustive_5_7():
         assert report.n == n
         assert n % report.period == 0
         assert S57.product % (n // report.period) == 0
-        iterated = iterated_syzygy(S57, module, n).normalize()
-        assert iterated == module
+        # n steps, one lap: Syz^n(M) = M + alpha*beta
+        assert iterated_syzygy(S57, module, n).gens == tuple(g + S57.product for g in module.gens)
 
 
 def test_orbit_theorem_failures_are_internal_errors(monkeypatch):
     module = Semimodule(S57, (0, 6, 8, 9))  # rows (2, 1, 1, 1) / (1, 2, 1, 3), period 4
-    real_walk = semipath.syzygies._walk
-    for period, message in ((3, "does not divide generator count"), (2, "does not divide alpha\\*beta")):
+    real_walk, real_labels = semipath.syzygies._walk, semipath.syzygies._labels
+    for period, message in ((3, "does not divide generator count"), (2, "lap identity fails")):
         monkeypatch.setattr(semipath.syzygies, "_walk", lambda *rows, p=period: (real_walk(*rows)[0][:p], p))
         with pytest.raises(InvariantError, match=message):
             syzygy_period(S57, module)
-        with pytest.raises(InvariantError, match=message):
-            iterated_syzygy(S57, module, 9)
+    monkeypatch.undo()
+    # Every SE label one larger: the cycle is unchanged, but its shifts no
+    # longer sum to period * alpha*beta / n.
+    def se_one_larger(*args):
+        es, se = real_labels(*args)
+        return es, [j + 1 for j in se]
+
+    monkeypatch.setattr(semipath.syzygies, "_labels", se_one_larger)
+    with pytest.raises(InvariantError, match="lap identity fails: 4 x shift sum 39 != period 4 x alpha\\*beta"):
+        syzygy_period(S57, module)
     monkeypatch.undo()
     # One stray rotation on the first step leaves the bottom row rotated for good.
     calls = []
@@ -529,10 +537,12 @@ def test_iterated_syzygy_matches_step_by_step_iteration(pair):
         n = len(lean.members)
         # The reference normalizes before every step, so a shifted start only
         # shifts its iterates; it is walked once, from the normalized module.
-        steps = reference_iterates(pair, Semimodule(pair, lean.members), 2 * n + 2)
+        # Past K = 2n every residue of K mod n, 0 included, is met.
+        reach = max(3 * n, 2 * n + 2)
+        steps = reference_iterates(pair, Semimodule(pair, lean.members), reach)
         for shift in (0, 3):
             module = Semimodule(pair, tuple(g + shift for g in lean.members))
-            got = [iterated_syzygy(pair, module, k).gens for k in range(1, 2 * n + 3)]
+            got = [iterated_syzygy(pair, module, k).gens for k in range(1, reach + 1)]
             assert got == [tuple(g + shift for g in gens) for gens in steps], module.gens
 
 
