@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from bisect import bisect
+from itertools import islice
 
 from .counting import (
     _require_generator_count,
@@ -95,24 +96,20 @@ def cmd_enumerate(args) -> int:
         at = offsets[bisect(values, x)]
         return text[:at] + texts[x] + text[at:]
 
-    def grow(parent, point):
-        text, values, offsets = parent
+    def grow(parent, point, out):
+        _, values, offsets = parent
         x = point.value
         k = bisect(values, x)
-        at, width = offsets[k], len(texts[x])
-        return (
-            text[:at] + texts[x] + text[at:],
-            values[:k] + [x] + values[k:],
-            offsets[: k + 1] + [o + width for o in offsets[k:]],
-        )
+        width = len(texts[x])
+        return out, values[:k] + [x] + values[k:], offsets[: k + 1] + [o + width for o in offsets[k:]]
 
     root = (prefix + suffix, [], [len(prefix)])
     lines = _gap_chains(pair, gap_count, root, line, grow)
     write = sys.stdout.write
     if not gap_count:  # the empty chain comes first, as root itself
         write(next(lines)[0])
-    for text in lines:
-        write(text)
+    while chunk := "".join(islice(lines, 1024)):
+        write(chunk)
     return 0
 
 
@@ -125,7 +122,8 @@ def cmd_count(args) -> int:
         gap_count = _gens_to_r(pair, args.gens)
         expected = count_lean_sets(pair, gap_count)
     if args.brute:
-        seen = sum(1 for _ in _gap_chains(pair, gap_count))
+        # Each chain counts 1, and the root 1 when the empty chain is in the stream.
+        seen = sum(_gap_chains(pair, gap_count, 1, lambda parent, point: 1, lambda parent, point, value: None))
         if seen != expected:
             raise InvariantError(f"enumerated {seen} lean sets, formula says {expected}")
     print(expected)

@@ -96,7 +96,7 @@ def _gap_chains(
     gap_count: int | None = None,
     root: Any = (),
     item: Callable[[Any, GapPoint], Any] = _extend,
-    grow: Callable[[Any, GapPoint], Any] = _extend,
+    grow: Callable[[Any, GapPoint, Any], Any] = lambda parent, point, value: value,
 ) -> Iterator[Any]:
     """Chains of gap points with a strictly increasing and b strictly decreasing.
 
@@ -106,10 +106,11 @@ def _gap_chains(
 
     Each chain is yielded as a value built from its parent chain's value:
     root is the empty chain's value, yielded first when it is in the stream;
-    then, for each chain in order, item(parent, point) builds the value
-    yielded for it, and, when the walk goes on to extend that chain,
-    grow(parent, point) builds the value kept for it as the parent of its
-    extensions, after item.  point is the chain's last gap point.  With the
+    then, for each chain in order, item(parent, point) builds its value, once,
+    and the walk yields it when the chain is in the stream.  When the walk goes
+    on to extend that chain, grow(parent, point, value) builds from it the
+    value kept as the parent of its extensions.  point is the chain's last gap
+    point.  Every chain the walk builds is yielded or extended.  With the
     defaults every value is the chain itself, a tuple of gap points.
     """
     # Each node is (reach, point, successors): the successors are the nodes a
@@ -137,10 +138,11 @@ def _gap_chains(
         for far, point, nxt in stack[-1]:
             if far < floor:
                 continue
+            value = item(parent, point)
             if emit:
-                yield item(parent, point)
+                yield value
             if extend and nxt:
-                values.append(grow(parent, point))
+                values.append(grow(parent, point, value))
                 stack.append(iter(nxt))
                 break
         else:

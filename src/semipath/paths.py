@@ -176,17 +176,17 @@ def _admissible_index(alpha: int, beta: int, down: tuple[int, ...], right: tuple
 
     Doubling the path and sliding the diagonal shows that the rotation has to
     start at the turning point maximising a*alpha + b*beta; coprimality makes
-    that maximiser unique.  The start corner (0, alpha) scores alpha*beta.
+    that maximiser unique.  The score runs from the start corner (0, alpha),
+    where it is 0: each column adds alpha*right - beta*down.  The end corner
+    scores 0 again and never wins, so down may stop one column short.
     """
-    best, best_score = 0, alpha * beta
-    a, b = 0, alpha
-    for k in range(len(down) - 1):
-        a += right[k]
-        b -= down[k]
-        score = a * alpha + b * beta
+    best = best_score = score = k = 0
+    for d, r in zip(down, right):
+        k += 1
+        score += alpha * r - beta * d
         if score > best_score:
             best_score = score
-            best = k + 1
+            best = k
     return best
 
 

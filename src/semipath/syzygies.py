@@ -245,14 +245,16 @@ def syzygy_matrix(matrix: PathMatrix) -> PathMatrix:
 def _steps(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> Iterator[tuple]:
     """The n = len(down) successors of the admissible rows (down, right) under
     syzygy-and-normalize, in order: the top row advanced one column, then the
-    admissible rotation.  The library's one orbit walker."""
+    admissible rotation.  The library's one orbit walker.  The index k is
+    read off the advanced top row without building it, d[1:] being all its
+    columns but the last, so the top row turns by k + 1 at once."""
     d, r = down, right
     for _ in range(len(down)):
-        d = d[1:] + d[:1]
-        k = _admissible_index(alpha, beta, d, r)
+        k = _admissible_index(alpha, beta, d[1:], r)
         if k:
-            d = d[k:] + d[:k]
             r = r[k:] + r[:k]
+        k += 1
+        d = d[k:] + d[:k]
         yield d, r
 
 

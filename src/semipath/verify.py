@@ -8,7 +8,7 @@ line per check; the heavy sweeps run only with deep=True or on request.
 The module verdicts come from one pass over the lean-set stream, which
 keeps no set once it is checked.  Syzygy-and-normalize permutes the
 modules with n generators, so they fall into disjoint cycles: each cycle
-is checked once, from its least path-matrix rows, along the definitional
+is checked once, from its greatest path-matrix rows, along the definitional
 walk of syzygy_oracle, and the cycles walked must cover every module.
 """
 
@@ -257,11 +257,11 @@ def check_catalan_narayana(semigroup: SemigroupPair) -> CheckResult:
 
 def _leader_period(alpha: int, beta: int, start: tuple) -> int:
     """The period of the syzygy cycle through the admissible rows start when
-    start is the least rows of that cycle, in tuple order, else 0: the walk
-    stops at the first rows <= start.  A missing recurrence is an
+    start is the greatest rows of that cycle, in tuple order, else 0: the
+    walk stops at the first rows >= start.  A missing recurrence is an
     InvariantError."""
     for t, rows in enumerate(_steps(alpha, beta, *start), 1):
-        if rows <= start:
+        if rows >= start:
             return t if rows == start else 0
     raise InvariantError(f"no syzygy recurrence within {len(start[0])} steps for {start[0]}/{start[1]}")
 
@@ -270,9 +270,9 @@ def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
     """Period histogram over all n-generator semimodules, by iterating the
     syzygy operation on their path matrices.
 
-    A walk starts from every module, but only the least rows of a cycle, in
-    tuple order, count it: a walk that returns to its start at step t adds t
-    modules of period t, and one that first meets smaller rows stops
+    A walk starts from every module, but only the greatest rows of a cycle,
+    in tuple order, count it: a walk that returns to its start at step t adds
+    t modules of period t, and one that first meets greater rows stops
     uncounted.  Constant memory; a missing recurrence, or counted cycles that
     do not cover every module exactly, is an InvariantError.
     """
@@ -299,7 +299,7 @@ def check_lean_enumeration(semigroup: SemigroupPair, total: int, deep: bool) -> 
     in the r < 4 filtered streams, and distinctness, read as strictly
     increasing (a, b)-lexicographic chain order.  Some sets start an orbit
     check (check_periods): in an exhaustive run (deep, or at most 200 sets)
-    each set whose rows are the least of its cycle, so every cycle is
+    each set whose rows are the greatest of its cycle, so every cycle is
     checked once and the orbits walked must cover the stream; in a sampled
     run the seeded 200.  A set that fails its lean checks starts one too.
     The sets are used unvalidated, so one that is not lean is an internal

@@ -345,7 +345,7 @@ def test_verify_catches_labels_read_right_run_first(capsys, monkeypatch):
 
 @pytest.mark.parametrize("leader, answer", [(True, 0), (False, 1)], ids=["never", "twice"])
 def test_verify_catches_a_cycle_not_checked_exactly_once(capsys, monkeypatch, leader, answer):
-    # verify --deep checks each cycle once, from its least rows; the cycles
+    # verify --deep checks each cycle once, from its greatest rows; the cycles
     # walked must cover the modules exactly, so a leader test that passes
     # over one cycle, or starts one a second time, fails named verdicts.
     real, changed = semipath.verify._leader_period, []
@@ -368,7 +368,7 @@ def test_verify_catches_a_cycle_not_checked_exactly_once(capsys, monkeypatch, le
 
 def test_orbits_brute_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
     # The walk then only cycles the top row and leaves the admissible
-    # matrices, so the cycles counted from their least rows cannot cover
+    # matrices, so the cycles counted from their greatest rows cannot cover
     # every module.
     monkeypatch.setattr(semipath.syzygies, "_admissible_index", lambda alpha, beta, down, right: 0)
     for n in range(2, 7):
@@ -420,6 +420,12 @@ def test_verify_output_is_the_same_under_python_O():
     assert optimized == plain and plain[0].count(b"\n") >= 14
 
 
+def test_package_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "semipath", "count", "5", "7"], env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"66\n", b"")
+
+
 def test_closed_pipe_exits_quietly():
     proc = spawn("enumerate", "15", "16")
     assert proc.stdout.readline() == b"0\n"
@@ -450,7 +456,7 @@ def test_orbits_checks_the_generator_count():
     "argv, name, fake",
     [
         (["orbits", "5", "7", "--gens", "4", "--brute"], "brute_period_tally", lambda pair, n: {4: 1}),
-        (["count", "5", "7", "--brute"], "_gap_chains", lambda pair, r: iter(())),
+        (["count", "5", "7", "--brute"], "_gap_chains", lambda pair, r, *values: iter(())),
     ],
     ids=["orbits", "count"],
 )

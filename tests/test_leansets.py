@@ -196,13 +196,15 @@ def test_gap_chains_match_the_recursive_walk():
 @pytest.mark.parametrize("pair", [S57, SemigroupPair(7, 11)], ids=["5-7", "7-11"])
 def test_gap_chains_grow_exactly_the_chains_they_extend(pair):
     # item's values are yielded; grow builds a parent's value once, before
-    # its first extension, and only for chains the stream extends.
+    # its first extension, and only for chains the stream extends, from the
+    # value item built for the same chain.
     for gap_count in (None, *range(pair.alpha)):
         grown = []
 
-        def grow(parent, point):
+        def grow(parent, point, value):
             grown.append((*parent, point))
-            return grown[-1]
+            assert value == grown[-1]
+            return value
 
         chains = list(recursive_gap_chains(pair, gap_count))
         items = _gap_chains(pair, gap_count, (), lambda parent, point: (*parent, point), grow)

@@ -263,7 +263,7 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
 
 
 def test_verify_deep_calls_the_oracle_once_per_module(monkeypatch):
-    # Each orbit is walked once, from its least rows, by the definitional
+    # Each orbit is walked once, from its greatest rows, by the definitional
     # walk, which calls syzygy_oracle once per member with two or more
     # generators; the syzygy verdicts of each member read that one result.
     pair = SemigroupPair(7, 11)
@@ -343,7 +343,7 @@ def test_couple_equals_the_gap_point_labels_on_every_lean_set():
 
 
 def test_leader_tally_equals_the_per_module_tally():
-    # brute_period_tally counts each cycle once, from its least rows; a walk
+    # brute_period_tally counts each cycle once, from its greatest rows; a walk
     # from every module to its own recurrence must give the same histogram.
     for pair in SMALL_PAIRS:
         for n in range(1, pair.alpha + 1):
@@ -352,6 +352,25 @@ def test_leader_tally_equals_the_per_module_tally():
                 for chain in _gap_chains(pair, n - 1)
             )
             assert brute_period_tally(pair, n) == per_module, (pair, n)
+
+
+def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
+    # A walk led from the greatest rows of its cycle stops at the first rows
+    # >= its start.  Every leader walks its whole period and every other
+    # module takes at least one step, 79,214 steps at the least on <15,16>.
+    steps, calls = semipath.verify._steps, []
+
+    def counted(*args):
+        for rows in steps(*args):
+            calls.append(None)
+            yield rows
+
+    monkeypatch.setattr(semipath.verify, "_steps", counted)
+    assert brute_period_tally(S1516, 12) == {1: 1, 2: 6, 3: 90, 4: 448, 6: 540, 12: 40320}
+    assert len(calls) == 106841
+    calls.clear()
+    assert all(r.ok for r in run_checks(SemigroupPair(7, 11), deep=True))
+    assert len(calls) == 3471
 
 
 def test_brute_period_tally_runs_in_constant_memory():
@@ -381,7 +400,7 @@ def test_verify_deep_runs_in_constant_memory():
 
 
 def test_verify_deep_walks_each_orbit_once(monkeypatch):
-    # Only the least rows of a cycle start its check, so syzygy_period runs
+    # Only the greatest rows of a cycle start its check, so syzygy_period runs
     # once per orbit, not once per module.
     pair = SemigroupPair(7, 11)
     period, starts = semipath.verify.syzygy_period, []
