@@ -258,25 +258,12 @@ def _steps(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...])
         yield d, r
 
 
-def _walk(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> tuple[list, int]:
-    """Orbit of the admissible rows (down, right): the rows met, start first,
-    and the period.  The start recurs within n steps, or InvariantError."""
-    start = (down, right)
-    met = [start]
-    for t, rows in enumerate(_steps(alpha, beta, down, right), 1):
-        if rows == start:
-            return met, t
-        met.append(rows)
-    raise InvariantError(f"no syzygy recurrence within {len(down)} steps for {down}/{right}")
-
-
 def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
-    """Iterate normalize(syzygy(.)) until the start recurs, on path-matrix rows.
-
-    A cycle module is 0 plus its ES-turn labels, and its syzygy's shift is
-    min J, the least SE-turn label.  The recurrence within n = #generators
-    steps, period | n and the lap identity n * (shift sum) = period * alpha*beta
-    are theorems; each failure is an internal error.
+    """Iterate normalize(syzygy(.)) until the start recurs, in one loop over
+    the path-matrix rows walk that labels each rows met: a cycle module is 0
+    plus its ES-turn labels, its syzygy's shift is min J.  The recurrence in
+    n = #generators steps, period | n and the lap identity n * (shift sum) =
+    period * alpha*beta are theorems; each failure is an internal error.
     """
     _require_same_pair(semigroup, module)
     if not module.is_normalized:
@@ -284,15 +271,20 @@ def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
     chain = _lean_chain(semigroup, module.gens)
     if chain is None:
         raise InvariantError(f"generators {module.gens} are not a monotone gap chain")
-    met, period = _walk(semigroup.alpha, semigroup.beta, *_rows(semigroup, chain))
+    start = rows = _rows(semigroup, chain)
+    cycle, shift = [], 0
+    for period, step in enumerate(_steps(semigroup.alpha, semigroup.beta, *start), 1):
+        es, se = _labels(semigroup, *rows)
+        cycle.append(Semimodule._trusted(semigroup, tuple(sorted(es))))
+        shift += min(se)
+        if step == start:
+            break
+        rows = step
+    else:
+        raise InvariantError(f"no syzygy recurrence within {len(start[0])} steps for {start[0]}/{start[1]}")
     n = len(module.gens)
     if n % period:
         raise InvariantError(f"period {period} does not divide generator count {n}")
-    cycle, shift = [], 0
-    for down, right in met:
-        es, se = _labels(semigroup, down, right)
-        cycle.append(Semimodule._trusted(semigroup, tuple(sorted(es))))
-        shift += min(se)
     if shift * n != period * semigroup.product:
         raise InvariantError(f"lap identity fails: {n} x shift sum {shift} != period {period} x alpha*beta")
     return OrbitReport(n=n, period=period, cycle=tuple(cycle))

@@ -158,26 +158,30 @@ def _unless_it_raises(route, *args):
         return None
 
 
-def _table_chain(table: dict[int, GapPoint], gens) -> tuple[GapPoint, ...] | None:
-    """The gap points of the generators after the leading 0, ascending in a,
-    looked up in a value -> GapPoint table of gaps(pair) rather than through
-    presentation; None when one of them is no gap."""
-    points = [table.get(g) for g in gens[1:]]
-    return None if None in points else tuple(sorted(points, key=lambda p: p.a))
+def _table_chain(semigroup: SemigroupPair, table: dict[int, GapPoint], module: Semimodule) -> tuple:
+    """(module, chain, rows): the gap points of the generators after the
+    leading 0, ascending in a, looked up in a value -> GapPoint table of
+    gaps(pair) rather than through presentation, and the path rows of that
+    chain; both None when one of them is no gap."""
+    points = [table.get(g) for g in module.gens[1:]]
+    if None in points:
+        return module, None, None
+    chain = tuple(sorted(points, key=lambda p: p.a))
+    return module, chain, _rows(semigroup, chain)
 
 
 def check_syzygy_routes(
-    semigroup: SemigroupPair, table: dict, module: Semimodule, oracle: Semimodule | None, failed: set[str]
+    semigroup: SemigroupPair, oracle: Semimodule | None, member: tuple, successor: tuple, failed: set[str]
 ) -> None:
-    """The syzygy verdicts of one normalized module, given its syzygy_oracle
-    syzygy (None for a single generator): the fast route against the oracle,
-    the couple's conditions, the consecutive coset union against the oracle,
-    and the matrix route against the fast route.  Each failing verdict's name
-    goes into failed."""
+    """The syzygy verdicts of one walk member, from its syzygy_oracle syzygy
+    (None for a single generator) and the (module, chain, rows) of it and of
+    its successor: fast route and consecutive coset union against the oracle,
+    the couple's conditions, matrix route and normalized fast route against
+    the successor.  Each failing verdict's name goes into failed."""
+    module, chain, rows = member
     fast = _unless_it_raises(syzygy, semigroup, module)
     if oracle is not None and (fast is None or fast.gens != oracle.gens):
         failed.add("syzygy-route-equivalence")
-    chain = _table_chain(table, module.gens)
     if chain is None:  # not lean, so it has no couple and no path
         failed.update(("fundamental-couples", "syzygy-matrix-route"))
         return
@@ -194,20 +198,20 @@ def check_syzygy_routes(
         # The oracle cut the all-pairs union to this window; a cut is fixed by its generators.
         if _window_generators(semigroup, consecutive) != oracle.gens:
             failed.add("syzygy-consecutive-union")
-    rotated = admissible_rotation(semigroup, syzygy_matrix(PathMatrix._trusted(*_rows(semigroup, chain))))[1]
-    fast_chain = None if fast is None else _table_chain(table, fast.normalize().gens)
-    if fast_chain is None or rotated != PathMatrix._trusted(*_rows(semigroup, fast_chain)):
+    rotated = admissible_rotation(semigroup, syzygy_matrix(PathMatrix._trusted(*rows)))[1]
+    following, _, following_rows = successor
+    if (rotated.down, rotated.right) != following_rows or fast is None or fast.normalize().gens != following.gens:
         failed.add("syzygy-matrix-route")
 
 
-def _definitional_cycle(semigroup: SemigroupPair, start: Semimodule) -> list[tuple[Semimodule, Semimodule | None]]:
+def _definitional_cycle(semigroup: SemigroupPair, start: Semimodule) -> tuple[list, Semimodule]:
     """The orbit of a normalized module by the definition, start first: each
     member with its bitset-coset syzygy_oracle syzygy, whose shift to 0 is
-    the next member, until the start recurs.  One oracle call per member; a
-    single generator has no oracle syzygy (None) and is its own successor.
-    It shares no kernel with the rows walk.  Past n steps the walk stops with
-    n + 1 members, more than any orbit has, so a missing recurrence fails the
-    comparison."""
+    its successor, the next member, until the start recurs; and the last
+    member's successor.  One oracle call per member; a single generator has
+    no oracle syzygy (None) and is its own successor.  It shares no kernel
+    with the rows walk.  Past n steps the walk stops with n + 1 members,
+    more than any orbit has, so a missing recurrence fails the comparison."""
     walk, module = [], start
     while len(walk) <= len(start.gens):
         oracle = syzygy_oracle(semigroup, module) if len(module.gens) > 1 else None
@@ -215,7 +219,7 @@ def _definitional_cycle(semigroup: SemigroupPair, start: Semimodule) -> list[tup
         module = module if oracle is None else oracle.normalize()
         if module.gens == start.gens:
             break
-    return walk
+    return walk, module
 
 
 def check_periods(
@@ -225,9 +229,10 @@ def check_periods(
     syzygy_period, walked on path-matrix rows, that cycle against period | n
     and the walk's oracle shifts against the lap identity (they sum to
     len(walk) * alpha*beta / n); then the syzygy verdicts of every member the
-    walk met, from the oracle syzygy it holds.  Failing verdict names go into
-    failed, the period into tallies[n] once per member; returns the members walked."""
-    walk = _definitional_cycle(semigroup, start)
+    walk met, from its oracle syzygy and its and its successor's table rows,
+    each built once.  Failing names go into failed, the period into
+    tallies[n] once per member; returns the members walked."""
+    walk, following = _definitional_cycle(semigroup, start)
     report = _unless_it_raises(syzygy_period, semigroup, start)
     if report is None:
         failed.update(("period-divisibility", "period-route-equivalence"))
@@ -239,8 +244,10 @@ def check_periods(
         if [m.gens for m in report.cycle] != [module.gens for module, _ in walk]:
             failed.add("period-route-equivalence")
         tallies.setdefault(n, Counter())[period] += period
-    for module, oracle in walk:
-        check_syzygy_routes(semigroup, table, module, oracle, failed)
+    built = [_table_chain(semigroup, table, module) for module, _ in walk]
+    built.append(built[0] if following.gens == start.gens else _table_chain(semigroup, table, following))
+    for (_, oracle), member, successor in zip(walk, built, built[1:]):
+        check_syzygy_routes(semigroup, oracle, member, successor, failed)
     return len(walk)
 
 

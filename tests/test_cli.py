@@ -15,9 +15,9 @@ import pytest
 import semipath.cli
 import semipath.syzygies
 import semipath.verify
-from semipath import InvariantError, LeanSet, SemigroupPair, Semimodule, enumerate_lean_sets, gap_point
+from semipath import InvariantError, LeanSet, PathMatrix, SemigroupPair, Semimodule, enumerate_lean_sets, gap_point
 from semipath.cli import _build_parser, main
-from semipath.syzygies import FundamentalCouple, fundamental_couple
+from semipath.syzygies import FundamentalCouple, fundamental_couple, syzygy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CLI_SURFACE = Path(__file__).with_name("cli_surface.json")
@@ -279,6 +279,10 @@ def _unrotated(pair, matrix):
     return 0, matrix
 
 
+def _top_row_backwards(matrix):
+    return PathMatrix._trusted(matrix.down[-1:] + matrix.down[:-1], matrix.right)
+
+
 def _couple_with_swapped_order(pair, lean):
     couple = fundamental_couple(pair, lean)
     gens = couple.gens
@@ -296,8 +300,10 @@ def _couple_with_swapped_order(pair, lean):
          {"fundamental-couples", "syzygy-consecutive-union"}),
         (["5", "7"], "admissible_rotation", _unrotated,
          {"syzygy-matrix-route", "cycle-lemma"}),
+        (["5", "7"], "syzygy_matrix", _top_row_backwards,
+         {"syzygy-matrix-route"}),
     ],
-    ids=["non-lean-syzygy", "swapped-couple", "unrotated"],
+    ids=["non-lean-syzygy", "swapped-couple", "unrotated", "top-row-backwards"],
 )
 def test_verify_reports_a_broken_route_as_failed_checks(capsys, monkeypatch, argv, name, fake, failing):
     monkeypatch.setattr(semipath.verify, name, fake)
@@ -306,6 +312,27 @@ def test_verify_reports_a_broken_route_as_failed_checks(capsys, monkeypatch, arg
     assert code == 3 and err == ""
     assert len(lines) == 13
     assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == failing
+
+
+def test_verify_checks_the_matrix_route_against_the_oracle_walk(capsys, monkeypatch):
+    # A fast route and a matrix route that both take two syzygy steps agree
+    # with each other; the matrix route must still fail, because it is
+    # checked against the oracle walk's next member.
+    def two_steps(pair, module):
+        return syzygy(pair, syzygy(pair, module).normalize())
+
+    def two_columns(matrix):
+        return PathMatrix._trusted(matrix.down[2:] + matrix.down[:2], matrix.right)
+
+    monkeypatch.setattr(semipath.verify, "syzygy", two_steps)
+    monkeypatch.setattr(semipath.verify, "syzygy_matrix", two_columns)
+    code, out, err = run(capsys, "verify", "5", "7")
+    lines = out.splitlines()
+    assert code == 3 and err == "" and len(lines) == 13
+    assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == {
+        "syzygy-route-equivalence",
+        "syzygy-matrix-route",
+    }
 
 
 def test_verify_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):

@@ -2,9 +2,10 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -47,7 +48,7 @@ from semipath import (
 )
 from semipath.leansets import _gap_chains
 from semipath.paths import _rows
-from semipath.syzygies import _walk
+from semipath.syzygies import _steps
 from semipath.verify import (
     _definitional_cycle,
     _pairwise_lean,
@@ -248,7 +249,7 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
     expected = [
         [m.gens for m in syzygy_period(pair, Semimodule._trusted(pair, gens)).cycle] for gens in members
     ]
-    for name in ("_steps", "_walk", "_admissible_index", "_rows", "_labels", "_lean_chain"):
+    for name in ("_steps", "_admissible_index", "_rows", "_labels", "_lean_chain"):
         monkeypatch.setattr(semipath.syzygies, name, refuse)
     for name in ("_admissible_index", "_rows", "_labels"):
         monkeypatch.setattr(semipath.paths, name, refuse)
@@ -257,7 +258,9 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
     for namespace in (semipath.leansets, semipath.semimodules):
         monkeypatch.setattr(namespace, "_lean_chain", refuse)
     fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patches
-    got = [[m.gens for m, _ in _definitional_cycle(fresh, Semimodule._trusted(fresh, gens))] for gens in members]
+    walks = [_definitional_cycle(fresh, Semimodule._trusted(fresh, gens)) for gens in members]
+    assert [following.gens for _, following in walks] == members  # every walk closes
+    got = [[m.gens for m, _ in walk] for walk, _ in walks]
     assert got == expected
     assert {len(cycle) for cycle in got} == {1, 2, 3, 4, 5, 6}
 
@@ -345,12 +348,14 @@ def test_couple_equals_the_gap_point_labels_on_every_lean_set():
 def test_leader_tally_equals_the_per_module_tally():
     # brute_period_tally counts each cycle once, from its greatest rows; a walk
     # from every module to its own recurrence must give the same histogram.
+    # A walk with no recurrence counts None, which no tally holds.
+    def period(pair, start):
+        steps = enumerate(_steps(pair.alpha, pair.beta, *start), 1)
+        return next((t for t, rows in steps if rows == start), None)
+
     for pair in SMALL_PAIRS:
         for n in range(1, pair.alpha + 1):
-            per_module = Counter(
-                _walk(pair.alpha, pair.beta, *comprehension_rows(pair, chain))[1]
-                for chain in _gap_chains(pair, n - 1)
-            )
+            per_module = Counter(period(pair, comprehension_rows(pair, chain)) for chain in _gap_chains(pair, n - 1))
             assert brute_period_tally(pair, n) == per_module, (pair, n)
 
 
@@ -413,6 +418,31 @@ def test_verify_deep_walks_each_orbit_once(monkeypatch):
     assert all(r.ok for r in run_checks(pair, deep=True))
     orbits = sum(row.orbits for n in range(1, pair.alpha + 1) for row in orbit_count_table(pair, n).rows)
     assert len(set(starts)) == len(starts) == orbits == 439
+
+
+def test_verify_deep_builds_each_members_rows_once(monkeypatch):
+    # check_periods builds each walk member's table chain and rows once, and
+    # the matrix route reads its successor's.  That leaves _rows four builds
+    # per module (the stream pass, the member, fundamental_couple, syzygy())
+    # and one per orbit in syzygy_period: 4 x 1,768 + 439 = 7,511.
+    pair = SemigroupPair(7, 11)
+    rows, chain, calls = semipath.paths._rows, semipath.verify._table_chain, Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    namespaces = [m for key, m in sys.modules.items() if key.startswith("semipath") and getattr(m, "_rows", None) is rows]
+    assert {m.__name__ for m in namespaces} >= {"semipath.paths", "semipath.syzygies", "semipath.verify"}
+    for namespace in namespaces:
+        monkeypatch.setattr(namespace, "_rows", counted("_rows", rows))
+    monkeypatch.setattr(semipath.verify, "_table_chain", counted("_table_chain", chain))
+    assert all(r.ok for r in run_checks(pair, deep=True))
+    assert calls["_table_chain"] == sum(1 for _ in enumerate_lean_sets(pair)) == 1768
+    assert calls["_rows"] <= 7511, calls
 
 
 def test_route_equivalence_exhaustive_small_pairs():
@@ -500,9 +530,14 @@ def test_period_divisibility_exhaustive_5_7():
 
 def test_orbit_theorem_failures_are_internal_errors(monkeypatch):
     module = Semimodule(S57, (0, 6, 8, 9))  # rows (2, 1, 1, 1) / (1, 2, 1, 3), period 4
-    real_walk, real_labels = semipath.syzygies._walk, semipath.syzygies._labels
+    real_steps, real_labels = semipath.syzygies._steps, semipath.syzygies._labels
     for period, message in ((3, "does not divide generator count"), (2, "lap identity fails")):
-        monkeypatch.setattr(semipath.syzygies, "_walk", lambda *rows, p=period: (real_walk(*rows)[0][:p], p))
+        # The true walk, except that the start recurs at step `period`.
+        def recurs_early(alpha, beta, down, right, p=period):
+            yield from islice(real_steps(alpha, beta, down, right), p - 1)
+            yield down, right
+
+        monkeypatch.setattr(semipath.syzygies, "_steps", recurs_early)
         with pytest.raises(InvariantError, match=message):
             syzygy_period(S57, module)
     monkeypatch.undo()
