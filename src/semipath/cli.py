@@ -83,12 +83,13 @@ def cmd_enumerate(args) -> int:
     # are smaller, offsets[k], for 0 <= k <= len(values).  A lean set's
     # members are 0 and its gap values ascending; the --json line is
     # Semimodule.to_json() as json.dumps(..., separators=(",", ":")) writes
-    # it, spelled out.
+    # it, cut from the module (0,) after its "[0".
     texts = [f",{x}" for x in range(pair.frobenius + 1)]
     prefix, suffix = "0", "\n"
     if args.json:
-        prefix = f'{{"alpha":{pair.alpha},"beta":{pair.beta},"generators":[0'
-        suffix = "]}\n"
+        zero = json.dumps(Semimodule._trusted(pair, (0,)).to_json(), separators=(",", ":"))
+        head, _, tail = zero.partition("[0]")
+        prefix, suffix = head + "[0", "]" + tail + "\n"
 
     def line(parent, point):
         text, values, offsets = parent

@@ -151,18 +151,12 @@ def count_ell_periodic(semigroup: SemigroupPair, n: int, ell: int) -> int:
 
 
 def count_fixed_points(semigroup: SemigroupPair, n: int) -> int:
-    """Semimodules with n generators isomorphic to their own syzygy.
+    """Semimodules with n generators isomorphic to their own syzygy: the
+    ell = 1 case of count_ell_periodic.
 
     Zero unless n divides alpha*beta; for n = alpha every module qualifies.
     """
-    alpha, beta = semigroup.alpha, semigroup.beta
-    _require_generator_count(semigroup, n)
-    if semigroup.product % n:
-        return 0
-    ga = math.gcd(n, alpha)
-    gb = math.gcd(n, beta)
-    numerator = math.comb(alpha // ga - 1, gb - 1) * math.comb(beta // gb - 1, ga - 1)
-    return _exact_div(numerator, n, f"fixed-point count for n={n}")
+    return count_ell_periodic(semigroup, n, 1)
 
 
 def orbit_count_table(semigroup: SemigroupPair, n: int) -> CountTable:

@@ -100,24 +100,21 @@ def path_from_lean_set(semigroup: SemigroupPair, lean: LeanSet) -> PathMatrix:
 
 
 def lean_set_from_path(semigroup: SemigroupPair, matrix: PathMatrix) -> LeanSet:
-    """Read the lean set off the ES-turns; inverse of path_from_lean_set.
-
-    Rejects paths that touch or cross the diagonal, since their turning
-    points do not correspond to gaps.
-    """
+    """Read the lean set off the ES-turns, each (a, b) valued by its _labels
+    label; inverse of path_from_lean_set.  Rejects paths that touch or cross
+    the diagonal, since their turning points do not correspond to gaps."""
     if not stays_below_diagonal(semigroup, matrix):
         raise ValueError("path does not stay below the diagonal, it encodes no lean set")
-    points = tuple(
-        GapPoint(semigroup.product - a * semigroup.alpha - b * semigroup.beta, a, b)
-        for a, b in _corners(semigroup, matrix)[1:-1:2]  # the ES-turns; row sums checked above
-    )
+    es = _labels(semigroup, matrix.down, matrix.right)[0]  # row sums checked above
+    points = tuple(GapPoint(x, a, b) for x, (a, b) in zip(es, _corners(semigroup, matrix)[1:-1:2]))
     return LeanSet._from_chain(semigroup, points)
 
 
 def _corners(semigroup: SemigroupPair, matrix: PathMatrix) -> list[tuple[int, int]]:
-    """Every corner after the start (0, alpha), left to right: SE-turn,
-    ES-turn, ..., SE-turn, then the end (beta, 0).  The row sums are the
-    caller's to check; the library's own rows already have them."""
+    """Every corner after the start (0, alpha), left to right: SE-turn, ES-turn,
+    ..., SE-turn, then the end (beta, 0); the one corner walk, which
+    lean_set_from_path, es_turns, se_turns and render read.  The row sums are
+    the caller's to check; the library's own rows already have them."""
     out = []
     a, b = 0, semigroup.alpha
     for down, right in zip(matrix.down, matrix.right):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .leansets import LeanSet
-from .paths import PathMatrix, _corners, es_turns, path_from_lean_set, se_turns
+from .paths import _corners, path_from_lean_set
 from .semigroup import SemigroupPair, gaps
 
 __all__ = ["RenderSpec", "render"]
@@ -37,13 +37,11 @@ class RenderSpec:
 
 def render(semigroup: SemigroupPair, lean: LeanSet, spec: RenderSpec = RenderSpec()) -> str:
     """Render the path of a lean set as text; no trailing newline."""
-    matrix = path_from_lean_set(semigroup, lean)
-    if spec.format == "ascii":
-        return _ascii(semigroup, matrix, spec)
-    return _svg(semigroup, matrix, spec)
+    corners = _corners(semigroup, path_from_lean_set(semigroup, lean))
+    return (_ascii if spec.format == "ascii" else _svg)(semigroup, corners, spec)
 
 
-def _ascii(semigroup: SemigroupPair, matrix: PathMatrix, spec: RenderSpec) -> str:
+def _ascii(semigroup: SemigroupPair, corners: list[tuple[int, int]], spec: RenderSpec) -> str:
     alpha, beta = semigroup.alpha, semigroup.beta
     grid = [[" "] * (beta + 1) for _ in range(alpha + 1)]
 
@@ -55,23 +53,19 @@ def _ascii(semigroup: SemigroupPair, matrix: PathMatrix, spec: RenderSpec) -> st
             y = (2 * alpha * (beta - x) + beta) // (2 * beta)
             put(x, y, ".")
     x, y = 0, alpha
-    put(x, y, "#")
-    for down, right in zip(matrix.down, matrix.right):
-        for _ in range(down):
-            y -= 1
-            put(x, y, "#")
-        for _ in range(right):
-            x += 1
-            put(x, y, "#")
+    for a, b in corners:  # straight down or straight right, so one range is one cell
+        for x in range(x, a + 1):
+            for y in range(y, b - 1, -1):
+                put(x, y, "#")
     if spec.markers:
-        for a, b in se_turns(semigroup, matrix):
+        for a, b in corners[0::2]:
             put(a, b, "S")
-        for a, b in es_turns(semigroup, matrix):
+        for a, b in corners[1:-1:2]:
             put(a, b, "E")
     return "\n".join("".join(row).rstrip() for row in grid)
 
 
-def _svg(semigroup: SemigroupPair, matrix: PathMatrix, spec: RenderSpec) -> str:
+def _svg(semigroup: SemigroupPair, corners: list[tuple[int, int]], spec: RenderSpec) -> str:
     alpha, beta = semigroup.alpha, semigroup.beta
     cell = spec.cell
     margin = 2 * cell
@@ -104,15 +98,15 @@ def _svg(semigroup: SemigroupPair, matrix: PathMatrix, spec: RenderSpec) -> str:
             f'<line x1="{px(0)}" y1="{py(alpha)}" x2="{px(beta)}" y2="{py(0)}" '
             f'stroke="#444444" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    trail = " ".join(f"{px(a)},{py(b)}" for a, b in [(0, alpha)] + _corners(semigroup, matrix))
+    trail = " ".join(f"{px(a)},{py(b)}" for a, b in [(0, alpha)] + corners)
     parts.append(f'<polyline points="{trail}" fill="none" stroke="#000000" stroke-width="3"/>')
     if spec.markers:
-        for a, b in se_turns(semigroup, matrix):
+        for a, b in corners[0::2]:
             parts.append(
                 f'<circle cx="{px(a)}" cy="{py(b)}" r="{radius}" '
                 f'fill="#ffffff" stroke="#000000" stroke-width="1"/>'
             )
-        for a, b in es_turns(semigroup, matrix):
+        for a, b in corners[1:-1:2]:
             parts.append(f'<circle cx="{px(a)}" cy="{py(b)}" r="{radius}" fill="#000000"/>')
     if spec.labels:
         size = max(cell // 2, 6)

@@ -94,18 +94,18 @@ class Semimodule:
     def from_json(cls, data: dict) -> "Semimodule":
         try:
             alpha, beta = data["alpha"], data["beta"]
-            pair = (_shared_pair if _is_int(alpha) and _is_int(beta) else SemigroupPair)(alpha, beta)
+            pair = _shared_pair(alpha, beta)
             gens = list(data["generators"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed semimodule object: {data!r}") from exc
         return cls(pair, tuple(_sorted_ints(gens)))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _shared_pair(alpha: int, beta: int) -> SemigroupPair:
     """The pair of the last from_json object, so that consecutive objects over
-    one pair share its gap-point memo.  Only ints may reach it: a cache key
-    reads 5.0 as 5, and the pair of an earlier (5, 7) would admit it."""
+    one pair share its gap-point memo.  Typed keys: 5.0 never reads the pair
+    of 5, so SemigroupPair still refuses it; a list is a TypeError here."""
     return SemigroupPair(alpha, beta)
 
 

@@ -302,9 +302,10 @@ def check_lean_enumeration(semigroup: SemigroupPair, total: int, deep: bool) -> 
     """Every module verdict, from one pass over the stream of lean sets.
 
     Each set gets its lean checks as it arrives: the chain criterion against
-    the pairwise definition, the path round trip, a count per r, its place
-    in the r < 4 filtered streams, and distinctness, read as strictly
-    increasing (a, b)-lexicographic chain order.  Some sets start an orbit
+    the pairwise definition, the path round trip, which must return the same
+    lean set (members and gap points), a count per r, its place in the r < 4
+    filtered streams, and distinctness, read as strictly increasing
+    (a, b)-lexicographic chain order.  Some sets start an orbit
     check (check_periods): in an exhaustive run (deep, or at most 200 sets)
     each set whose rows are the greatest of its cycle, so every cycle is
     checked once and the orbits walked must cover the stream; in a sampled
@@ -325,7 +326,7 @@ def check_lean_enumeration(semigroup: SemigroupPair, total: int, deep: bool) -> 
         per_r[lean.gap_count] += 1
         rows = _rows(semigroup, lean.gap_points)
         lean_ok = is_lean(semigroup, lean.members) and _pairwise_lean(semigroup, lean.members)
-        round_trip = lean_set_from_path(semigroup, PathMatrix._trusted(*rows)).members == lean.members
+        round_trip = lean_set_from_path(semigroup, PathMatrix._trusted(*rows)) == lean
         key = [(p.a, p.b) for p in lean.gap_points]
         if not lean_ok or previous is not None and not previous < key:
             failed.add("lean-stream")

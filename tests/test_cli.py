@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import semipath.cli
+import semipath.paths
 import semipath.syzygies
 import semipath.verify
 from semipath import InvariantError, LeanSet, PathMatrix, SemigroupPair, Semimodule, enumerate_lean_sets, gap_point
@@ -156,6 +157,14 @@ def test_render_ascii(capsys):
         capsys, "render", "5", "7", "--set", "0,9,6,8", "--format", "svg", "--labels"
     )
     assert svg.startswith("<svg") and ">23</text>" in svg
+
+
+def test_ascii_render_ignores_cell(capsys):
+    # --cell sizes svg pixels; an ASCII picture has one character per lattice
+    # point, so any --cell, even 0, leaves it as the default picture.
+    default = run(capsys, "render", "5", "7", "--set", "0,6,8,9")
+    assert default[0] == 0
+    assert run(capsys, "render", "5", "7", "--set", "0,6,8,9", "--cell", "0") == default
 
 
 def test_verify_deep_5_7(capsys):
@@ -344,19 +353,20 @@ def test_verify_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
     assert "FAIL period-route-equivalence: matrix vs element iteration" in out.splitlines()
 
 
+def _labels_right_run_first(semigroup, down, right):
+    label, es, se = 0, [], []
+    for d, r in zip(down, right):
+        es.append(label := label - r * semigroup.alpha)
+        se.append(label := label + d * semigroup.beta)
+    return es, se
+
+
 def test_verify_catches_labels_read_right_run_first(capsys, monkeypatch):
     # The couple, the syzygy step and the orbit cycle all read paths._labels;
     # a label sum that takes each right run before its down run must fail
     # every verdict whose oracle shares no kernel with it.  syzygy_period's
     # lap identity refuses the cycle too, so its periods never reach the table.
-    def right_run_first(semigroup, down, right):
-        label, es, se = 0, [], []
-        for d, r in zip(down, right):
-            es.append(label := label - r * semigroup.alpha)
-            se.append(label := label + d * semigroup.beta)
-        return es, se
-
-    monkeypatch.setattr(semipath.syzygies, "_labels", right_run_first)
+    monkeypatch.setattr(semipath.syzygies, "_labels", _labels_right_run_first)
     code, out, err = run(capsys, "verify", "7", "11", "--deep")
     assert code == 3 and err == ""
     assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
@@ -367,6 +377,36 @@ def test_verify_catches_labels_read_right_run_first(capsys, monkeypatch):
         "period-route-equivalence",
         "period-divisibility",
         "orbit-tables-vs-iteration",
+    }
+
+
+def _corners_from_beta(semigroup, matrix):
+    out, a, b = [], 0, semigroup.beta
+    for down, right in zip(matrix.down, matrix.right):
+        b -= down
+        out.append((a, b))
+        a += right
+        out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, kernel",
+    [("_corners", _corners_from_beta), ("_labels", _labels_right_run_first)],
+    ids=["corners-start-at-beta", "labels-right-run-first"],
+)
+def test_verify_catches_a_broken_path_reader_kernel(capsys, monkeypatch, name, kernel):
+    # lean_set_from_path reads its (a, b) off _corners and its values off
+    # _labels; the round trip must return the whole lean set, gap points and
+    # all, so a broken kernel in paths alone fails path-round-trip.  Every
+    # failing set then starts an orbit walk, so the walks cover the modules
+    # more than once.
+    monkeypatch.setattr(semipath.paths, name, kernel)
+    code, out, err = run(capsys, "verify", "5", "7")
+    assert code == 3 and err == ""
+    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
+        "path-round-trip",
+        "period-route-equivalence",
     }
 
 

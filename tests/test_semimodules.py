@@ -144,10 +144,17 @@ def test_consecutive_from_json_objects_share_their_pair():
 
 @pytest.mark.parametrize("alpha, beta", [(5.0, 7), (5, 7.0)], ids=repr)
 def test_a_shared_from_json_pair_does_not_admit_non_int_generators(alpha, beta):
-    # A cache key reads 5.0 as 5; the pair of the warm (5, 7) must not be reused.
+    # The cache keys are typed, so 5.0 never reads the pair of the warm (5, 7).
     Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [0, 1]})
     with pytest.raises(ValueError, match="must be integers"):
         Semimodule.from_json({"alpha": alpha, "beta": beta, "generators": [0, 1]})
+
+
+def test_from_json_reports_an_unhashable_pair_as_malformed():
+    # The shared-pair cache hashes the pair before SemigroupPair sees it; a
+    # list there is bad input (ValueError), never a TypeError.
+    with pytest.raises(ValueError, match="malformed semimodule object"):
+        Semimodule.from_json({"alpha": [5], "beta": 7, "generators": [0]})
 
 
 @pytest.mark.parametrize("bad", [True, 6.0, "6"], ids=repr)
