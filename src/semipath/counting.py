@@ -4,8 +4,8 @@ The number of lean sets with r gaps is C(alpha-1, r) * C(beta-1, r) / (r+1),
 summing to C(alpha+beta, alpha) / (alpha+beta) over all r.  For beta =
 alpha + 1 these specialise to Narayana and Catalan numbers.  The number of
 n-generator semimodules isomorphic to their ell-fold syzygy has a similar
-binomial form; Moebius inversion over the divisors of n separates the exact
-periods from the cumulative counts and yields orbit tallies.
+binomial form; taking from each divisor's cumulative count the exact counts
+of its proper divisors leaves the exact periods and the orbit tallies.
 
 Every division performed here encodes a theorem, so a nonzero remainder is
 raised as an internal error rather than rounded away.  Python integers are
@@ -70,30 +70,6 @@ def _exact_div(numerator: int, divisor: int, context: str) -> int:
 def _require_generator_count(semigroup: SemigroupPair, n: int) -> None:
     if not (_is_int(n) and 1 <= n <= semigroup.alpha):
         raise ValueError(f"generator count must lie in [1, {semigroup.alpha}], got {n!r}")
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _mobius(n: int) -> int:
-    """Moebius function by trial division; arguments here are tiny."""
-    if n == 1:
-        return 1
-    factors = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            factors += 1
-        else:
-            d += 1
-    if n > 1:
-        factors += 1
-    return -1 if factors % 2 else 1
 
 
 def count_lean_sets(semigroup: SemigroupPair, r: int) -> int:
@@ -162,21 +138,21 @@ def count_fixed_points(semigroup: SemigroupPair, n: int) -> int:
 def orbit_count_table(semigroup: SemigroupPair, n: int) -> CountTable:
     """Per-divisor orbit statistics for the n-generator semimodules.
 
-    For each divisor ell of n the cumulative count comes from the closed
-    form, the exact-period count by Moebius inversion over the divisor
-    lattice, and the orbit count by dividing out ell.  The exact counts must
-    sum to the number of all n-generator semimodules.
+    For each divisor ell of n, ascending, the cumulative count comes from
+    the closed form and counts every module whose period divides ell; the
+    exact-period count is what remains after subtracting the exact counts
+    of ell's proper divisors, and the orbit count divides out ell.  The
+    exact counts must sum to the number of all n-generator semimodules.
     """
     _require_generator_count(semigroup, n)
-    divisors = _divisors(n)
-    periodic = {ell: count_ell_periodic(semigroup, n, ell) for ell in divisors}
     rows = []
-    for ell in divisors:
-        exact = sum(_mobius(ell // d) * periodic[d] for d in _divisors(ell))
+    for ell in (d for d in range(1, n + 1) if n % d == 0):
+        periodic = count_ell_periodic(semigroup, n, ell)
+        exact = periodic - sum(row.exact for row in rows if ell % row.ell == 0)
         if exact < 0:
             raise InvariantError(f"negative exact-period count {exact} for ell={ell}")
         orbits = _exact_div(exact, ell, f"orbit count for ell={ell}")
-        rows.append(CountRow(ell=ell, periodic=periodic[ell], exact=exact, orbits=orbits))
+        rows.append(CountRow(ell=ell, periodic=periodic, exact=exact, orbits=orbits))
     total = sum(row.exact for row in rows)
     expected = count_lean_sets(semigroup, n - 1)
     if total != expected:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import semipath.cli
+import semipath.counting
 import semipath.paths
 import semipath.syzygies
 import semipath.verify
@@ -95,6 +96,12 @@ def test_couple(capsys):
     assert reordered == out
     code, out, _ = run(capsys, "couple", "5", "7", "--set", "0,9,6,8", "--json")
     assert json.loads(out) == {"I": [0, 8, 6, 9], "J": [15, 13, 16, 14]}
+
+
+@pytest.mark.parametrize("text", ["0,6", "0,,6", "0,6,6", "6,0"])
+def test_set_is_read_as_a_set(capsys, text):
+    # Order, repeats and empty tokens do not change the generators --set names.
+    assert run(capsys, "couple", "5", "7", "--set", text, "--json")[:2] == (0, '{"I":[0,6],"J":[20,21]}\n')
 
 
 def test_syzygy(capsys):
@@ -431,6 +438,22 @@ def test_verify_catches_a_cycle_not_checked_exactly_once(capsys, monkeypatch, le
         "period-route-equivalence",
         "orbit-tables-vs-iteration",
     }
+
+
+def test_verify_names_a_broken_orbit_table_as_failed(capsys, monkeypatch):
+    # One module too many with period dividing 2 leaves an odd exact count at
+    # ell = 2: orbit_count_table raises, and verify --deep fails the verdict
+    # that reads the table instead of aborting.  orbits has no verdicts, so
+    # it reports the same fault as an internal error.
+    real = semipath.counting.count_ell_periodic
+    monkeypatch.setattr(semipath.counting, "count_ell_periodic", lambda pair, n, ell: real(pair, n, ell) + (ell == 2))
+    code, out, err = run(capsys, "verify", "5", "8", "--deep")
+    assert code == 3 and err == ""
+    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
+        "orbit-tables-vs-iteration",
+    }
+    code, out, err = run(capsys, "orbits", "5", "8", "--gens", "4", "--brute")
+    assert code == 3 and out == "" and err.startswith("internal error: orbit count for ell=2")
 
 
 def test_orbits_brute_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):

@@ -19,7 +19,6 @@ from semipath import (
     orbit_count_table,
     syzygy_period,
 )
-from semipath.counting import _mobius
 
 S57 = SemigroupPair(5, 7)
 S1516 = SemigroupPair(15, 16)
@@ -54,12 +53,6 @@ def test_narayana_catalan_examples():
     assert catalan(4) == 14
     for alpha in range(2, 11):
         assert narayana(alpha, 0) == 1
-
-
-def test_mobius_small_values():
-    expected = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0, 10: 1, 12: 0, 30: -1}
-    for n, value in expected.items():
-        assert _mobius(n) == value
 
 
 def test_count_ell_periodic_replicates_worked_example():

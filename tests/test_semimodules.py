@@ -115,6 +115,15 @@ def test_json_round_trip():
         Semimodule.from_json({"alpha": 5})
 
 
+@pytest.mark.parametrize("gens", [[6, 0], [0, 6, 6]], ids=repr)
+def test_from_json_reads_its_generators_as_a_set(gens):
+    # JSON generators are a set, as --set's are; the constructor takes only
+    # the strictly ascending tuple.
+    assert Semimodule.from_json({"alpha": 5, "beta": 7, "generators": gens}).gens == (0, 6)
+    with pytest.raises(ValueError):
+        Semimodule(S57, tuple(gens))
+
+
 @pytest.mark.parametrize("bad", [True, 6.9, 6.0, "8"], ids=repr)
 def test_non_int_generators_are_refused_not_coerced(bad):
     with pytest.raises(ValueError):
