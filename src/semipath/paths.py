@@ -41,6 +41,8 @@ class PathMatrix:
     right: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.down, tuple) and isinstance(self.right, tuple)):
+            raise ValueError(f"down and right rows must be tuples, got {self.down!r} and {self.right!r}")
         if len(self.down) != len(self.right):
             raise ValueError("down and right rows must have equal length")
         if not self.down:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .leansets import LeanSet
 from .paths import _corners, path_from_lean_set
-from .semigroup import SemigroupPair, gaps
+from .semigroup import SemigroupPair, _is_int, gaps
 
 __all__ = ["RenderSpec", "render"]
 
@@ -31,6 +31,8 @@ class RenderSpec:
     def __post_init__(self) -> None:
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.format!r}")
+        if self.format == "svg" and not _is_int(self.cell):
+            raise ValueError(f"svg cell size must be an integer, got {self.cell!r}")
         if self.format == "svg" and self.cell < 4:
             raise ValueError(f"svg cell size must be at least 4 pixels, got {self.cell}")
 

@@ -51,6 +51,8 @@ class Semimodule:
 
     def __post_init__(self) -> None:
         gens = self.gens
+        if not isinstance(gens, tuple):
+            raise ValueError(f"generators must be a tuple, got {gens!r}")
         if not gens:
             raise ValueError("a semimodule needs at least one generator")
         if not all(_is_int(g) and g >= 0 for g in gens):

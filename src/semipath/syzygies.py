@@ -176,19 +176,24 @@ def syzygy(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     min J.  A single-generator module (a shifted copy of the semigroup)
     gets the couple value alpha*beta, so its syzygy is the shift by
     alpha*beta, an isomorphic copy.
-
-    A valid normalized module is a lean set, so its gap points form a chain
-    with a rising and b falling; that O(n) check stands in for validating
-    the module again, and its failure is an internal error.
     """
+    rows = _normalized_rows(semigroup, module, "syzygy needs a normalized semimodule; normalize first")
+    _, se = _labels(semigroup, *rows)
+    return Semimodule._trusted(semigroup, tuple(sorted(se)))
+
+
+def _normalized_rows(semigroup: SemigroupPair, module: Semimodule, refusal: str) -> tuple:
+    """The path-matrix rows of a normalized module of this pair, else the
+    ValueError refusal.  A valid normalized module is a lean set, so its gap
+    points form a chain with a rising and b falling; that O(n) check stands
+    in for validating the module again, and its failure is an internal error."""
     _require_same_pair(semigroup, module)
     if not module.is_normalized:
-        raise ValueError("syzygy needs a normalized semimodule; normalize first")
+        raise ValueError(refusal)
     chain = _lean_chain(semigroup, module.gens)
     if chain is None:
         raise InvariantError(f"generators {module.gens} are not a monotone gap chain")
-    _, se = _labels(semigroup, *_rows(semigroup, chain))
-    return Semimodule._trusted(semigroup, tuple(sorted(se)))
+    return _rows(semigroup, chain)
 
 
 def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
@@ -243,11 +248,12 @@ def syzygy_matrix(matrix: PathMatrix) -> PathMatrix:
 
 
 def _steps(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...]) -> Iterator[tuple]:
-    """The n = len(down) successors of the admissible rows (down, right) under
-    syzygy-and-normalize, in order: the top row advanced one column, then the
-    admissible rotation.  The library's one orbit walker.  The index k is
-    read off the advanced top row without building it, d[1:] being all its
-    columns but the last, so the top row turns by k + 1 at once."""
+    """The successors of the admissible rows (down, right) under
+    syzygy-and-normalize, ending with the start's return: the top row
+    advanced one column, then the admissible rotation.  The library's one
+    orbit walker; no return within n = len(down) steps is an InvariantError.
+    The index k is read off the advanced top row without building it, d[1:]
+    being all its columns but the last, so the top row turns by k + 1 at once."""
     d, r = down, right
     for _ in range(len(down)):
         k = _admissible_index(alpha, beta, d[1:], r)
@@ -256,33 +262,26 @@ def _steps(alpha: int, beta: int, down: tuple[int, ...], right: tuple[int, ...])
         k += 1
         d = d[k:] + d[:k]
         yield d, r
+        if d == down and r == right:
+            return
+    raise InvariantError(f"no syzygy recurrence within {len(down)} steps for {down}/{right}")
 
 
 def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
-    """Iterate normalize(syzygy(.)) until the start recurs, in one loop over
-    the path-matrix rows walk that labels each rows met: a cycle module is 0
-    plus its ES-turn labels, its syzygy's shift is min J.  The recurrence in
-    n = #generators steps, period | n and the lap identity n * (shift sum) =
-    period * alpha*beta are theorems; each failure is an internal error.
-    """
-    _require_same_pair(semigroup, module)
-    if not module.is_normalized:
-        raise ValueError("orbit iteration needs a normalized semimodule")
-    chain = _lean_chain(semigroup, module.gens)
-    if chain is None:
-        raise InvariantError(f"generators {module.gens} are not a monotone gap chain")
-    start = rows = _rows(semigroup, chain)
+    """The cycle of normalize(syzygy(.)) through a normalized module, start
+    first, labelled off the rows of the _steps walk before its return: each
+    module is 0 plus its ES-turn labels, its syzygy's shift is min J, and the
+    period is the cycle's length.  Period | n = #generators and the lap
+    identity n * (shift sum) = period * alpha*beta are theorems; each failure
+    is an internal error."""
+    rows = _normalized_rows(semigroup, module, "orbit iteration needs a normalized semimodule")
     cycle, shift = [], 0
-    for period, step in enumerate(_steps(semigroup.alpha, semigroup.beta, *start), 1):
+    for step in _steps(semigroup.alpha, semigroup.beta, *rows):
         es, se = _labels(semigroup, *rows)
         cycle.append(Semimodule._trusted(semigroup, tuple(sorted(es))))
         shift += min(se)
-        if step == start:
-            break
         rows = step
-    else:
-        raise InvariantError(f"no syzygy recurrence within {len(start[0])} steps for {start[0]}/{start[1]}")
-    n = len(module.gens)
+    n, period = len(module.gens), len(cycle)
     if n % period:
         raise InvariantError(f"period {period} does not divide generator count {n}")
     if shift * n != period * semigroup.product:

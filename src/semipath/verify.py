@@ -36,6 +36,7 @@ from .semigroup import GapPoint, SemigroupPair, gaps, is_member, membership_siev
 from .semimodules import Semimodule
 from .syzygies import (
     _cosets,
+    _is_gap,
     _steps,
     _window_generators,
     fundamental_couple,
@@ -54,7 +55,7 @@ __all__ = [
     "compositions",
 ]
 
-ENUMERATION_CAP = 200_000
+ENUMERATION_CAP = 210_000
 SAMPLE_SEED = 91405
 
 
@@ -124,8 +125,7 @@ def _pairwise_lean(semigroup: SemigroupPair, values) -> bool:
     pairwise difference lies in the semigroup.  Membership is read from the
     sieve bitset, not from presentation, the kernel of the chain criterion
     this checks."""
-    bits, frobenius = semigroup._member_bits, semigroup.frobenius
-    return all(y - x <= frobenius and not bits >> y - x & 1 for x, y in combinations(sorted(values), 2))
+    return all(_is_gap(semigroup, y - x) for x, y in combinations(sorted(values), 2))
 
 
 def check_cycle_lemma(semigroup: SemigroupPair) -> CheckResult:
@@ -265,12 +265,11 @@ def check_catalan_narayana(semigroup: SemigroupPair) -> CheckResult:
 def _leader_period(alpha: int, beta: int, start: tuple) -> int:
     """The period of the syzygy cycle through the admissible rows start when
     start is the greatest rows of that cycle, in tuple order, else 0: the
-    walk stops at the first rows >= start.  A missing recurrence is an
-    InvariantError."""
+    walk stops at the first rows > start, or ends at its return to start."""
     for t, rows in enumerate(_steps(alpha, beta, *start), 1):
-        if rows >= start:
-            return t if rows == start else 0
-    raise InvariantError(f"no syzygy recurrence within {len(start[0])} steps for {start[0]}/{start[1]}")
+        if rows > start:
+            return 0
+    return t
 
 
 def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:

@@ -206,8 +206,10 @@ def test_verify_deep_5_7(capsys):
         (["7", "11"], "5f9d5ed5cd41e76b0f76570336f7ed9c8224bbb1beee1a3c70eb50f87c4a7a06"),
         # every module of (7,11): the benchmark's own verify input
         (["7", "11", "--deep"], "c6c89c18cd5f7fc7a00119a954427a9f350b6a0e2fb43166d6acde394ebfecfc"),
+        # 742,900 lean sets, over ENUMERATION_CAP: one skip line, which prints the cap
+        (["13", "14"], "3efd2e0b9dea6b23be3bb8cab3b19d1f9192d253041c2c6c83382792e069e270"),
     ],
-    ids=["7-8-deep", "7-11", "7-11-deep"],
+    ids=["7-8-deep", "7-11", "7-11-deep", "13-14-over-cap"],
 )
 def test_verify_stdout_is_unchanged(capsys, argv, digest):
     # sha256 of the whole stdout, so no change to an oracle can alter a verdict
@@ -358,6 +360,27 @@ def test_verify_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "7", "11", "--deep")
     assert code == 3 and err == ""
     assert "FAIL period-route-equivalence: matrix vs element iteration" in out.splitlines()
+
+
+def test_brute_orbits_report_a_walk_that_never_returns(capsys, monkeypatch):
+    # Each walk rotates its bottom row once, on its first step, and never
+    # again: some start then never returns, and the walker itself, not the
+    # tally's coverage check, ends the run as an internal error.
+    real_steps, calls = semipath.verify._steps, []
+
+    def rotate_only_once(alpha, beta, down, right):
+        calls.append(None)
+        return 1 if len(calls) == 1 else 0
+
+    def fresh_walk(*start):
+        calls.clear()
+        return real_steps(*start)
+
+    monkeypatch.setattr(semipath.syzygies, "_admissible_index", rotate_only_once)
+    monkeypatch.setattr(semipath.verify, "_steps", fresh_walk)
+    code, out, err = run(capsys, "orbits", "5", "7", "--gens", "4", "--brute")
+    assert (code, out) == (3, "")
+    assert err == "internal error: no syzygy recurrence within 4 steps for (2, 1, 1, 1)/(2, 1, 1, 3)\n"
 
 
 def _labels_right_run_first(semigroup, down, right):

@@ -78,6 +78,14 @@ def test_render_spec_validation():
     RenderSpec(format="ascii", cell=3)
 
 
+@pytest.mark.parametrize("cell", [4.5, 20.0, "x", True, None])
+def test_svg_cell_must_be_an_integer(cell):
+    # A float would write float coordinates into the picture; ascii ignores cell.
+    with pytest.raises(ValueError, match="svg cell size must be an integer"):
+        RenderSpec(format="svg", cell=cell)
+    RenderSpec(format="ascii", cell=cell)
+
+
 def test_render_rejects_non_lean_sets():
     with pytest.raises(ValueError):
         LeanSet.from_members(S57, {0, 5})

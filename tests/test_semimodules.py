@@ -8,6 +8,7 @@ import pytest
 import semipath.leansets
 import semipath.semigroup
 from semipath import (
+    PathMatrix,
     Presentation,
     SemigroupPair,
     Semimodule,
@@ -50,6 +51,18 @@ def test_is_isomorphic_examples():
     assert is_isomorphic(S57, {0, 6, 8, 9}, {3, 9, 11, 12})
     assert not is_isomorphic(S57, {0}, {0, 1})
     assert is_isomorphic(S57, {0, 1, 2, 3}, normalize(S57, {15, 13, 16, 14}))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Semimodule(S57, [0, 6]), lambda: PathMatrix([1, 4], [3, 4]), lambda: PathMatrix((1, 4), [3, 4])],
+    ids=["module-list", "matrix-lists", "matrix-list-right"],
+)
+def test_frozen_constructors_refuse_a_non_tuple(build):
+    # A list would make a frozen object that is unhashable and unequal to its
+    # tuple twin, so it is refused, not coerced.
+    with pytest.raises(ValueError, match="tuple"):
+        build()
 
 
 def test_elements_up_to_examples():

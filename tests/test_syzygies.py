@@ -347,11 +347,12 @@ def test_couple_equals_the_gap_point_labels_on_every_lean_set():
 
 def test_leader_tally_equals_the_per_module_tally():
     # brute_period_tally counts each cycle once, from its greatest rows; a walk
-    # from every module to its own recurrence must give the same histogram.
-    # A walk with no recurrence counts None, which no tally holds.
+    # from every module, ended by _steps at its return, must give the same
+    # histogram.  That end is the first return to the start.
     def period(pair, start):
-        steps = enumerate(_steps(pair.alpha, pair.beta, *start), 1)
-        return next((t for t, rows in steps if rows == start), None)
+        walk = list(_steps(pair.alpha, pair.beta, *start))
+        assert walk[-1] == start and start not in walk[:-1]
+        return len(walk)
 
     for pair in SMALL_PAIRS:
         for n in range(1, pair.alpha + 1):
@@ -360,8 +361,8 @@ def test_leader_tally_equals_the_per_module_tally():
 
 
 def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
-    # A walk led from the greatest rows of its cycle stops at the first rows
-    # >= its start.  Every leader walks its whole period and every other
+    # A walk stops at the first rows greater than its start, or ends at its
+    # return there.  Every leader walks its whole period and every other
     # module takes at least one step, 79,214 steps at the least on <15,16>.
     steps, calls = semipath.verify._steps, []
 
