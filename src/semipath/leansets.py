@@ -4,28 +4,37 @@ A finite set of non-negative integers containing 0 is lean when the absolute
 difference of any two of its elements avoids the semigroup.  Writing each
 nonzero element as a gap point (a, b), a set is lean exactly when sorting by
 a makes the b coordinates strictly decrease; the enumerator walks those
-monotone chains of gap points directly.
+monotone chains of gap points directly.  LeanSet(...) checks its members
+by that criterion; a set the library derives from a gap chain, such as each
+one the enumerator yields, is built unchecked by LeanSet._from_chain.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .semigroup import GapPoint, SemigroupPair, _is_int, _sorted_ints, gaps, presentation
 
 __all__ = ["LeanSet", "is_lean", "enumerate_lean_sets"]
 
 
-class LeanSet(NamedTuple):
-    """A lean set, stored both as sorted values and as gap points sorted by a.
-
-    A named tuple rather than a frozen dataclass: the enumerator builds one
-    per lean set, and a tuple is built in a fraction of the time.
-    """
+@dataclass(frozen=True, slots=True)
+class LeanSet:
+    """A lean set: its members, ascending from 0, and their gap points sorted by a."""
 
     semigroup: SemigroupPair
     members: tuple[int, ...]
-    gap_points: tuple[GapPoint, ...]
+    gap_points: tuple[GapPoint, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        members = self.members
+        if not isinstance(members, tuple) or list(members) != _sorted_ints(members, "members"):
+            raise ValueError(f"members must be a strictly ascending tuple, got {members!r}")
+        chain = _lean_chain(self.semigroup, members)
+        if chain is None:
+            raise ValueError(f"{set(members)} is not a lean set of <{self.semigroup.alpha},{self.semigroup.beta}>")
+        object.__setattr__(self, "gap_points", chain)
 
     @property
     def gap_count(self) -> int:
@@ -33,18 +42,17 @@ class LeanSet(NamedTuple):
 
     @classmethod
     def from_members(cls, semigroup: SemigroupPair, xs: Iterable[int]) -> "LeanSet":
-        values = _sorted_ints(xs, "members")
-        chain = _lean_chain(semigroup, values)
-        if chain is None:
-            raise ValueError(
-                f"{set(values)} is not a lean set of <{semigroup.alpha},{semigroup.beta}>"
-            )
-        return cls._from_chain(semigroup, chain)
+        """The lean set of the values xs, given in any order."""
+        return cls(semigroup, tuple(_sorted_ints(xs, "members")))
 
     @classmethod
     def _from_chain(cls, semigroup: SemigroupPair, chain: tuple[GapPoint, ...]) -> "LeanSet":
         """Build without validation from a chain of gap points, ascending in a."""
-        return cls(semigroup, (0, *sorted([p.value for p in chain])), chain)
+        lean = object.__new__(cls)
+        object.__setattr__(lean, "semigroup", semigroup)
+        object.__setattr__(lean, "members", (0, *sorted([p.value for p in chain])))
+        object.__setattr__(lean, "gap_points", chain)
+        return lean
 
 
 def _lean_chain(semigroup: SemigroupPair, values: Sequence[int]) -> tuple[GapPoint, ...] | None:

@@ -98,7 +98,7 @@ def _labels(semigroup: SemigroupPair, down, right) -> tuple[list[int], list[int]
 def path_from_lean_set(semigroup: SemigroupPair, lean: LeanSet) -> PathMatrix:
     """The step matrix whose ES-turns are exactly the lean set's gap points."""
     _require_same_pair(semigroup, lean)
-    return PathMatrix(*_rows(semigroup, lean.gap_points))
+    return PathMatrix._trusted(*_rows(semigroup, lean.gap_points))
 
 
 def lean_set_from_path(semigroup: SemigroupPair, matrix: PathMatrix) -> LeanSet:

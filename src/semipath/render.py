@@ -29,6 +29,9 @@ class RenderSpec:
     labels: bool = False
 
     def __post_init__(self) -> None:
+        for switch in ("diagonal", "markers", "labels"):
+            if not isinstance(getattr(self, switch), bool):
+                raise ValueError(f"{switch} must be a bool, got {getattr(self, switch)!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.format!r}")
         if self.format == "svg" and not _is_int(self.cell):
@@ -85,21 +88,13 @@ def _svg(semigroup: SemigroupPair, corners: list[tuple[int, int]], spec: RenderS
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    for x in range(beta + 1):
-        parts.append(
-            f'<line x1="{px(x)}" y1="{py(alpha)}" x2="{px(x)}" y2="{py(0)}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
-    for y in range(alpha + 1):
-        parts.append(
-            f'<line x1="{px(0)}" y1="{py(y)}" x2="{px(beta)}" y2="{py(y)}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
+    grid = 'stroke="#cccccc" stroke-width="1"'
+    lines = [((x, alpha), (x, 0), grid) for x in range(beta + 1)]
+    lines += [((0, y), (beta, y), grid) for y in range(alpha + 1)]
     if spec.diagonal:
-        parts.append(
-            f'<line x1="{px(0)}" y1="{py(alpha)}" x2="{px(beta)}" y2="{py(0)}" '
-            f'stroke="#444444" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
+        lines.append(((0, alpha), (beta, 0), 'stroke="#444444" stroke-width="1" stroke-dasharray="4 3"'))
+    for (a, b), (c, d), style in lines:
+        parts.append(f'<line x1="{px(a)}" y1="{py(b)}" x2="{px(c)}" y2="{py(d)}" {style}/>')
     trail = " ".join(f"{px(a)},{py(b)}" for a, b in [(0, alpha)] + corners)
     parts.append(f'<polyline points="{trail}" fill="none" stroke="#000000" stroke-width="3"/>')
     if spec.markers:

@@ -76,21 +76,20 @@ def naive_members(semigroup: SemigroupPair, bound: int) -> set[int]:
     return out
 
 
+def _composition(total: int, cuts) -> tuple[int, ...]:
+    """The composition of total whose partial sums are the ascending cuts."""
+    bounds = (0, *cuts, total)
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
 def compositions(total: int, parts: int):
-    """All ordered writings of total as `parts` positive integers."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All ordered writings of total as `parts` positive integers, lexicographically."""
+    cuts = combinations(range(1, total), parts - 1) if 1 <= parts <= total else ()
+    return (_composition(total, c) for c in cuts)
 
 
 def _random_composition(rng: random.Random, total: int, parts: int) -> tuple[int, ...]:
-    cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
-    bounds = [0] + cuts + [total]
-    return tuple(bounds[i + 1] - bounds[i] for i in range(parts))
+    return _composition(total, sorted(rng.sample(range(1, total), parts - 1)))
 
 
 def check_gap_arithmetic(semigroup: SemigroupPair) -> list[CheckResult]:

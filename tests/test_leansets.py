@@ -182,6 +182,25 @@ def test_from_members_normalises_order_and_validates():
         LeanSet.from_members(S57, [0, 5])
 
 
+def test_the_lean_set_constructor_checks_its_members():
+    # No public call may build a set whose members and gap points disagree,
+    # such as (0, 5) with no gap points: 5 lies in <5,7>.
+    with pytest.raises(TypeError):
+        LeanSet(S57, (0, 5), ())
+    with pytest.raises(ValueError, match="is not a lean set"):
+        LeanSet(S57, (0, 5))
+    with pytest.raises(ValueError, match="strictly ascending tuple"):
+        LeanSet(S57, (0, 9, 6, 8))
+    with pytest.raises(ValueError, match="must be integers"):
+        LeanSet(S57, (0, 1.0))
+    lean = LeanSet(S57, (0, 6, 8, 9))
+    read = LeanSet.from_members(S57, {9, 8, 6, 0})
+    assert lean == read and hash(lean) == hash(read)
+    assert lean.gap_points == read.gap_points == next(
+        l for l in enumerate_lean_sets(S57) if l.members == (0, 6, 8, 9)
+    ).gap_points
+
+
 def test_gap_chains_match_the_recursive_walk():
     # Every gap_count, so that the branches the reach table prunes are covered.
     for alpha in range(2, 9):

@@ -1,10 +1,13 @@
 """Path matrices, the lean-set bijection, and the unique admissible rotation."""
 
+import hashlib
 import math
 import random
+from itertools import product
 
 import pytest
 
+import semipath.verify
 from semipath import (
     LeanSet,
     PathMatrix,
@@ -18,7 +21,7 @@ from semipath import (
     se_turns,
     stays_below_diagonal,
 )
-from semipath.verify import compositions
+from semipath.verify import check_cycle_lemma, compositions
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -163,3 +166,33 @@ def test_composition_pair_counts_divide_by_rotation():
                 if stays_below_diagonal(pair, PathMatrix(d, x))
             )
             assert admissible * parts == len(downs) * len(rights)
+
+
+def test_compositions_are_every_composition_in_lexicographic_order():
+    count = 0
+    for total in range(1, 10):
+        for parts in range(1, total + 1):
+            largest = total - parts + 1  # the other parts are at least 1 each
+            brute = sorted(c for c in product(range(1, largest + 1), repeat=parts) if sum(c) == total)
+            assert list(compositions(total, parts)) == brute
+            count += len(brute)
+    assert count == 511
+
+
+def test_sampled_cycle_lemma_draws_the_same_matrices(monkeypatch):
+    # (13,14) has more than 100,000 matrices, so check_cycle_lemma draws 1,000
+    # from SAMPLE_SEED; no stdout line shows which, so the rows are pinned.
+    drawn = []
+    rotate = semipath.verify.admissible_rotation
+
+    def spy(semigroup, matrix):
+        drawn.append((matrix.down, matrix.right))
+        return rotate(semigroup, matrix)
+
+    monkeypatch.setattr(semipath.verify, "admissible_rotation", spy)
+    result = check_cycle_lemma(SemigroupPair(13, 14))
+    assert result.ok and result.detail == "1000 matrices, 1000 sampled"
+    assert len(drawn) == 1000
+    assert hashlib.sha256(repr(drawn).encode()).hexdigest() == (
+        "283d49005b21a3c568cbbb5a3d2989250550b4dba79f9abfd59d0ef5e296c167"
+    )

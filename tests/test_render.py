@@ -76,6 +76,11 @@ def test_render_spec_validation():
     with pytest.raises(ValueError):
         RenderSpec(format="svg", cell=3)
     RenderSpec(format="ascii", cell=3)
+    # A truthy non-bool such as "no" would switch the part on.
+    for switch in ("diagonal", "markers", "labels"):
+        for value in ("no", 0, 1, None):
+            with pytest.raises(ValueError, match=f"{switch} must be a bool"):
+                RenderSpec(**{switch: value})
 
 
 @pytest.mark.parametrize("cell", [4.5, 20.0, "x", True, None])

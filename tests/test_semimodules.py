@@ -8,6 +8,7 @@ import pytest
 import semipath.leansets
 import semipath.semigroup
 from semipath import (
+    LeanSet,
     PathMatrix,
     Presentation,
     SemigroupPair,
@@ -55,8 +56,13 @@ def test_is_isomorphic_examples():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: Semimodule(S57, [0, 6]), lambda: PathMatrix([1, 4], [3, 4]), lambda: PathMatrix((1, 4), [3, 4])],
-    ids=["module-list", "matrix-lists", "matrix-list-right"],
+    [
+        lambda: Semimodule(S57, [0, 6]),
+        lambda: PathMatrix([1, 4], [3, 4]),
+        lambda: PathMatrix((1, 4), [3, 4]),
+        lambda: LeanSet(S57, [0, 6]),
+    ],
+    ids=["module-list", "matrix-lists", "matrix-list-right", "lean-set-list"],
 )
 def test_frozen_constructors_refuse_a_non_tuple(build):
     # A list would make a frozen object that is unhashable and unequal to its
