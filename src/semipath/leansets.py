@@ -12,6 +12,7 @@ one the enumerator yields, is built unchecked by LeanSet._from_chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .semigroup import GapPoint, SemigroupPair, _is_int, _sorted_ints, gaps, presentation
@@ -28,13 +29,15 @@ class LeanSet:
     gap_points: tuple[GapPoint, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.semigroup, SemigroupPair):
+            raise ValueError(f"semigroup must be a SemigroupPair, got {self.semigroup!r}")
         members = self.members
         if not isinstance(members, tuple) or list(members) != _sorted_ints(members, "members"):
             raise ValueError(f"members must be a strictly ascending tuple, got {members!r}")
         chain = _lean_chain(self.semigroup, members)
         if chain is None:
             raise ValueError(f"{set(members)} is not a lean set of <{self.semigroup.alpha},{self.semigroup.beta}>")
-        object.__setattr__(self, "gap_points", chain)
+        _set_gap_points(self, chain)
 
     @property
     def gap_count(self) -> int:
@@ -49,10 +52,15 @@ class LeanSet:
     def _from_chain(cls, semigroup: SemigroupPair, chain: tuple[GapPoint, ...]) -> "LeanSet":
         """Build without validation from a chain of gap points, ascending in a."""
         lean = object.__new__(cls)
-        object.__setattr__(lean, "semigroup", semigroup)
-        object.__setattr__(lean, "members", (0, *sorted([p.value for p in chain])))
-        object.__setattr__(lean, "gap_points", chain)
+        _set_semigroup(lean, semigroup)
+        _set_members(lean, (0, *sorted([p.value for p in chain])))
+        _set_gap_points(lean, chain)
         return lean
+
+
+# The frozen class's slot descriptors, in field order, through which its builders fill it.
+_set_semigroup, _set_members, _set_gap_points = (LeanSet.__dict__[f].__set__ for f in LeanSet.__slots__)
+_by_a = itemgetter(1)  # a GapPoint's a
 
 
 def _lean_chain(semigroup: SemigroupPair, values: Sequence[int]) -> tuple[GapPoint, ...] | None:
@@ -78,10 +86,11 @@ def _lean_chain(semigroup: SemigroupPair, values: Sequence[int]) -> tuple[GapPoi
         if point is None:
             return None
         points.append(point)
-    points.sort(key=lambda g: g.a)
-    if all(p.a < q.a and p.b > q.b for p, q in zip(points, points[1:])):
-        return tuple(points)
-    return None
+    points.sort(key=_by_a)
+    for p, q in zip(points, points[1:]):
+        if p.a >= q.a or p.b <= q.b:
+            return None
+    return tuple(points)
 
 
 def is_lean(semigroup: SemigroupPair, xs: Iterable[int]) -> bool:

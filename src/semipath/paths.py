@@ -55,9 +55,13 @@ class PathMatrix:
     def _trusted(cls, down: tuple[int, ...], right: tuple[int, ...]) -> "PathMatrix":
         """Build without validation, for rows known to be valid, such as rotated rows."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "down", down)
-        object.__setattr__(matrix, "right", right)
+        _set_down(matrix, down)
+        _set_right(matrix, right)
         return matrix
+
+
+# The frozen class's slot descriptors, through which _trusted fills it.
+_set_down, _set_right = PathMatrix.__dict__["down"].__set__, PathMatrix.__dict__["right"].__set__
 
 
 def _require_row_sums(semigroup: SemigroupPair, matrix: PathMatrix) -> None:

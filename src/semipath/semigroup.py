@@ -45,9 +45,9 @@ def _sorted_ints(xs: Iterable, what: str = "generators") -> list[int]:
 
 
 def _require_same_pair(semigroup: SemigroupPair, obj) -> None:
-    """Refuse a module or lean set of another pair: its numbers name other
-    gaps, so every route would answer, or fail, on the wrong semigroup."""
-    if obj.semigroup != semigroup:
+    """Refuse a module or lean set of another pair, whose numbers name other gaps.
+    The same pair object passes at once; any other is compared by value."""
+    if obj.semigroup is not semigroup and obj.semigroup != semigroup:
         raise ValueError(f"input built over {obj.semigroup!r} was passed with {semigroup!r}")
 
 

@@ -11,11 +11,11 @@ Trust boundary: the public constructors, Semimodule(...) and
 Semimodule.from_json, validate their input in full.  Every semimodule the
 library derives from an already-valid one (shifts, syzygies, orbit cycles,
 enumerated lean sets) is built by the private Semimodule._trusted, which
-skips that validation; the syzygy step instead re-checks, in O(n), the
-invariant it relies on.  Both checks read the monotone gap-chain criterion,
-which presents each value once per pair and remembers its gap point on the
-SemigroupPair object; consecutive from_json objects over one pair share one
-such object.
+skips that validation and fills the slots directly; the syzygy step instead
+re-checks, in O(n), the invariant it relies on.  Both checks read the
+monotone gap-chain criterion, which presents each value once per pair and
+remembers its gap point on the SemigroupPair object; consecutive from_json
+objects over one pair share one such object.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class Semimodule:
     gens: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.semigroup, SemigroupPair):
+            raise ValueError(f"semigroup must be a SemigroupPair, got {self.semigroup!r}")
         gens = self.gens
         if not isinstance(gens, tuple):
             raise ValueError(f"generators must be a tuple, got {gens!r}")
@@ -60,7 +62,7 @@ class Semimodule:
         if list(gens) != sorted(set(gens)):
             raise ValueError(f"generators must be strictly ascending, got {gens}")
         # Minimal exactly when the shift to 0 is lean: the monotone gap-chain criterion.
-        if _lean_chain(self.semigroup, [g - gens[0] for g in gens]) is None:
+        if _lean_chain(self.semigroup, [g - gens[0] for g in gens] if gens[0] else gens) is None:
             pair = self.semigroup
             raise ValueError(
                 f"{gens} is not minimal: a difference of two generators lies in "
@@ -71,8 +73,8 @@ class Semimodule:
     def _trusted(cls, semigroup: SemigroupPair, gens: tuple[int, ...]) -> "Semimodule":
         """Build without validation, for minimal generators the library derived."""
         module = object.__new__(cls)
-        object.__setattr__(module, "semigroup", semigroup)
-        object.__setattr__(module, "gens", gens)
+        _set_semigroup(module, semigroup)
+        _set_gens(module, gens)
         return module
 
     @property
@@ -80,10 +82,10 @@ class Semimodule:
         return self.gens[0] == 0
 
     def normalize(self) -> "Semimodule":
-        if self.is_normalized:
-            return self
         shift = self.gens[0]
-        return Semimodule._trusted(self.semigroup, tuple(g - shift for g in self.gens))
+        if not shift:
+            return self
+        return Semimodule._trusted(self.semigroup, tuple([g - shift for g in self.gens]))
 
     def to_json(self) -> dict:
         return {
@@ -95,12 +97,15 @@ class Semimodule:
     @classmethod
     def from_json(cls, data: dict) -> "Semimodule":
         try:
-            alpha, beta = data["alpha"], data["beta"]
-            pair = _shared_pair(alpha, beta)
+            pair = _shared_pair(data["alpha"], data["beta"])
             gens = list(data["generators"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed semimodule object: {data!r}") from exc
         return cls(pair, tuple(_sorted_ints(gens)))
+
+
+# The frozen class's slot descriptors, through which _trusted fills it.
+_set_semigroup, _set_gens = Semimodule.__dict__["semigroup"].__set__, Semimodule.__dict__["gens"].__set__
 
 
 @lru_cache(maxsize=1, typed=True)

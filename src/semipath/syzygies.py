@@ -188,7 +188,7 @@ def _normalized_rows(semigroup: SemigroupPair, module: Semimodule, refusal: str)
     points form a chain with a rising and b falling; that O(n) check stands
     in for validating the module again, and its failure is an internal error."""
     _require_same_pair(semigroup, module)
-    if not module.is_normalized:
+    if module.gens[0]:
         raise ValueError(refusal)
     chain = _lean_chain(semigroup, module.gens)
     if chain is None:

@@ -193,6 +193,8 @@ def test_the_lean_set_constructor_checks_its_members():
         LeanSet(S57, (0, 9, 6, 8))
     with pytest.raises(ValueError, match="must be integers"):
         LeanSet(S57, (0, 1.0))
+    with pytest.raises(ValueError, match=r"must be a SemigroupPair, got \(5, 7\)"):
+        LeanSet((5, 7), (0, 6))
     lean = LeanSet(S57, (0, 6, 8, 9))
     read = LeanSet.from_members(S57, {9, 8, 6, 0})
     assert lean == read and hash(lean) == hash(read)

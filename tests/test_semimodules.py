@@ -1,5 +1,6 @@
 """Minimal generators, normalization, isomorphism, element windows."""
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import pytest
 import semipath.leansets
 import semipath.semigroup
 from semipath import (
+    GapPoint,
     LeanSet,
     PathMatrix,
     Presentation,
@@ -88,6 +90,37 @@ def test_semimodule_validation():
     module = Semimodule(S57, (13, 14, 15, 16))
     assert not module.is_normalized
     assert module.normalize().gens == (0, 1, 2, 3)
+    # These raised AttributeError from deep inside the chain criterion.
+    with pytest.raises(ValueError, match="must be a SemigroupPair, got None"):
+        Semimodule(None, (0,))
+    with pytest.raises(ValueError, match=r"must be a SemigroupPair, got \(5, 7\)"):
+        Semimodule((5, 7), (0, 6))
+
+
+@pytest.mark.parametrize(
+    "trusted, checked",
+    [
+        (lambda: Semimodule._trusted(S57, (0, 6, 8, 9)), lambda: Semimodule(S57, (0, 6, 8, 9))),
+        (
+            lambda: LeanSet._from_chain(S57, (GapPoint(9, 1, 3), GapPoint(6, 3, 2), GapPoint(8, 4, 1))),
+            lambda: LeanSet(S57, (0, 6, 8, 9)),
+        ),
+        (
+            lambda: PathMatrix._trusted((2, 1, 1, 1), (1, 2, 1, 3)),
+            lambda: PathMatrix((2, 1, 1, 1), (1, 2, 1, 3)),
+        ),
+    ],
+    ids=["semimodule", "lean-set", "path-matrix"],
+)
+def test_trusted_objects_are_indistinguishable_from_checked_ones(trusted, checked):
+    # The trusted builders fill the slots directly; what they build must be
+    # the object the checking constructor builds, and as frozen.
+    built, want = trusted(), checked()
+    assert built == want and hash(built) == hash(want) and repr(built) == repr(want)
+    for field in dataclasses.fields(built):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, field.name, getattr(want, field.name))
+        assert getattr(built, field.name) == getattr(want, field.name)
 
 
 def test_minimal_generators_uniqueness_property():

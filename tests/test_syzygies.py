@@ -184,21 +184,21 @@ def test_syzygy_oracle_examples():
 
 S49 = SemigroupPair(4, 9)
 
-
-@pytest.mark.parametrize(
+# Each call passes pair to the library together with a module or lean set of <5,7>.
+PAIR_CALLS = pytest.mark.parametrize(
     "call",
     [
-        lambda lean: fundamental_couple(S49, lean),
-        lambda lean: path_from_lean_set(S49, lean),
-        lambda lean: render(S49, lean),
-        lambda lean: syzygy(S49, Semimodule._trusted(S57, lean.members)),
-        lambda lean: syzygy_oracle(S49, Semimodule._trusted(S57, lean.members)),
-        lambda lean: syzygy_period(S49, Semimodule._trusted(S57, lean.members)),
-        lambda lean: iterated_syzygy(S49, Semimodule._trusted(S57, lean.members), 3),
-        lambda lean: elements_up_to(S49, Semimodule._trusted(S57, lean.members), 40),
-        lambda lean: normalize(S49, Semimodule._trusted(S57, lean.members)),
-        lambda lean: is_isomorphic(
-            S57, Semimodule._trusted(S57, lean.members), Semimodule._trusted(S49, lean.members)
+        lambda pair, lean: fundamental_couple(pair, lean),
+        lambda pair, lean: path_from_lean_set(pair, lean),
+        lambda pair, lean: render(pair, lean),
+        lambda pair, lean: syzygy(pair, Semimodule._trusted(S57, lean.members)),
+        lambda pair, lean: syzygy_oracle(pair, Semimodule._trusted(S57, lean.members)),
+        lambda pair, lean: syzygy_period(pair, Semimodule._trusted(S57, lean.members)),
+        lambda pair, lean: iterated_syzygy(pair, Semimodule._trusted(S57, lean.members), 3),
+        lambda pair, lean: elements_up_to(pair, Semimodule._trusted(S57, lean.members), 40),
+        lambda pair, lean: normalize(pair, Semimodule._trusted(S57, lean.members)),
+        lambda pair, lean: is_isomorphic(
+            S57, Semimodule._trusted(S57, lean.members), Semimodule._trusted(pair, lean.members)
         ),
     ],
     ids=[
@@ -206,6 +206,9 @@ S49 = SemigroupPair(4, 9)
         "syzygy_period", "iterated_syzygy", "elements_up_to", "normalize", "is_isomorphic",
     ],
 )
+
+
+@PAIR_CALLS
 def test_a_module_or_lean_set_of_another_pair_is_refused(call):
     # Its numbers name gaps of <5,7>; read as <4,9> they gave silently wrong
     # results or an internal error, so the boundary refuses them outright.
@@ -213,7 +216,47 @@ def test_a_module_or_lean_set_of_another_pair_is_refused(call):
     assert len(leans) == 66
     for lean in leans:
         with pytest.raises(ValueError, match="built over"):
-            call(lean)
+            call(S49, lean)
+
+
+def _outcome(call, pair, lean):
+    try:
+        return call(pair, lean)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@PAIR_CALLS
+def test_an_equal_pair_that_is_another_object_is_accepted(call):
+    # Identity is only the fast pass of the pair check: a pair equal to the
+    # module's but built apart is still compared by value, and accepted.
+    fresh = SemigroupPair(5, 7)
+    assert fresh == S57 and fresh is not S57
+    for lean in enumerate_lean_sets(S57):
+        got = _outcome(call, fresh, lean)
+        assert got == _outcome(call, S57, lean)
+        assert "built over" not in str(got)
+
+
+def test_the_shared_pair_is_never_compared_by_value(monkeypatch):
+    # Every module below shares S57, so the per-module path needs no value
+    # comparison of pairs; an equal pair built apart still gets one.
+    compared = []
+    by_value = SemigroupPair.__eq__
+
+    def counting(self, other):
+        compared.append(other)
+        return by_value(self, other)
+
+    monkeypatch.setattr(SemigroupPair, "__eq__", counting)
+    for lean in enumerate_lean_sets(S57):
+        module = Semimodule(S57, lean.members)
+        syzygy_period(S57, module)
+        iterated_syzygy(S57, module, 2 * len(module.gens))
+        is_isomorphic(S57, module, module)
+    assert compared == []
+    syzygy_period(SemigroupPair(5, 7), Semimodule(S57, (0, 6, 8, 9)))
+    assert len(compared) == 1
 
 
 def test_syzygy_oracle_shares_no_kernel_with_minimal_generators(monkeypatch):
