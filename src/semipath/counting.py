@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .semigroup import SemigroupPair, _is_int
+from .semigroup import SemigroupPair, _is_int, _require_pair
 
 __all__ = [
     "CountRow",
@@ -68,12 +68,14 @@ def _exact_div(numerator: int, divisor: int, context: str) -> int:
 
 
 def _require_generator_count(semigroup: SemigroupPair, n: int) -> None:
+    _require_pair(semigroup)
     if not (_is_int(n) and 1 <= n <= semigroup.alpha):
         raise ValueError(f"generator count must lie in [1, {semigroup.alpha}], got {n!r}")
 
 
 def count_lean_sets(semigroup: SemigroupPair, r: int) -> int:
     """Number of lean sets with exactly r gaps: C(alpha-1, r) C(beta-1, r) / (r+1)."""
+    _require_pair(semigroup)
     if not (_is_int(r) and r >= 0):
         raise ValueError(f"gap count must be a non-negative integer, got {r!r}")
     numerator = math.comb(semigroup.alpha - 1, r) * math.comb(semigroup.beta - 1, r)
@@ -82,6 +84,7 @@ def count_lean_sets(semigroup: SemigroupPair, r: int) -> int:
 
 def count_lean_sets_total(semigroup: SemigroupPair) -> int:
     """Number of lean sets of any size: C(alpha+beta, alpha) / (alpha+beta)."""
+    _require_pair(semigroup)
     total = semigroup.alpha + semigroup.beta
     return _exact_div(math.comb(total, semigroup.alpha), total, "lean-set total")
 
@@ -113,8 +116,8 @@ def count_ell_periodic(semigroup: SemigroupPair, n: int, ell: int) -> int:
     the count is 0 by definition (the bare binomial expression would
     overcount in that case).
     """
-    alpha, beta = semigroup.alpha, semigroup.beta
     _require_generator_count(semigroup, n)
+    alpha, beta = semigroup.alpha, semigroup.beta
     if not (_is_int(ell) and ell >= 1 and n % ell == 0):
         raise ValueError(f"ell must be a positive divisor of n={n}, got {ell!r}")
     quotient = n // ell

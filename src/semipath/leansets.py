@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .semigroup import GapPoint, SemigroupPair, _is_int, _sorted_ints, gaps, presentation
+from .semigroup import GapPoint, SemigroupPair, _is_int, _require_pair, _sorted_ints, gaps, presentation
 
 __all__ = ["LeanSet", "is_lean", "enumerate_lean_sets"]
 
@@ -29,14 +29,11 @@ class LeanSet:
     gap_points: tuple[GapPoint, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.semigroup, SemigroupPair):
-            raise ValueError(f"semigroup must be a SemigroupPair, got {self.semigroup!r}")
-        members = self.members
+        pair, members = _require_pair(self.semigroup), self.members
         if not isinstance(members, tuple) or list(members) != _sorted_ints(members, "members"):
             raise ValueError(f"members must be a strictly ascending tuple, got {members!r}")
-        chain = _lean_chain(self.semigroup, members)
-        if chain is None:
-            raise ValueError(f"{set(members)} is not a lean set of <{self.semigroup.alpha},{self.semigroup.beta}>")
+        if (chain := _lean_chain(pair, members)) is None:
+            raise ValueError(f"{set(members)} is not a lean set of <{pair.alpha},{pair.beta}>")
         _set_gap_points(self, chain)
 
     @property
@@ -101,6 +98,7 @@ def is_lean(semigroup: SemigroupPair, xs: Iterable[int]) -> bool:
     decreasing.  verify.check_lean_enumeration compares this criterion with
     the pairwise definition.
     """
+    _require_pair(semigroup)
     return _lean_chain(semigroup, _sorted_ints(xs, "members")) is not None
 
 
@@ -174,8 +172,9 @@ def enumerate_lean_sets(
 
     With gap_count = r only the sets with exactly r gaps are produced, in the
     same relative order as the unfiltered stream.  The gap count is checked
-    at the call, before the first set is drawn.
+    at the call, before the first set is drawn, and so is the pair.
     """
+    _require_pair(semigroup)
     if gap_count is not None and not (_is_int(gap_count) and 0 <= gap_count < semigroup.alpha):
         raise ValueError(
             f"gap count must be an integer in [0, {semigroup.alpha - 1}], got {gap_count!r}"

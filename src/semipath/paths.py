@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .leansets import LeanSet
-from .semigroup import GapPoint, SemigroupPair, _is_int, _require_same_pair
+from .semigroup import GapPoint, SemigroupPair, _is_int, _require_pair, _require_same_pair
 
 __all__ = [
     "PathMatrix",
@@ -65,6 +65,7 @@ _set_down, _set_right = PathMatrix.__dict__["down"].__set__, PathMatrix.__dict__
 
 
 def _require_row_sums(semigroup: SemigroupPair, matrix: PathMatrix) -> None:
+    _require_pair(semigroup)
     if sum(matrix.down) != semigroup.alpha or sum(matrix.right) != semigroup.beta:
         raise ValueError(
             f"row sums must be ({semigroup.alpha}, {semigroup.beta}), "

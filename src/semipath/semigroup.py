@@ -44,10 +44,17 @@ def _sorted_ints(xs: Iterable, what: str = "generators") -> list[int]:
     return sorted(set(values))
 
 
+def _require_pair(semigroup) -> SemigroupPair:
+    """The library's one pair test: the pair itself, else ValueError, (5, 7) and None included."""
+    if not isinstance(semigroup, SemigroupPair):
+        raise ValueError(f"semigroup must be a SemigroupPair, got {semigroup!r}")
+    return semigroup
+
+
 def _require_same_pair(semigroup: SemigroupPair, obj) -> None:
     """Refuse a module or lean set of another pair, whose numbers name other gaps.
-    The same pair object passes at once; any other is compared by value."""
-    if obj.semigroup is not semigroup and obj.semigroup != semigroup:
+    The same pair object passes at once; any other is tested and compared by value."""
+    if obj.semigroup is not semigroup and obj.semigroup != _require_pair(semigroup):
         raise ValueError(f"input built over {obj.semigroup!r} was passed with {semigroup!r}")
 
 
@@ -115,6 +122,7 @@ def presentation(semigroup: SemigroupPair, n: int) -> Presentation:
     a = -n/alpha mod beta.  The remaining factor p is then an exact positive
     integer; anything else means the arithmetic is broken.
     """
+    _require_pair(semigroup)
     if not _is_int(n) or n <= 0:
         raise ValueError(f"presentation needs a positive integer, got {n!r}")
     alpha, beta = semigroup.alpha, semigroup.beta
@@ -128,6 +136,7 @@ def presentation(semigroup: SemigroupPair, n: int) -> Presentation:
 
 def is_member(semigroup: SemigroupPair, n: int) -> bool:
     """Whether n lies in <alpha, beta>."""
+    _require_pair(semigroup)
     if not _is_int(n) or n < 0:
         raise ValueError(f"membership is defined for non-negative integers, got {n!r}")
     if n == 0:
@@ -138,6 +147,7 @@ def is_member(semigroup: SemigroupPair, n: int) -> bool:
 
 def gaps(semigroup: SemigroupPair) -> tuple[GapPoint, ...]:
     """All gaps in increasing value order; there are (alpha-1)(beta-1)/2 of them."""
+    _require_pair(semigroup)
     alpha, beta, ab = semigroup.alpha, semigroup.beta, semigroup.product
     out = []
     for a in range(1, beta):
@@ -166,6 +176,7 @@ def membership_sieve(semigroup: SemigroupPair, limit: int) -> list[bool]:
     Independent of the presentation route, which makes it a convenient second
     opinion and the workhorse for windowed semimodule computations.
     """
+    _require_pair(semigroup)
     if not _is_int(limit) or limit < 0:
         raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
     member = [False] * (limit + 1)

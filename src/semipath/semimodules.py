@@ -8,14 +8,16 @@ is lean, and that correspondence is a bijection between isomorphism classes
 and lean sets.
 
 Trust boundary: the public constructors, Semimodule(...) and
-Semimodule.from_json, validate their input in full.  Every semimodule the
-library derives from an already-valid one (shifts, syzygies, orbit cycles,
-enumerated lean sets) is built by the private Semimodule._trusted, which
-skips that validation and fills the slots directly; the syzygy step instead
-re-checks, in O(n), the invariant it relies on.  Both checks read the
-monotone gap-chain criterion, which presents each value once per pair and
-remembers its gap point on the SemigroupPair object; consecutive from_json
-objects over one pair share one such object.
+Semimodule.from_json, validate their input in full, and every public
+function given a pair refuses, by name, one that is no SemigroupPair.
+Every semimodule the library derives from an already-valid one (shifts,
+syzygies, orbit cycles, enumerated lean sets) is built by the private
+Semimodule._trusted, which skips that validation and fills the slots
+directly; the syzygy step instead re-checks, in O(n), the invariant it
+relies on.  Both checks read the monotone gap-chain criterion, which
+presents each value once per pair and remembers its gap point on the
+SemigroupPair object; consecutive from_json objects over one pair share one
+such object.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .leansets import _lean_chain
-from .semigroup import SemigroupPair, _is_int, _require_same_pair, _sorted_ints
+from .semigroup import SemigroupPair, _is_int, _require_pair, _require_same_pair, _sorted_ints
 
 __all__ = [
     "Semimodule",
@@ -50,23 +52,17 @@ class Semimodule:
     gens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.semigroup, SemigroupPair):
-            raise ValueError(f"semigroup must be a SemigroupPair, got {self.semigroup!r}")
-        gens = self.gens
-        if not isinstance(gens, tuple):
-            raise ValueError(f"generators must be a tuple, got {gens!r}")
+        pair, gens = _require_pair(self.semigroup), self.gens
+        if not isinstance(gens, tuple) or list(gens) != _sorted_ints(gens):
+            raise ValueError(f"generators must be a strictly ascending tuple, got {gens!r}")
         if not gens:
             raise ValueError("a semimodule needs at least one generator")
-        if not all(_is_int(g) and g >= 0 for g in gens):
+        if gens[0] < 0:
             raise ValueError(f"generators must be non-negative integers, got {gens}")
-        if list(gens) != sorted(set(gens)):
-            raise ValueError(f"generators must be strictly ascending, got {gens}")
         # Minimal exactly when the shift to 0 is lean: the monotone gap-chain criterion.
-        if _lean_chain(self.semigroup, [g - gens[0] for g in gens] if gens[0] else gens) is None:
-            pair = self.semigroup
+        if _lean_chain(pair, [g - gens[0] for g in gens] if gens[0] else gens) is None:
             raise ValueError(
-                f"{gens} is not minimal: a difference of two generators lies in "
-                f"<{pair.alpha},{pair.beta}>"
+                f"{gens} is not minimal: a difference of two generators lies in <{pair.alpha},{pair.beta}>"
             )
 
     @classmethod
@@ -123,6 +119,7 @@ def minimal_generators(semigroup: SemigroupPair, xs: Iterable[int]) -> tuple[int
     nor it minus beta lies in the semimodule, so the generators are the
     entries w_c of the Apery tuple with w_c - beta < w_((c - beta) mod alpha).
     """
+    _require_pair(semigroup)
     values = _sorted_ints(xs)
     if not values:
         raise ValueError("cannot generate a semimodule from an empty set")
@@ -136,6 +133,7 @@ def minimal_generators(semigroup: SemigroupPair, xs: Iterable[int]) -> tuple[int
 def normalize(semigroup: SemigroupPair, gens: Union[Semimodule, Iterable[int]]) -> Semimodule:
     """Shift so the least generator becomes 0; a plain iterable of integers
     is re-minimalised along the way, a Semimodule is only shifted."""
+    _require_pair(semigroup)
     if isinstance(gens, Semimodule):
         _require_same_pair(semigroup, gens)
         return gens.normalize()

@@ -29,7 +29,7 @@ from typing import Iterator
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, _labels, _rows, admissible_rotation, lean_set_from_path
-from .semigroup import SemigroupPair, _is_int, _require_same_pair
+from .semigroup import SemigroupPair, _is_int, _require_pair, _require_same_pair
 from .semimodules import Semimodule
 
 __all__ = [
@@ -107,9 +107,15 @@ def fundamental_couple(semigroup: SemigroupPair, lean: LeanSet) -> FundamentalCo
 
 
 def _is_gap(semigroup: SemigroupPair, value: int) -> bool:
-    """Membership read from the sieve bitset, not from presentation, the
-    kernel of the fast route that validate_fundamental_couple cross-checks."""
+    """Membership read from the sieve bitset, not from presentation, the kernel
+    of the fast routes that the couple conditions and verify's leanness test check."""
     return 1 <= value <= semigroup.frobenius and not semigroup._member_bits >> value & 1
+
+
+def _non_gap_difference(semigroup: SemigroupPair, values) -> tuple[int, int] | None:
+    """The first index pair (k, l), k < l, with |values[k] - values[l]| no gap, else None."""
+    pairs = combinations(range(len(values)), 2)
+    return next(((k, l) for k, l in pairs if not _is_gap(semigroup, abs(values[k] - values[l]))), None)
 
 
 def validate_fundamental_couple(
@@ -123,6 +129,7 @@ def validate_fundamental_couple(
     J[k] = I[k+1] mod beta with J[k] > I[k+1], and J[m] = 0 mod beta with
     J[m] >= 0.  Condition 3: pairwise differences within I are gaps.
     """
+    _require_pair(semigroup)
     iseq = tuple(gens)
     jseq = tuple(syzygy_gens)
     if not all(_is_int(v) for v in iseq + jseq):
@@ -159,12 +166,9 @@ def validate_fundamental_couple(
         return CoupleValidation(
             False, 2, m, f"need J[{m}] >= 0 with J[{m}] = 0 mod beta"
         )
-    for k in range(1, m + 1):
-        for l in range(k + 1, m + 1):
-            if not _is_gap(semigroup, abs(iseq[k] - iseq[l])):
-                return CoupleValidation(
-                    False, 3, k, f"|I[{k}] - I[{l}]| = {abs(iseq[k] - iseq[l])} is not a gap"
-                )
+    if clash := _non_gap_difference(semigroup, iseq):  # each (0, l) passed condition 1
+        k, l = clash
+        return CoupleValidation(False, 3, k, f"|I[{k}] - I[{l}]| = {abs(iseq[k] - iseq[l])} is not a gap")
     return CoupleValidation(True)
 
 
@@ -318,6 +322,7 @@ def orbit_witness(semigroup: SemigroupPair, n: int, ell: int) -> Semimodule:
     tiled from blocks of the shape [1, ..., 1, tail]; such blocks cannot be
     split into smaller repeating blocks, which pins the period to ell.
     """
+    _require_pair(semigroup)
     alpha, beta = semigroup.alpha, semigroup.beta
     if not (_is_int(n) and _is_int(ell)) or n < 1 or ell < 1 or n % ell:
         raise ValueError(f"need integers ell dividing n with both positive, got n={n!r}, ell={ell!r}")

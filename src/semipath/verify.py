@@ -32,11 +32,11 @@ from .counting import (
 from .errors import InvariantError
 from .leansets import LeanSet, _gap_chains, enumerate_lean_sets, is_lean
 from .paths import PathMatrix, _below_diagonal, _rows, admissible_rotation, lean_set_from_path
-from .semigroup import GapPoint, SemigroupPair, gaps, is_member, membership_sieve, presentation
+from .semigroup import GapPoint, SemigroupPair, _require_pair, gaps, is_member, membership_sieve, presentation
 from .semimodules import Semimodule
 from .syzygies import (
     _cosets,
-    _is_gap,
+    _non_gap_difference,
     _steps,
     _window_generators,
     fundamental_couple,
@@ -69,6 +69,7 @@ class CheckResult:
 
 def naive_members(semigroup: SemigroupPair, bound: int) -> set[int]:
     """{i*alpha + j*beta <= bound} by double loop; the slowest membership route."""
+    _require_pair(semigroup)
     out = set()
     for i in range(bound // semigroup.alpha + 1):
         base = i * semigroup.alpha
@@ -120,11 +121,8 @@ def check_gap_arithmetic(semigroup: SemigroupPair) -> list[CheckResult]:
 
 
 def _pairwise_lean(semigroup: SemigroupPair, values) -> bool:
-    """The definition of leanness, for the values shifted to start at 0: no
-    pairwise difference lies in the semigroup.  Membership is read from the
-    sieve bitset, not from presentation, the kernel of the chain criterion
-    this checks."""
-    return all(_is_gap(semigroup, y - x) for x, y in combinations(sorted(values), 2))
+    """The definition of leanness: no difference of two of the values lies in the semigroup."""
+    return _non_gap_difference(semigroup, values) is None
 
 
 def check_cycle_lemma(semigroup: SemigroupPair) -> CheckResult:
@@ -367,6 +365,7 @@ def check_lean_enumeration(semigroup: SemigroupPair, total: int, deep: bool) -> 
 
 def run_checks(semigroup: SemigroupPair, deep: bool = False) -> list[CheckResult]:
     """Run the cross-check suite; deep means every sweep is exhaustive."""
+    _require_pair(semigroup)
     results = check_gap_arithmetic(semigroup)
     total = count_lean_sets_total(semigroup)
     if total <= ENUMERATION_CAP:

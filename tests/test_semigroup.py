@@ -1,9 +1,11 @@
 """Core arithmetic: presentations, membership, gap tables."""
 
+import inspect
 import math
 
 import pytest
 
+import semipath
 from semipath import (
     InvariantError,
     LeanSet,
@@ -29,6 +31,7 @@ from semipath import (
     presentation,
     validate_fundamental_couple,
 )
+from semipath.verify import brute_period_tally, naive_members, run_checks
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -228,3 +231,70 @@ def test_library_boundary_refuses_non_int(call):
     # be read as 1, or reach math.comb or range and raise TypeError there.
     with pytest.raises(ValueError):
         call()
+
+
+L57 = LeanSet(S57, (0, 6, 8, 9))
+P57 = semipath.path_from_lean_set(S57, L57)
+# Every public function whose first argument is the pair, each with valid
+# other arguments, so that only the pair can be refused.
+PAIR_CALLS = {
+    "count_lean_sets": lambda p: count_lean_sets(p, 1),
+    "count_lean_sets_total": lambda p: semipath.count_lean_sets_total(p),
+    "count_ell_periodic": lambda p: count_ell_periodic(p, 4, 4),
+    "count_fixed_points": lambda p: count_fixed_points(p, 4),
+    "orbit_count_table": lambda p: orbit_count_table(p, 4),
+    "LeanSet": lambda p: LeanSet(p, (0, 6)),
+    "from_members": lambda p: LeanSet.from_members(p, [6, 0]),
+    "is_lean": lambda p: is_lean(p, [0, 6]),
+    "enumerate_lean_sets": lambda p: enumerate_lean_sets(p),
+    "enumerate_lean_sets-filtered": lambda p: enumerate_lean_sets(p, 1),
+    "path_from_lean_set": lambda p: semipath.path_from_lean_set(p, L57),
+    "lean_set_from_path": lambda p: semipath.lean_set_from_path(p, P57),
+    "es_turns": lambda p: semipath.es_turns(p, P57),
+    "se_turns": lambda p: semipath.se_turns(p, P57),
+    "stays_below_diagonal": lambda p: semipath.stays_below_diagonal(p, P57),
+    "admissible_rotation": lambda p: semipath.admissible_rotation(p, P57),
+    "render": lambda p: semipath.render(p, L57),
+    "presentation": lambda p: presentation(p, 3),
+    "is_member": lambda p: is_member(p, 0),
+    "gaps": lambda p: gaps(p),
+    "gap_point": lambda p: gap_point(p, 9),
+    "membership_sieve": lambda p: membership_sieve(p, 10),
+    "Semimodule": lambda p: Semimodule(p, (0, 6)),
+    "minimal_generators": lambda p: semipath.minimal_generators(p, [0, 6]),
+    "normalize": lambda p: semipath.normalize(p, [3, 9]),
+    "normalize-module": lambda p: semipath.normalize(p, M57),
+    "is_isomorphic": lambda p: semipath.is_isomorphic(p, M57, M57),
+    "elements_up_to": lambda p: elements_up_to(p, M57, 10),
+    "fundamental_couple": lambda p: semipath.fundamental_couple(p, L57),
+    "validate_fundamental_couple": lambda p: validate_fundamental_couple(p, (0, 8, 6, 9), (15, 13, 16, 14)),
+    "syzygy": lambda p: semipath.syzygy(p, M57),
+    "syzygy_oracle": lambda p: semipath.syzygy_oracle(p, M57),
+    "syzygy_period": lambda p: semipath.syzygy_period(p, M57),
+    "iterated_syzygy": lambda p: iterated_syzygy(p, M57, 3),
+    "orbit_witness": lambda p: orbit_witness(p, 4, 4),
+    "naive_members": lambda p: naive_members(p, 10),
+    "brute_period_tally": lambda p: brute_period_tally(p, 4),
+    "run_checks": lambda p: run_checks(p),
+}
+
+
+@pytest.mark.parametrize("bad", [(5, 7), None], ids=["tuple", "None"])
+@pytest.mark.parametrize("call", PAIR_CALLS.values(), ids=PAIR_CALLS.keys())
+def test_every_pair_argument_is_refused_by_name(call, bad):
+    # Refused by name at the call: not an AttributeError where the pair is
+    # first read, and not silence where it is never read, as in is_member of
+    # 0 or an enumerate_lean_sets stream not yet drawn from.
+    call(S57)
+    with pytest.raises(ValueError, match="must be a SemigroupPair"):
+        call(bad)
+
+
+def test_the_pair_calls_cover_every_public_function_given_a_pair():
+    given_a_pair = {
+        name
+        for name, obj in ((name, getattr(semipath, name)) for name in semipath.__all__)
+        if inspect.isfunction(obj) and list(inspect.signature(obj).parameters)[:1] == ["semigroup"]
+    }
+    assert "presentation" in given_a_pair
+    assert given_a_pair <= {name.split("-")[0] for name in PAIR_CALLS}

@@ -81,12 +81,19 @@ def test_elements_up_to_examples():
 
 
 def test_semimodule_validation():
-    with pytest.raises(ValueError):
-        Semimodule(S57, (0, 5))
-    with pytest.raises(ValueError):
-        Semimodule(S57, (3, 0))
-    with pytest.raises(ValueError):
-        Semimodule(S57, ())
+    # One _sorted_ints comparison refuses a non-int, an unsorted tuple and a
+    # list alike; the empty, negative and non-minimal refusals keep theirs.
+    for gens, message in (
+        ((0, 5), r"^\(0, 5\) is not minimal: a difference of two generators lies in <5,7>$"),
+        ((3, 0), r"generators must be a strictly ascending tuple, got \(3, 0\)"),
+        ((), "a semimodule needs at least one generator"),
+        ((0, 1.0), r"generators must be integers, got \[0, 1.0\]"),
+        ((0, 6, 6), "generators must be a strictly ascending tuple"),
+        ([0, 6], r"generators must be a strictly ascending tuple, got \[0, 6\]"),
+        ((-3, 0), r"generators must be non-negative integers, got \(-3, 0\)$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Semimodule(S57, gens)
     module = Semimodule(S57, (13, 14, 15, 16))
     assert not module.is_normalized
     assert module.normalize().gens == (0, 1, 2, 3)
@@ -185,8 +192,13 @@ def test_non_int_generators_are_refused_not_coerced(bad):
 
 
 def test_from_json_refuses_a_bool_equal_to_another_generator():
-    with pytest.raises(ValueError):
-        Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [True, 0, 1]})
+    # True == 1, so a reader that merged repeats before its integer test
+    # would keep the int 1 and accept (0, 1).
+    for gens in ([True, 0, 1], [0, 1, True]):
+        with pytest.raises(ValueError, match="generators must be integers"):
+            Semimodule.from_json({"alpha": 5, "beta": 7, "generators": gens})
+    with pytest.raises(ValueError, match="members must be integers"):
+        LeanSet.from_members(S57, [0, 1, True])
 
 
 def test_consecutive_from_json_objects_share_their_pair():

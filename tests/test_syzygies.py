@@ -1,5 +1,6 @@
 """Fundamental couples, syzygy routes, orbit iteration."""
 
+import hashlib
 import math
 import random
 import sys
@@ -31,6 +32,7 @@ from semipath import (
     gaps,
     is_isomorphic,
     is_lean,
+    is_member,
     iterated_syzygy,
     lean_set_from_path,
     membership_sieve,
@@ -48,7 +50,7 @@ from semipath import (
 )
 from semipath.leansets import _gap_chains
 from semipath.paths import _rows
-from semipath.syzygies import _steps
+from semipath.syzygies import _non_gap_difference, _steps
 from semipath.verify import (
     _definitional_cycle,
     _pairwise_lean,
@@ -116,6 +118,53 @@ def test_validate_reports_first_failure():
     assert not result and result.clause == 1 and result.index == 3
     result = validate_fundamental_couple(S57, (0, 8, 9, 6), (15, 13, 16, 14))
     assert not result and result.clause == 2
+
+
+def _nudged(seq):
+    """seq with one entry changed by -1 or +1, entry by entry."""
+    for k in range(len(seq)):
+        for step in (-1, 1):
+            yield seq[:k] + (seq[k] + step,) + seq[k + 1:]
+
+
+def couple_variants(pair):
+    """Each lean set's couple (I, J), then every +-1 change to one entry of I
+    or of J, then every swap of two adjacent entries of I."""
+    for lean in enumerate_lean_sets(pair):
+        couple = fundamental_couple(pair, lean)
+        i, j = couple.gens, couple.syzygy_gens
+        yield i, j
+        yield from ((changed, j) for changed in _nudged(i))
+        yield from ((i, changed) for changed in _nudged(j))
+        yield from ((i[:k] + (i[k + 1], i[k]) + i[k + 2:], j) for k in range(len(i) - 1))
+
+
+def test_couple_verdicts_are_pinned():
+    # sha256 of every verdict's repr (ok, clause, index, message), one per
+    # line, over the couples of all lean sets of the small pairs and their
+    # one-step corruptions: 706,585 verdicts, 29,912 of them passing.
+    digest = hashlib.sha256()
+    for pair in SMALL_PAIRS:
+        for i, j in couple_variants(pair):
+            digest.update(f"{validate_fundamental_couple(pair, i, j)!r}\n".encode())
+    assert digest.hexdigest() == "535c0330f407482381f8904b95f2aea007942ec1290d2a59a5b4b1a13c5f578b"
+
+
+def test_the_pairwise_gap_test_reports_the_first_clash():
+    # No verdict pinned above fails condition 3: conditions 0 to 2 already
+    # force the pairwise gaps there.  So the pair it reports is checked here,
+    # against a double loop over membership by presentation.
+    pair, rng = SemigroupPair(7, 11), random.Random(711)
+    found = set()
+    for _ in range(500):
+        values = rng.sample(range(2 * pair.product), rng.randint(0, 6))
+        first = next(
+            ((k, l) for k, l in combinations(range(len(values)), 2) if is_member(pair, abs(values[k] - values[l]))),
+            None,
+        )
+        assert _non_gap_difference(pair, values) == first
+        found.add(first is None)
+    assert found == {True, False}
 
 
 def test_couple_validation_shares_no_kernel_with_presentation(monkeypatch):
