@@ -6,8 +6,13 @@ intersections (i + S) with (i' + S).  On the path side the picture is crisp:
 number the ES-turns of the path right to left to get I, and the SE-turn
 labels (reading the two corners on the axes via the extended labelling) give
 a sequence J generating the syzygy.  The pair [I, J] is a fundamental
-couple, characterised by four arithmetic conditions checked literally by
-validate_fundamental_couple.
+couple, decided by conditions 0-2 of validate_fundamental_couple, which
+force the paper's condition 3, I lean.  Write each gap as I[k] = alpha*beta
+- a_k*alpha - b_k*beta, 0 < b_k < alpha.  For an inner k (1 <= k < m),
+condition 1 makes J[k] a gap; J[k] = I[k] mod alpha fixes its b as b_k, and
+J[k] = I[k+1] mod beta fixes its a as a_{k+1}.  So condition 2's I[k] < J[k]
+and J[k] > I[k+1] say exactly a_{k+1} < a_k and b_k < b_{k+1}: the gap
+points of I form a chain, lean by the chain theorem _lean_chain rests on.
 
 Taking syzygies and renormalising permutes the isomorphism classes with a
 fixed number of generators; on matrices it advances the top row by one
@@ -65,7 +70,7 @@ class FundamentalCouple:
 
 @dataclass(frozen=True)
 class CoupleValidation:
-    """Outcome of checking the fundamental-couple conditions, first failure wins."""
+    """Outcome of checking the couple conditions, first failure wins; clause is 0, 1, 2 or None."""
 
     ok: bool
     clause: int | None = None
@@ -112,22 +117,23 @@ def _is_gap(semigroup: SemigroupPair, value: int) -> bool:
     return 1 <= value <= semigroup.frobenius and not semigroup._member_bits >> value & 1
 
 
-def _non_gap_difference(semigroup: SemigroupPair, values) -> tuple[int, int] | None:
-    """The first index pair (k, l), k < l, with |values[k] - values[l]| no gap, else None."""
-    pairs = combinations(range(len(values)), 2)
-    return next(((k, l) for k, l in pairs if not _is_gap(semigroup, abs(values[k] - values[l]))), None)
+def _pairwise_lean(semigroup: SemigroupPair, values) -> bool:
+    """The definition of leanness: no difference of two of the values lies in the semigroup."""
+    return all(_is_gap(semigroup, abs(x - y)) for x, y in combinations(values, 2))
 
 
 def validate_fundamental_couple(
     semigroup: SemigroupPair, gens, syzygy_gens
 ) -> CoupleValidation:
-    """Check the four couple conditions literally, reporting the first failure.
+    """Check couple conditions 0-2 literally, reporting the first failure.
 
     Condition 0: the first entry of I is 0.  Condition 1: the inner entries
     of I and J are gaps and the outer J entries are at most alpha*beta.
     Condition 2: the congruence ladder I[k] = J[k] mod alpha with I[k] < J[k],
     J[k] = I[k+1] mod beta with J[k] > I[k+1], and J[m] = 0 mod beta with
-    J[m] >= 0.  Condition 3: pairwise differences within I are gaps.
+    J[m] >= 0.  The paper's condition 3, pairwise differences within I are
+    gaps, follows from these (module docstring), so it is checked as that
+    theorem's invariant: its failure is an InvariantError, never a clause.
     """
     _require_pair(semigroup)
     iseq = tuple(gens)
@@ -166,9 +172,8 @@ def validate_fundamental_couple(
         return CoupleValidation(
             False, 2, m, f"need J[{m}] >= 0 with J[{m}] = 0 mod beta"
         )
-    if clash := _non_gap_difference(semigroup, iseq):  # each (0, l) passed condition 1
-        k, l = clash
-        return CoupleValidation(False, 3, k, f"|I[{k}] - I[{l}]| = {abs(iseq[k] - iseq[l])} is not a gap")
+    if not _pairwise_lean(semigroup, iseq):
+        raise InvariantError(f"I={iseq} passes conditions 0-2 but is not lean")
     return CoupleValidation(True)
 
 

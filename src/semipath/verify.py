@@ -36,7 +36,7 @@ from .semigroup import GapPoint, SemigroupPair, _require_pair, gaps, is_member, 
 from .semimodules import Semimodule
 from .syzygies import (
     _cosets,
-    _non_gap_difference,
+    _pairwise_lean,
     _steps,
     _window_generators,
     fundamental_couple,
@@ -120,11 +120,6 @@ def check_gap_arithmetic(semigroup: SemigroupPair) -> list[CheckResult]:
     ]
 
 
-def _pairwise_lean(semigroup: SemigroupPair, values) -> bool:
-    """The definition of leanness: no difference of two of the values lies in the semigroup."""
-    return _non_gap_difference(semigroup, values) is None
-
-
 def check_cycle_lemma(semigroup: SemigroupPair) -> CheckResult:
     alpha, beta = semigroup.alpha, semigroup.beta
     total = sum(math.comb(alpha - 1, k - 1) * math.comb(beta - 1, k - 1) for k in range(1, alpha + 1))
@@ -183,7 +178,7 @@ def check_syzygy_routes(
         failed.update(("fundamental-couples", "syzygy-matrix-route"))
         return
     couple = fundamental_couple(semigroup, LeanSet._from_chain(semigroup, chain))
-    valid = validate_fundamental_couple(semigroup, couple.gens, couple.syzygy_gens)
+    valid = _unless_it_raises(validate_fundamental_couple, semigroup, couple.gens, couple.syzygy_gens)
     if not (valid and _pairwise_lean(semigroup, couple.syzygy_gens)):  # differences ignore J's shift
         failed.add("fundamental-couples")
     if oracle is not None:

@@ -19,7 +19,7 @@ import semipath.syzygies
 import semipath.verify
 from semipath import InvariantError, LeanSet, PathMatrix, SemigroupPair, Semimodule, enumerate_lean_sets, gap_point
 from semipath.cli import _build_parser, main
-from semipath.syzygies import FundamentalCouple, fundamental_couple, syzygy
+from semipath.syzygies import FundamentalCouple, fundamental_couple, syzygy, validate_fundamental_couple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CLI_SURFACE = Path(__file__).with_name("cli_surface.json")
@@ -330,6 +330,33 @@ def test_verify_reports_a_broken_route_as_failed_checks(capsys, monkeypatch, arg
     assert code == 3 and err == ""
     assert len(lines) == 13
     assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == failing
+
+
+def test_a_failing_pairwise_test_of_a_couple_is_an_internal_error(capsys, monkeypatch):
+    # Conditions 0-2 force condition 3, so the couple's pairwise test is the
+    # chain theorem's invariant: with it broken, a couple that passes 0-2
+    # raises, one that fails them keeps its clause, and verify FAILs that
+    # verdict by name and still prints every line.
+    monkeypatch.setattr(semipath.syzygies, "_pairwise_lean", lambda semigroup, values: False)
+    pair = SemigroupPair(5, 7)
+    with pytest.raises(InvariantError, match="passes conditions 0-2 but is not lean"):
+        validate_fundamental_couple(pair, (0, 8, 6, 9), (15, 13, 16, 14))
+    assert validate_fundamental_couple(pair, (0, 5), (15, 14)).clause == 1
+    code, out, err = run(capsys, "verify", "7", "11", "--deep")
+    assert code == 3 and err == ""
+    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
+        "fundamental-couples"
+    }
+
+
+def test_a_pairwise_test_that_always_passes_changes_no_verify_line(capsys, monkeypatch):
+    # The argued-equivalent mutant: conditions 0-2 already decide every
+    # verdict, so with the invariant's test always passing verify prints
+    # the same bytes on every couple of (7,11).
+    monkeypatch.setattr(semipath.syzygies, "_pairwise_lean", lambda semigroup, values: True)
+    code, out, _ = run(capsys, "verify", "7", "11", "--deep")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "c6c89c18cd5f7fc7a00119a954427a9f350b6a0e2fb43166d6acde394ebfecfc"
 
 
 def test_verify_checks_the_matrix_route_against_the_oracle_walk(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 from itertools import combinations, islice
 
 import pytest
@@ -25,6 +26,7 @@ from semipath import (
     SemigroupPair,
     Semimodule,
     admissible_rotation,
+    count_lean_sets_total,
     cyclic_rotations,
     elements_up_to,
     enumerate_lean_sets,
@@ -50,13 +52,8 @@ from semipath import (
 )
 from semipath.leansets import _gap_chains
 from semipath.paths import _rows
-from semipath.syzygies import _non_gap_difference, _steps
-from semipath.verify import (
-    _definitional_cycle,
-    _pairwise_lean,
-    brute_period_tally,
-    run_checks,
-)
+from semipath.syzygies import _pairwise_lean, _steps
+from semipath.verify import _definitional_cycle, brute_period_tally, run_checks
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -150,21 +147,63 @@ def test_couple_verdicts_are_pinned():
     assert digest.hexdigest() == "535c0330f407482381f8904b95f2aea007942ec1290d2a59a5b4b1a13c5f578b"
 
 
-def test_the_pairwise_gap_test_reports_the_first_clash():
-    # No verdict pinned above fails condition 3: conditions 0 to 2 already
-    # force the pairwise gaps there.  So the pair it reports is checked here,
-    # against a double loop over membership by presentation.
+def test_the_pairwise_gap_test_is_the_definition_of_leanness():
+    # Checked against a double loop over membership by presentation, on
+    # seeded lists and on a repeat, a span past the Frobenius number, a span
+    # of exactly that number and the empty list.  verify reads this one test.
     pair, rng = SemigroupPair(7, 11), random.Random(711)
+    lists = [rng.sample(range(2 * pair.product), rng.randint(0, 6)) for _ in range(500)]
+    edges = {(0, 8, 8): False, (3, 4 + pair.frobenius): False, (3, 3 + pair.frobenius): True, (): True}
     found = set()
-    for _ in range(500):
-        values = rng.sample(range(2 * pair.product), rng.randint(0, 6))
-        first = next(
-            ((k, l) for k, l in combinations(range(len(values)), 2) if is_member(pair, abs(values[k] - values[l]))),
-            None,
-        )
-        assert _non_gap_difference(pair, values) == first
-        found.add(first is None)
+    for values in lists + [list(v) for v in edges]:
+        lean = not any(is_member(pair, abs(x - y)) for x, y in combinations(values, 2))
+        assert _pairwise_lean(pair, values) is lean
+        found.add(lean)
     assert found == {True, False}
+    assert [_pairwise_lean(pair, v) for v in edges] == list(edges.values())
+    assert semipath.verify._pairwise_lean is _pairwise_lean
+
+
+def couples_conditions_0_to_2_admit(pair):
+    """Every (I, J) that couple conditions 0-2 admit, by depth-first search:
+    I[0] = 0, then distinct gaps; each J[k] takes every value in
+    [0, alpha*beta] that its two congruences allow, and an inner J[k] must
+    be a gap above I[k] and I[k + 1].  The outer J are left to the verdict.
+    Neither gap points nor the chain theorem are used."""
+    top, gap_values = pair.product, [g.value for g in gaps(pair)]
+
+    def ladder(x, y):  # the values v <= alpha*beta with v = x mod alpha and v = y mod beta
+        return [v for v in range(x % pair.alpha, top + 1, pair.alpha) if (v - y) % pair.beta == 0]
+
+    def walk(iseq, inner):
+        lasts = ladder(iseq[-1], 0)
+        if len(iseq) == 1:
+            yield from ((iseq, (last,)) for last in lasts)
+        else:
+            yield from ((iseq, (first, *inner, last)) for first in ladder(0, iseq[1]) for last in lasts)
+        for g in gap_values:
+            if g in iseq:
+                continue
+            if len(iseq) == 1:
+                yield from walk((0, g), ())
+                continue
+            for j in ladder(iseq[-1], g):
+                if j in gap_values and j > max(iseq[-1], g):
+                    yield from walk((*iseq, g), (*inner, j))
+
+    return walk((0,), ())
+
+
+def test_conditions_0_to_2_decide_every_couple():
+    # The theorem in the syzygies module docstring: what conditions 0-2
+    # admit and pass is exactly the couples of the lean sets, and the
+    # pairwise test they imply never raises its InvariantError.
+    pairs = [(3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (5, 8), (6, 7), (7, 8), (7, 9), (7, 11), (8, 9)]
+    for pair in (SemigroupPair(alpha, beta) for alpha, beta in pairs):
+        admitted = list(couples_conditions_0_to_2_admit(pair))
+        passing = {(i, j) for i, j in admitted if validate_fundamental_couple(pair, i, j)}
+        couples = {astuple(fundamental_couple(pair, lean)) for lean in enumerate_lean_sets(pair)}
+        assert passing == couples and len(passing) == count_lean_sets_total(pair) < len(admitted)
 
 
 def test_couple_validation_shares_no_kernel_with_presentation(monkeypatch):
