@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .semigroup import GapPoint, SemigroupPair, _is_int, _require_pair, _sorted_ints, gaps, presentation
+from .semigroup import GapPoint, SemigroupPair, _gap_of, _is_int, _require_pair, _sorted_ints, gaps
 
 __all__ = ["LeanSet", "is_lean", "enumerate_lean_sets"]
 
@@ -78,8 +78,7 @@ def _lean_chain(semigroup: SemigroupPair, values: Sequence[int]) -> tuple[GapPoi
         try:
             point = memo[x]
         except KeyError:
-            q = presentation(semigroup, x)
-            point = memo[x] = GapPoint(x, q.a, q.b) if q.p == 1 and q.a and q.b else None
+            point = memo[x] = _gap_of(semigroup, x)
         if point is None:
             return None
         points.append(point)

@@ -7,7 +7,8 @@ as n = p*alpha*beta - a*alpha - b*beta with p > 0, 0 <= a < beta and
 0 <= b < alpha, and n is a gap exactly when p = 1 with a, b >= 1.  That
 identifies each gap with a lattice point (a, b) strictly inside the triangle
 with corners (0, 0), (beta, 0), (0, alpha), which is the bridge between the
-arithmetic here and the lattice-path modules.
+arithmetic here and the lattice-path modules.  _gap_of is the one place that
+rule is read off a presentation.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class SemigroupPair:
     @cached_property
     def _gap_points(self) -> dict[int, GapPoint | None]:
         """The GapPoint of each value 1 <= x <= frobenius asked for so far, or
-        None when x is no gap; filled by leansets._lean_chain, one presentation
-        per value.  One memo per pair object, like _member_bits."""
+        None when x is no gap; leansets._lean_chain fills it from _gap_of, one
+        presentation per value.  One memo per pair object, like _member_bits."""
         return {}
 
 
@@ -139,10 +140,7 @@ def is_member(semigroup: SemigroupPair, n: int) -> bool:
     _require_pair(semigroup)
     if not _is_int(n) or n < 0:
         raise ValueError(f"membership is defined for non-negative integers, got {n!r}")
-    if n == 0:
-        return True
-    q = presentation(semigroup, n)
-    return q.p >= 2 or q.a == 0 or q.b == 0
+    return n == 0 or _gap_of(semigroup, n) is None
 
 
 def gaps(semigroup: SemigroupPair) -> tuple[GapPoint, ...]:
@@ -162,12 +160,17 @@ def gaps(semigroup: SemigroupPair) -> tuple[GapPoint, ...]:
     return tuple(out)
 
 
+def _gap_of(semigroup: SemigroupPair, n: int) -> GapPoint | None:
+    """The gap point of n >= 1 when its presentation has p = 1 and a, b >= 1, else None."""
+    q = presentation(semigroup, n)
+    return GapPoint(n, q.a, q.b) if q.p == 1 and q.a and q.b else None
+
+
 def gap_point(semigroup: SemigroupPair, n: int) -> GapPoint:
     """The lattice point of the gap n; raises ValueError when n is not a gap."""
-    q = presentation(semigroup, n)
-    if q.p != 1 or q.a == 0 or q.b == 0:
+    if (point := _gap_of(semigroup, n)) is None:
         raise ValueError(f"{n} is not a gap of <{semigroup.alpha},{semigroup.beta}>")
-    return GapPoint(n, q.a, q.b)
+    return point
 
 
 def membership_sieve(semigroup: SemigroupPair, limit: int) -> list[bool]:

@@ -249,15 +249,16 @@ def test_a_warmed_gap_point_memo_does_not_admit_non_ints():
 
 def test_chain_criterion_presents_each_value_once_per_pair(monkeypatch):
     # verify --deep meets every lean set several times; the memo on the pair
-    # bounds the presentations by the Frobenius number, 59 on <7,11>.
+    # bounds the presentations, one per _gap_of call, by the Frobenius
+    # number, 59 on <7,11>.
     calls = []
-    present = semipath.leansets.presentation
+    gap_of = semipath.leansets._gap_of
 
     def counted(semigroup, n):
         calls.append(n)
-        return present(semigroup, n)
+        return gap_of(semigroup, n)
 
-    monkeypatch.setattr(semipath.leansets, "presentation", counted)
+    monkeypatch.setattr(semipath.leansets, "_gap_of", counted)
     pair = SemigroupPair(7, 11)
     results = run_checks(pair, deep=True)
     assert all(result.ok for result in results)

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,8 @@ from semipath import (
     presentation,
     validate_fundamental_couple,
 )
+from semipath.semigroup import _is_int, _sorted_ints
+from semipath.syzygies import _is_gap
 from semipath.verify import brute_period_tally, naive_members, run_checks
 
 S57 = SemigroupPair(5, 7)
@@ -167,13 +170,39 @@ def test_gap_points_lie_inside_triangle():
 
 
 def test_gap_criterion_three_ways():
-    for pair in (S23, S57, SemigroupPair(4, 7)):
-        gap_values = {g.value for g in gaps(pair)}
-        for n in range(1, pair.product + 1):
+    # The presentation rule, read by is_member, gap_point and the chain
+    # criterion through _gap_of, against the gap table and the sieve bitset.
+    pairs = [SemigroupPair(a, b) for b in range(3, 14) for a in range(2, b) if math.gcd(a, b) == 1]
+    for pair in pairs:
+        table = {g.value: g for g in gaps(pair)}
+        for n in range(1, 3 * pair.product + 1):
             q = presentation(pair, n)
             as_gap = q.p == 1 and q.a >= 1 and q.b >= 1
             assert as_gap == (not is_member(pair, n))
-            assert as_gap == (n in gap_values)
+            assert as_gap == (n in table)
+            assert as_gap == is_lean(pair, [0, n])
+            assert as_gap == _is_gap(pair, n)
+            if as_gap:
+                assert gap_point(pair, n) == table[n]
+            else:
+                with pytest.raises(ValueError, match="is not a gap"):
+                    gap_point(pair, n)
+
+
+def test_the_integer_checks_accept_what_is_int_accepts():
+    # _sorted_ints and validate_fundamental_couple accept exactly _is_int's
+    # set: int and its subclasses, never bool.
+    class Int(int):
+        pass
+
+    assert _is_int(Int(8)) and _sorted_ints([Int(8), 0, 8]) == [0, 8]
+    assert validate_fundamental_couple(S57, (0, Int(8), 6, 9), (15, 13, 16, Int(14)))
+    for bad in (True, 1.0, "1", Fraction(1)):
+        assert not _is_int(bad)
+        with pytest.raises(ValueError, match="must be integers"):
+            _sorted_ints([0, Int(8), bad])
+        with pytest.raises(ValueError, match="must be integers"):
+            validate_fundamental_couple(S57, (0, 8, 6, 9), (15, 13, 16, bad))
 
 
 def test_gap_point_lookup():

@@ -268,8 +268,7 @@ def test_pairwise_definition_shares_no_kernel_with_the_chain_criterion(monkeypat
     def every_number_a_gap(semigroup, n):
         return Presentation(1, 1, 1)
 
-    for namespace in (semipath.semigroup, semipath.leansets):
-        monkeypatch.setattr(namespace, "presentation", every_number_a_gap)
+    monkeypatch.setattr(semipath.semigroup, "presentation", every_number_a_gap)
     fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patch
     assert not is_member(fresh, 7)
     assert [_pairwise_lean(fresh, c) for c in candidates] == expected

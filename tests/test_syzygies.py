@@ -149,13 +149,17 @@ def test_couple_verdicts_are_pinned():
 
 def test_the_pairwise_gap_test_is_the_definition_of_leanness():
     # Checked against a double loop over membership by presentation, on
-    # seeded lists and on a repeat, a span past the Frobenius number, a span
-    # of exactly that number and the empty list.  verify reads this one test.
+    # seeded lists of distinct values, seeded lists that may hold repeats and
+    # negative values, and on a repeat, a span past the Frobenius number, a
+    # span of exactly that number and the empty list.  verify reads this one
+    # test.
     pair, rng = SemigroupPair(7, 11), random.Random(711)
     lists = [rng.sample(range(2 * pair.product), rng.randint(0, 6)) for _ in range(500)]
+    loose = [[rng.randint(-9, pair.frobenius + 10) for _ in range(rng.randint(0, 7))] for _ in range(500)]
+    assert any(len(set(v)) < len(v) for v in loose) and any(min(v, default=0) < 0 for v in loose)
     edges = {(0, 8, 8): False, (3, 4 + pair.frobenius): False, (3, 3 + pair.frobenius): True, (): True}
     found = set()
-    for values in lists + [list(v) for v in edges]:
+    for values in lists + loose + [list(v) for v in edges]:
         lean = not any(is_member(pair, abs(x - y)) for x, y in combinations(values, 2))
         assert _pairwise_lean(pair, values) is lean
         found.add(lean)
@@ -228,8 +232,7 @@ def test_couple_validation_shares_no_kernel_with_presentation(monkeypatch):
     def every_number_a_gap(semigroup, n):
         return Presentation(1, 1, 1)
 
-    for namespace in (semipath.semigroup, semipath.leansets):
-        monkeypatch.setattr(namespace, "presentation", every_number_a_gap)
+    monkeypatch.setattr(semipath.semigroup, "presentation", every_number_a_gap)
     fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patch
     assert not semipath.semigroup.is_member(fresh, 7)
     assert [validate_fundamental_couple(fresh, i, j) for i, j in pairs] == expected
@@ -357,8 +360,7 @@ def test_syzygy_oracle_shares_no_kernel_with_minimal_generators(monkeypatch):
     shifted = Semimodule(S57, (40, 46, 48, 49))
     monkeypatch.setattr(semipath.semimodules, "_apery", refuse)
     monkeypatch.setattr(semipath.semimodules, "minimal_generators", refuse)
-    for namespace in (semipath.semigroup, semipath.leansets):
-        monkeypatch.setattr(namespace, "presentation", refuse)
+    monkeypatch.setattr(semipath.semigroup, "presentation", refuse)
     for namespace in (semipath.leansets, semipath.semimodules, semipath.syzygies):
         monkeypatch.setattr(namespace, "_lean_chain", refuse)
     for namespace in (semipath.paths, semipath.syzygies):
@@ -384,8 +386,7 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
         monkeypatch.setattr(semipath.syzygies, name, refuse)
     for name in ("_admissible_index", "_rows", "_labels"):
         monkeypatch.setattr(semipath.paths, name, refuse)
-    for namespace in (semipath.semigroup, semipath.leansets):
-        monkeypatch.setattr(namespace, "presentation", refuse)
+    monkeypatch.setattr(semipath.semigroup, "presentation", refuse)
     for namespace in (semipath.leansets, semipath.semimodules):
         monkeypatch.setattr(namespace, "_lean_chain", refuse)
     fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patches
@@ -433,8 +434,7 @@ def test_j_leanness_verdict_shares_no_kernel_with_presentation(monkeypatch):
     def every_number_a_gap(semigroup, n):
         return Presentation(1, 1, 1)
 
-    for namespace in (semipath.semigroup, semipath.leansets):
-        monkeypatch.setattr(namespace, "presentation", every_number_a_gap)
+    monkeypatch.setattr(semipath.semigroup, "presentation", every_number_a_gap)
     fresh = SemigroupPair(7, 11)  # its membership bitset is built under the patch
     assert not is_lean(fresh, [0, 1, 2])  # the patch sways the chain criterion
     assert [_pairwise_lean(fresh, j) for j in js] == expected
