@@ -1,5 +1,8 @@
 """Command-line interface.
 
+`main` reads the pair alpha beta once, so a bad pair exits 2 before any
+handler runs, and each `cmd_*` handler takes (args, pair).
+
 Exit codes: 0 on success, 2 on invalid input (non-coprime pair, non-lean
 set, bad flags), 3 on an internal invariant violation, 130 on Ctrl-C and
 141 when the reader of stdout goes away.
@@ -32,10 +35,6 @@ from .verify import brute_period_tally, run_checks
 __all__ = ["main"]
 
 
-def _pair(args) -> SemigroupPair:
-    return SemigroupPair(args.alpha, args.beta)
-
-
 def _parse_set(text: str) -> tuple[int, ...]:
     try:
         values = sorted({int(token) for token in text.split(",") if token.strip()})
@@ -46,14 +45,14 @@ def _parse_set(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _module(args) -> tuple[SemigroupPair, Semimodule]:
-    pair = _pair(args)
-    return pair, Semimodule(pair, _parse_set(args.set))
+def _json(value) -> str:
+    """The one compact JSON spelling of an output line."""
+    return json.dumps(value, separators=(",", ":"))
 
 
-def _lean(args) -> tuple[SemigroupPair, LeanSet]:
-    pair = _pair(args)
-    return pair, LeanSet.from_members(pair, _parse_set(args.set))
+def _emit(args, result, *lines: str) -> None:
+    """Print result.to_json() as one compact line under --json, else the text lines."""
+    print(_json(result.to_json()) if args.json else "\n".join(lines))
 
 
 def _gens_to_r(pair: SemigroupPair, gens: int) -> int:
@@ -61,20 +60,17 @@ def _gens_to_r(pair: SemigroupPair, gens: int) -> int:
     return gens - 1
 
 
-def cmd_gaps(args) -> int:
-    pair = _pair(args)
+def cmd_gaps(args, pair) -> int:
     print(" ".join(str(g.value) for g in gaps(pair)))
     return 0
 
 
-def cmd_member(args) -> int:
-    pair = _pair(args)
+def cmd_member(args, pair) -> int:
     print("true" if is_member(pair, args.n) else "false")
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    pair = _pair(args)
+def cmd_enumerate(args, pair) -> int:
     gap_count = None if args.gens is None else _gens_to_r(pair, args.gens)
     # Each line is its parent chain's line with one value spliced in, so no
     # line is sorted or joined.  A parent's value is (line, values, offsets):
@@ -82,13 +78,12 @@ def cmd_enumerate(args) -> int:
     # offset in that line at which a value belongs when k of the gap values
     # are smaller, offsets[k], for 0 <= k <= len(values).  A lean set's
     # members are 0 and its gap values ascending; the --json line is
-    # Semimodule.to_json() as json.dumps(..., separators=(",", ":")) writes
-    # it, cut from the module (0,) after its "[0".
+    # Semimodule.to_json() as _json writes it, cut from the module (0,)
+    # after its "[0".
     texts = [f",{x}" for x in range(pair.frobenius + 1)]
     prefix, suffix = "0", "\n"
     if args.json:
-        zero = json.dumps(Semimodule._trusted(pair, (0,)).to_json(), separators=(",", ":"))
-        head, _, tail = zero.partition("[0]")
+        head, _, tail = _json(Semimodule._trusted(pair, (0,)).to_json()).partition("[0]")
         prefix, suffix = head + "[0", "]" + tail + "\n"
 
     def line(parent, point):
@@ -114,8 +109,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_count(args) -> int:
-    pair = _pair(args)
+def cmd_count(args, pair) -> int:
     if args.gens is None:
         expected = count_lean_sets_total(pair)
         gap_count = None
@@ -131,45 +125,31 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_couple(args) -> int:
-    pair, lean = _lean(args)
-    couple = fundamental_couple(pair, lean)
-    if args.json:
-        print(json.dumps(couple.to_json(), separators=(",", ":")))
-    else:
-        print("I: " + ",".join(str(v) for v in couple.gens))
-        print("J: " + ",".join(str(v) for v in couple.syzygy_gens))
+def cmd_couple(args, pair) -> int:
+    couple = fundamental_couple(pair, LeanSet.from_members(pair, _parse_set(args.set)))
+    _emit(args, couple, "I: " + ",".join(map(str, couple.gens)), "J: " + ",".join(map(str, couple.syzygy_gens)))
     return 0
 
 
-def cmd_syzygy(args) -> int:
-    pair, module = _module(args)
+def cmd_syzygy(args, pair) -> int:
+    module = Semimodule(pair, _parse_set(args.set))
     if not module.is_normalized:
         raise ValueError(f"the set must contain 0, got {module.gens}")
     result = iterated_syzygy(pair, module, args.iterate)
     if args.normalize:
         result = result.normalize()
-    if args.json:
-        print(json.dumps(result.to_json(), separators=(",", ":")))
-    else:
-        print(",".join(str(g) for g in result.gens))
+    _emit(args, result, ",".join(str(g) for g in result.gens))
     return 0
 
 
-def cmd_orbit(args) -> int:
-    pair, module = _module(args)
-    report = syzygy_period(pair, module)
-    if args.json:
-        print(json.dumps(report.to_json(), separators=(",", ":")))
-    else:
-        print(f"period: {report.period}")
-        for k, step in enumerate(report.cycle):
-            print(f"cycle[{k}]: " + ",".join(str(g) for g in step.gens))
+def cmd_orbit(args, pair) -> int:
+    report = syzygy_period(pair, Semimodule(pair, _parse_set(args.set)))
+    steps = (f"cycle[{k}]: " + ",".join(map(str, step.gens)) for k, step in enumerate(report.cycle))
+    _emit(args, report, f"period: {report.period}", *steps)
     return 0
 
 
-def cmd_orbits(args) -> int:
-    pair = _pair(args)
+def cmd_orbits(args, pair) -> int:
     table = orbit_count_table(pair, args.gens)
     if args.brute:
         tally = brute_period_tally(pair, args.gens)
@@ -179,17 +159,12 @@ def cmd_orbits(args) -> int:
                     f"iteration found {tally.get(row.ell, 0)} modules of period {row.ell}, "
                     f"formula says {row.exact}"
                 )
-    if args.json:
-        print(json.dumps(table.to_json(), separators=(",", ":")))
-    else:
-        print("ell A exact orbits")
-        for row in table.rows:
-            print(f"{row.ell} {row.periodic} {row.exact} {row.orbits}")
+    rows = (f"{row.ell} {row.periodic} {row.exact} {row.orbits}" for row in table.rows)
+    _emit(args, table, "ell A exact orbits", *rows)
     return 0
 
 
-def cmd_fixed_points(args) -> int:
-    pair = _pair(args)
+def cmd_fixed_points(args, pair) -> int:
     if args.gens is not None:
         print(count_fixed_points(pair, args.gens))
     else:
@@ -198,8 +173,7 @@ def cmd_fixed_points(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    pair, lean = _lean(args)
+def cmd_render(args, pair) -> int:
     spec = RenderSpec(
         format=args.format,
         cell=args.cell,
@@ -207,12 +181,11 @@ def cmd_render(args) -> int:
         markers=not args.no_markers,
         labels=args.labels,
     )
-    print(render(pair, lean, spec))
+    print(render(pair, LeanSet.from_members(pair, _parse_set(args.set)), spec))
     return 0
 
 
-def cmd_verify(args) -> int:
-    pair = _pair(args)
+def cmd_verify(args, pair) -> int:
     results = run_checks(pair, deep=args.deep)
     failed = False
     for result in results:
@@ -296,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        code = args.handler(args, SemigroupPair(args.alpha, args.beta))
         sys.stdout.flush()
         return code
     except ValueError as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .leansets import LeanSet
-from .semigroup import GapPoint, SemigroupPair, _is_int, _require_pair, _require_same_pair
+from .semigroup import GapPoint, SemigroupPair, _is_int, _require_kind, _require_pair, _require_same_pair
 
 __all__ = [
     "PathMatrix",
@@ -66,6 +66,7 @@ _set_down, _set_right = PathMatrix.__dict__["down"].__set__, PathMatrix.__dict__
 
 def _require_row_sums(semigroup: SemigroupPair, matrix: PathMatrix) -> None:
     _require_pair(semigroup)
+    _require_kind(matrix, PathMatrix)
     if sum(matrix.down) != semigroup.alpha or sum(matrix.right) != semigroup.beta:
         raise ValueError(
             f"row sums must be ({semigroup.alpha}, {semigroup.beta}), "
@@ -102,7 +103,7 @@ def _labels(semigroup: SemigroupPair, down, right) -> tuple[list[int], list[int]
 
 def path_from_lean_set(semigroup: SemigroupPair, lean: LeanSet) -> PathMatrix:
     """The step matrix whose ES-turns are exactly the lean set's gap points."""
-    _require_same_pair(semigroup, lean)
+    _require_same_pair(semigroup, lean, LeanSet)
     return PathMatrix._trusted(*_rows(semigroup, lean.gap_points))
 
 
@@ -172,6 +173,7 @@ def _rotated(matrix: PathMatrix, k: int) -> PathMatrix:
 
 def cyclic_rotations(matrix: PathMatrix) -> tuple[PathMatrix, ...]:
     """All simultaneous column rotations of the matrix, rotation 0 first."""
+    _require_kind(matrix, PathMatrix)
     return tuple(_rotated(matrix, k) for k in range(len(matrix.down)))
 
 

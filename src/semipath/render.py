@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .leansets import LeanSet
 from .paths import _corners, path_from_lean_set
-from .semigroup import SemigroupPair, _is_int, gaps
+from .semigroup import SemigroupPair, _is_int, _require_kind, gaps
 
 __all__ = ["RenderSpec", "render"]
 
@@ -42,6 +42,7 @@ class RenderSpec:
 
 def render(semigroup: SemigroupPair, lean: LeanSet, spec: RenderSpec = RenderSpec()) -> str:
     """Render the path of a lean set as text; no trailing newline."""
+    _require_kind(spec, RenderSpec)
     corners = _corners(semigroup, path_from_lean_set(semigroup, lean))
     return (_ascii if spec.format == "ascii" else _svg)(semigroup, corners, spec)
 

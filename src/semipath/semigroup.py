@@ -52,9 +52,18 @@ def _require_pair(semigroup) -> SemigroupPair:
     return semigroup
 
 
-def _require_same_pair(semigroup: SemigroupPair, obj) -> None:
-    """Refuse a module or lean set of another pair, whose numbers name other gaps.
-    The same pair object passes at once; any other is tested and compared by value."""
+def _require_kind(obj, kind: type) -> None:
+    """Refuse by kind's name an argument of another type, such as a list, tuple
+    or None given for a module, lean set or path matrix."""
+    if not isinstance(obj, kind):
+        raise ValueError(f"input must be a {kind.__name__}, got {obj!r}")
+
+
+def _require_same_pair(semigroup: SemigroupPair, obj, kind: type) -> None:
+    """Refuse anything but a kind (Semimodule or LeanSet) of this pair: the
+    numbers of another pair name other gaps.  The same pair object passes at
+    once; any other is tested and compared by value."""
+    _require_kind(obj, kind)
     if obj.semigroup is not semigroup and obj.semigroup != _require_pair(semigroup):
         raise ValueError(f"input built over {obj.semigroup!r} was passed with {semigroup!r}")
 

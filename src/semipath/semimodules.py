@@ -135,7 +135,7 @@ def normalize(semigroup: SemigroupPair, gens: Union[Semimodule, Iterable[int]]) 
     is re-minimalised along the way, a Semimodule is only shifted."""
     _require_pair(semigroup)
     if isinstance(gens, Semimodule):
-        _require_same_pair(semigroup, gens)
+        _require_same_pair(semigroup, gens, Semimodule)
         return gens.normalize()
     values = _sorted_ints(gens)
     if not values:
@@ -155,7 +155,7 @@ def is_isomorphic(
 
 def elements_up_to(semigroup: SemigroupPair, module: Semimodule, bound: int) -> list[int]:
     """All elements of the semimodule that do not exceed bound, sorted."""
-    _require_same_pair(semigroup, module)
+    _require_same_pair(semigroup, module, Semimodule)
     if not _is_int(bound) or bound < 0:
         raise ValueError(f"bound must be a non-negative integer, got {bound!r}")
     alpha, w = semigroup.alpha, _apery(semigroup, module.gens)

@@ -34,7 +34,7 @@ from typing import Iterator
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, _labels, _rows, admissible_rotation, lean_set_from_path
-from .semigroup import SemigroupPair, _is_int, _require_pair, _require_same_pair
+from .semigroup import SemigroupPair, _is_int, _require_kind, _require_pair, _require_same_pair
 from .semimodules import Semimodule
 
 __all__ = [
@@ -106,7 +106,7 @@ def fundamental_couple(semigroup: SemigroupPair, lean: LeanSet) -> FundamentalCo
     direction: v(a_r, 0), v(a_{r-1}, b_r), ..., v(a_1, b_2), v(0, b_1).
     A gapless set gets I = [0], J = [alpha*beta].
     """
-    _require_same_pair(semigroup, lean)
+    _require_same_pair(semigroup, lean, LeanSet)
     es, se = _labels(semigroup, *_rows(semigroup, lean.gap_points))
     return FundamentalCouple(tuple(es[::-1]), tuple(se[::-1]))
 
@@ -196,7 +196,7 @@ def _normalized_rows(semigroup: SemigroupPair, module: Semimodule, refusal: str)
     ValueError refusal.  A valid normalized module is a lean set, so its gap
     points form a chain with a rising and b falling; that O(n) check stands
     in for validating the module again, and its failure is an internal error."""
-    _require_same_pair(semigroup, module)
+    _require_same_pair(semigroup, module, Semimodule)
     if module.gens[0]:
         raise ValueError(refusal)
     chain = _lean_chain(semigroup, module.gens)
@@ -216,7 +216,7 @@ def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     the membership sieve, taken relative to the least generator, below which
     E is empty.  Refuses single-generator input, whose defining union is empty.
     """
-    _require_same_pair(semigroup, module)
+    _require_same_pair(semigroup, module, Semimodule)
     gens = module.gens
     if len(gens) < 2:
         raise ValueError("the defining union is empty for a single generator")
@@ -253,6 +253,7 @@ def syzygy_matrix(matrix: PathMatrix) -> PathMatrix:
     The result is generally not below the diagonal; its admissible rotation
     is the matrix of the normalized syzygy.
     """
+    _require_kind(matrix, PathMatrix)
     return PathMatrix._trusted(matrix.down[1:] + matrix.down[:1], matrix.right)
 
 
@@ -306,7 +307,7 @@ def iterated_syzygy(semigroup: SemigroupPair, module: Semimodule, times: int) ->
     times syzygy steps.  Beyond that the lap identity Syz^n(M) = M + alpha*beta
     takes the whole laps at once, and between 1 and n steps remain.
     """
-    _require_same_pair(semigroup, module)
+    _require_same_pair(semigroup, module, Semimodule)
     if not _is_int(times) or times < 1:
         raise ValueError(f"iteration count must be an integer >= 1, got {times!r}")
     current = module.normalize()

@@ -361,6 +361,8 @@ def check_lean_enumeration(semigroup: SemigroupPair, total: int, deep: bool) -> 
 def run_checks(semigroup: SemigroupPair, deep: bool = False) -> list[CheckResult]:
     """Run the cross-check suite; deep means every sweep is exhaustive."""
     _require_pair(semigroup)
+    if not isinstance(deep, bool):
+        raise ValueError(f"deep must be a bool, got {deep!r}")
     results = check_gap_arithmetic(semigroup)
     total = count_lean_sets_total(semigroup)
     if total <= ENUMERATION_CAP:

@@ -543,6 +543,36 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
 
 
+# Each subcommand with valid remaining options, so only the pair is wrong.
+SUBCOMMANDS = {
+    "gaps": [],
+    "member": ["3"],
+    "enumerate": ["--gens", "2"],
+    "count": ["--brute"],
+    "couple": ["--set", "0"],
+    "syzygy": ["--set", "0"],
+    "orbit": ["--set", "0"],
+    "orbits": ["--gens", "1"],
+    "fixed-points": [],
+    "render": ["--set", "0"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("alpha, beta", [(4, 6), (7, 5), (1, 2)], ids=["not-coprime", "descending", "alpha-1"])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_reads_the_pair_once_and_refuses_it(capsys, command, alpha, beta):
+    with pytest.raises(ValueError) as refusal:
+        SemigroupPair(alpha, beta)
+    got = run(capsys, command, str(alpha), str(beta), *SUBCOMMANDS[command])
+    assert got == (2, "", f"error: {refusal.value}\n")
+
+
+def test_a_bad_pair_is_refused_before_a_bad_set(capsys):
+    got = run(capsys, "couple", "4", "6", "--set", "zero")
+    assert got == (2, "", "error: generators must be coprime, got (4, 6)\n")
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["count", "5"])
@@ -604,7 +634,7 @@ def test_brute_force_disagreement_is_an_internal_error(capsys, monkeypatch, argv
     monkeypatch.setattr(semipath.cli, name, fake)
     args = _build_parser().parse_args(argv)
     with pytest.raises(InvariantError):
-        args.handler(args)
+        args.handler(args, SemigroupPair(args.alpha, args.beta))
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("internal error: ")

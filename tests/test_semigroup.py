@@ -319,6 +319,62 @@ def test_every_pair_argument_is_refused_by_name(call, bad):
         call(bad)
 
 
+# Every public function given a module, lean set, path matrix or render spec,
+# with that argument's valid value and a call holding every other argument
+# valid, so that only that one can be refused.
+OBJECT_CALLS = {
+    "syzygy": (M57, lambda m: semipath.syzygy(S57, m)),
+    "syzygy_oracle": (M57, lambda m: semipath.syzygy_oracle(S57, m)),
+    "syzygy_period": (M57, lambda m: semipath.syzygy_period(S57, m)),
+    "iterated_syzygy": (M57, lambda m: iterated_syzygy(S57, m, 3)),
+    "elements_up_to": (M57, lambda m: elements_up_to(S57, m, 10)),
+    "fundamental_couple": (L57, lambda lean: semipath.fundamental_couple(S57, lean)),
+    "path_from_lean_set": (L57, lambda lean: semipath.path_from_lean_set(S57, lean)),
+    "render": (L57, lambda lean: semipath.render(S57, lean)),
+    "render-spec": (semipath.RenderSpec(), lambda spec: semipath.render(S57, L57, spec)),
+    "stays_below_diagonal": (P57, lambda m: semipath.stays_below_diagonal(S57, m)),
+    "es_turns": (P57, lambda m: semipath.es_turns(S57, m)),
+    "se_turns": (P57, lambda m: semipath.se_turns(S57, m)),
+    "admissible_rotation": (P57, lambda m: semipath.admissible_rotation(S57, m)),
+    "lean_set_from_path": (P57, lambda m: semipath.lean_set_from_path(S57, m)),
+    "cyclic_rotations": (P57, lambda m: semipath.cyclic_rotations(m)),
+    "syzygy_matrix": (P57, lambda m: semipath.syzygy_matrix(m)),
+}
+# A value of another of these kinds, for each kind.
+OTHER_KIND = {Semimodule: L57, LeanSet: M57, PathMatrix: M57, semipath.RenderSpec: L57}
+
+
+@pytest.mark.parametrize(
+    "bad", [(0, 6, 8, 9), [0, 6, 8, 9], None, "other kind"], ids=["tuple", "list", "None", "other-kind"]
+)
+@pytest.mark.parametrize("good, call", OBJECT_CALLS.values(), ids=OBJECT_CALLS.keys())
+def test_every_module_lean_set_and_matrix_argument_is_refused_by_name(good, call, bad):
+    # Refused by the expected type's name at the call, not an AttributeError
+    # where the argument is first read.
+    call(good)
+    if bad == "other kind":
+        bad = OTHER_KIND[type(good)]
+    with pytest.raises(ValueError, match=f"must be a {type(good).__name__}, got"):
+        call(bad)
+
+
+def test_the_object_calls_cover_every_public_function_given_an_object():
+    given_an_object = {
+        name
+        for name, obj in ((name, getattr(semipath, name)) for name in semipath.__all__)
+        if inspect.isfunction(obj) and {"module", "lean", "matrix", "spec"} & set(inspect.signature(obj).parameters)
+    }
+    assert {"render", "syzygy_matrix", "elements_up_to"} <= given_an_object
+    assert given_an_object == {name.split("-")[0] for name in OBJECT_CALLS}
+
+
+@pytest.mark.parametrize("deep", ["no", 1, None])
+def test_run_checks_refuses_a_non_bool_deep(deep):
+    # "no" is truthy: read as a switch it silently ran the deep sweep.
+    with pytest.raises(ValueError, match="deep must be a bool"):
+        run_checks(S57, deep=deep)
+
+
 def test_the_pair_calls_cover_every_public_function_given_a_pair():
     given_a_pair = {
         name
