@@ -101,22 +101,19 @@ def is_lean(semigroup: SemigroupPair, xs: Iterable[int]) -> bool:
     return _lean_chain(semigroup, _sorted_ints(xs, "members")) is not None
 
 
-def _extend(chain: tuple[GapPoint, ...], point: GapPoint) -> tuple[GapPoint, ...]:
-    return chain + (point,)
-
-
 def _gap_chains(
     semigroup: SemigroupPair,
     gap_count: int | None = None,
     root: Any = (),
-    item: Callable[[Any, GapPoint], Any] = _extend,
+    item: Callable[[Any, GapPoint], Any] = lambda chain, point: chain + (point,),
     grow: Callable[[Any, GapPoint, Any], Any] = lambda parent, point, value: value,
 ) -> Iterator[Any]:
     """Chains of gap points with a strictly increasing and b strictly decreasing.
 
     Depth-first in lexicographic (a, b) order, which yields every chain before
     its extensions.  With a gap_count filter, branches whose longest possible
-    chain stays short of the target are pruned via a reach table.
+    chain stays short of the target are pruned; that longest chain from a
+    gap point (a, b) has b points.
 
     Each chain is yielded as a value built from its parent chain's value:
     root is the empty chain's value, yielded first when it is in the stream;
@@ -127,13 +124,16 @@ def _gap_chains(
     point.  Every chain the walk builds is yielded or extended.  With the
     defaults every value is the chain itself, a tuple of gap points.
     """
-    # Each node is (reach, point, successors): the successors are the nodes a
-    # chain can go on to from the point, in (a, b) order, and reach is the
-    # most points a chain starting at the point can have.
-    nodes: list[tuple[int, GapPoint, list]] = []
-    for p in sorted(gaps(semigroup), key=lambda g: (g.a, g.b), reverse=True):
-        nxt = [n for n in nodes if n[1].a > p.a and n[1].b < p.b]
-        nodes.insert(0, (1 + max((n[0] for n in nxt), default=0), p, nxt))
+    # Each node is (reach, point, row, start).  rows[b] gathers, in (a, b)
+    # order, the nodes below b, and rows[alpha] all of them; a node's
+    # successors are the ones its row gains after it, row[start:].
+    # reach, the most points a chain from (a, b) can have, is b exactly: b
+    # falls along a chain, and the diagonal steps (a + 1, b - 1) stay gaps.
+    rows = [[] for _ in range(semigroup.alpha + 1)]
+    for p in sorted(gaps(semigroup), key=itemgetter(1, 2)):
+        node = (p.b, p, rows[p.b], len(rows[p.b]))
+        for below in rows[p.b + 1 :]:
+            below.append(node)
     if not gap_count:
         yield root
         if gap_count == 0:
@@ -141,27 +141,25 @@ def _gap_chains(
     # Unfiltered, every chain is yielded and extended; filtered, only chains
     # of gap_count points are yielded, and a node whose reach falls short of
     # gap_count at its depth is pruned.
-    need, first, last = (0, 0, len(nodes)) if gap_count is None else (gap_count, gap_count - 1, gap_count - 1)
-    # stack[d] iterates the candidates at depth d: the successors of the
-    # chain that values[d] stands for, or every node at d = 0.
-    values, stack = [root], [iter(nodes)]
+    need, first, last = (0, 0, len(rows[-1])) if gap_count is None else (gap_count, gap_count - 1, gap_count - 1)
+    # stack[d] pairs the value of a chain of d points with an iterator over the
+    # candidates that extend it: its last point's successors, or every node at d = 0.
+    stack = [(root, iter(rows[-1]))]
     while stack:
-        depth = len(values) - 1
-        parent, floor = values[-1], need - depth
-        emit, extend = depth >= first, depth < last
-        for far, point, nxt in stack[-1]:
-            if far < floor:
+        depth = len(stack) - 1
+        parent, candidates = stack[-1]
+        floor, emit, extend = need - depth, depth >= first, depth < last
+        for reach, point, row, start in candidates:
+            if reach < floor:
                 continue
             value = item(parent, point)
             if emit:
                 yield value
-            if extend and nxt:
-                values.append(grow(parent, point, value))
-                stack.append(iter(nxt))
+            if extend and reach > 1:
+                stack.append((grow(parent, point, value), iter(row[start:])))
                 break
         else:
             stack.pop()
-            values.pop()
 
 
 def enumerate_lean_sets(

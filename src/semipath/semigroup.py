@@ -14,9 +14,10 @@ rule is read off a presentation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvariantError
 
@@ -39,6 +40,8 @@ def _is_int(value) -> bool:
 
 def _sorted_ints(xs: Iterable, what: str = "generators") -> list[int]:
     """The distinct values of xs, ascending, each checked to be an int proper."""
+    if not isinstance(xs, Iterable):
+        raise ValueError(f"{what} must be integers, got {xs!r}")
     values = list(xs)
     if not all(_is_int(v) for v in values):
         raise ValueError(f"{what} must be integers, got {values!r}")

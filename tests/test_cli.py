@@ -240,6 +240,27 @@ def test_enumerate_stdout_is_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The digests the workflow's console-script step pins, by command line.
+CONSOLE_PINS = {
+    "render 5 7 --set 0,6,8,9": "1af56a1dd940ac93ae4925ccc31469e9a94b9ec4185da29c554703e1e2956359",
+    "render 5 7 --set 0,6,8,9 --format svg --labels": "3b9a7add026b83eb26f86833287dfbbc4268f55a7e6a7738d3a4099c097c49cd",
+    "gaps 9 14": "75ff49a504bc54e1d347d7a65058cbb48048f7adc8b4a3c442c1caf8ca13b5c0",
+    "fixed-points 15 16": "246fb9cf6fda9a4a18217e14bdbe8fbedfb339b3c4ddd39f187f8defadedded7",
+    "orbits 8 13 --gens 4 --brute": "e08ad43c5629943054dea2126c664e2ca4cc2fd301536d012e2ff7067999092a",
+    "orbits 35 36 --gens 30 --json": "772465d9c5221ddbbe525bfb0a8bd0ac5efdb6a8b0c6485143d03bdac2359ea6",
+    "orbits 35 36 --gens 12 --json": "ce2784cd3d35b87c28aac960d86c84a5e96e66f33cf75c2ad59e4f8976ad1945",
+    "verify 5 8 --deep": "f3a0203761e85b9d9973d826e363690e3871b017227ce7fbbb0d04733898473c",
+}
+
+
+@pytest.mark.parametrize("argv", CONSOLE_PINS, ids=lambda argv: argv.replace(" ", "_"))
+def test_stdout_matches_the_console_script_pins(capsys, argv):
+    # Read in-process; orbits --brute and verify --deep walk every gap chain of their pair.
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSOLE_PINS[argv]
+
+
 @pytest.mark.parametrize("alpha, beta", [(2, 5), (3, 4), (5, 7), (7, 11), (8, 13)])
 def test_enumerate_lines_spell_the_lean_set_members(capsys, alpha, beta):
     # enumerate builds each line from its parent chain's line; each must read
@@ -539,6 +560,7 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "couple", "5", "7", "--set", "zero")
     assert code == 2
+    assert run(capsys, "couple", "5", "7", "--set", ",") == (2, "", "error: the generator set is empty\n")
     code, _, err = run(capsys, "render", "5", "7", "--set", "0,9,6,8", "--format", "svg", "--cell", "2")
     assert code == 2
 

@@ -1,7 +1,8 @@
 """Lean-set recognition and enumeration."""
 
 import math
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -36,9 +37,10 @@ def brute_lean_sets(pair):
     return out
 
 
-def recursive_gap_chains(pair, gap_count=None):
-    """Reference walker: the depth-first recursion, one generator frame per
-    level, with the same reach-table pruning."""
+def successor_reach(pair):
+    """The gap points in (a, b) order, the indices of each one's successors
+    (the later points with smaller b), and each one's reach, the most points
+    a chain from it can have, by a DP over those successors."""
     points = sorted(gaps(pair), key=lambda g: (g.a, g.b))
     count = len(points)
     succ = [
@@ -46,9 +48,16 @@ def recursive_gap_chains(pair, gap_count=None):
         for i in range(count)
     ]
     reach = [1] * count
-    if gap_count is not None:
-        for i in reversed(range(count)):
-            reach[i] = 1 + max((reach[j] for j in succ[i]), default=0)
+    for i in reversed(range(count)):
+        reach[i] = 1 + max((reach[j] for j in succ[i]), default=0)
+    return points, succ, reach
+
+
+def recursive_gap_chains(pair, gap_count=None):
+    """Reference walker: the depth-first recursion, one generator frame per
+    level, pruned by the successor DP's reach."""
+    points, succ, reach = successor_reach(pair)
+    count = len(points)
     chain = []
 
     def walk(cands):
@@ -212,6 +221,31 @@ def test_gap_chains_match_the_recursive_walk():
             pair = SemigroupPair(alpha, beta)
             for gap_count in (None, *range(alpha)):
                 assert list(_gap_chains(pair, gap_count)) == list(recursive_gap_chains(pair, gap_count))
+
+
+def test_the_successor_dp_reads_the_closed_form_reach():
+    # _gap_chains prunes by the closed form: the longest chain from a gap
+    # point (a, b) has min(beta - a, b) points, which is b, since a*alpha +
+    # b*beta < alpha*beta gives a + b < beta.  The DP over successor lists
+    # must agree at every gap point of every pair with beta <= 30.
+    pairs = [SemigroupPair(a, b) for b in range(3, 31) for a in range(2, b) if math.gcd(a, b) == 1]
+    assert len(pairs) == 248
+    for pair in pairs:
+        points, _, reach = successor_reach(pair)
+        assert reach == [min(pair.beta - p.a, p.b) for p in points] == [p.b for p in points], pair
+
+
+def test_gap_chain_setup_keeps_no_successor_list_per_point():
+    # One row per b: walking the 2,415 single-point chains of (70, 71) stays
+    # under 4 MiB, where a successor list per gap point holds about 16 MiB.
+    pair = SemigroupPair(70, 71)
+    tracemalloc.start()
+    try:
+        deque(_gap_chains(pair, 1), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("pair", [S57, SemigroupPair(7, 11)], ids=["5-7", "7-11"])

@@ -19,6 +19,7 @@ from semipath import (
     enumerate_lean_sets,
     gaps,
     is_isomorphic,
+    is_lean,
     is_member,
     membership_sieve,
     minimal_generators,
@@ -236,6 +237,47 @@ def test_minimal_generators_and_normalize_refuse_non_ints(bad):
         minimal_generators(S57, [bad, 0, 6])
     with pytest.raises(ValueError):
         normalize(S57, [bad, 0, 6])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: minimal_generators(S57, []), "cannot generate a semimodule from an empty set"),
+        (lambda: minimal_generators(S57, [-1, 3]), "generators must be non-negative integers, got [-1, 3]"),
+        (lambda: normalize(S57, []), "cannot normalize an empty generator set"),
+    ],
+    ids=["minimal-empty", "minimal-negative", "normalize-empty"],
+)
+def test_empty_and_negative_generator_sets_are_refused(call, message):
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("bad", [None, 5], ids=repr)
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (normalize, "generators"),
+        (lambda pair, xs: is_isomorphic(pair, xs, [0]), "generators"),
+        (minimal_generators, "generators"),
+        (is_lean, "members"),
+        (LeanSet.from_members, "members"),
+    ],
+    ids=["normalize", "is_isomorphic", "minimal_generators", "is_lean", "from_members"],
+)
+def test_a_non_iterable_is_refused_by_name(call, what, bad):
+    # A non-iterable is bad input: a ValueError naming the argument, not a TypeError.
+    with pytest.raises(ValueError) as refusal:
+        call(S57, bad)
+    assert str(refusal.value) == f"{what} must be integers, got {bad!r}"
+
+
+def test_an_error_raised_while_iterating_the_input_is_not_relabelled():
+    # Only a non-iterable is refused by name; a TypeError from inside the
+    # caller's own generator reaches the caller as it is.
+    with pytest.raises(TypeError, match="unsupported operand"):
+        normalize(S57, (x + "1" for x in [0]))
 
 
 def test_validation_agrees_with_the_pairwise_definition():

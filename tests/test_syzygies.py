@@ -115,6 +115,10 @@ def test_validate_reports_first_failure():
     assert not result and result.clause == 1 and result.index == 3
     result = validate_fundamental_couple(S57, (0, 8, 9, 6), (15, 13, 16, 14))
     assert not result and result.clause == 2
+    result = validate_fundamental_couple(S57, (0,), (5,))
+    assert (result.ok, result.clause, result.index, result.message) == (
+        False, 2, 0, "need J[0] >= 0 with J[0] = 0 mod beta"
+    )
 
 
 def _nudged(seq):
