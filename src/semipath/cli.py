@@ -55,7 +55,10 @@ def _emit(args, result, *lines: str) -> None:
     print(_json(result.to_json()) if args.json else "\n".join(lines))
 
 
-def _gens_to_r(pair: SemigroupPair, gens: int) -> int:
+def _gap_count(pair: SemigroupPair, gens: int | None) -> int | None:
+    """The gap count of the modules --gens names, None when it is absent."""
+    if gens is None:
+        return None
     _require_generator_count(pair, gens)
     return gens - 1
 
@@ -71,7 +74,7 @@ def cmd_member(args, pair) -> int:
 
 
 def cmd_enumerate(args, pair) -> int:
-    gap_count = None if args.gens is None else _gens_to_r(pair, args.gens)
+    gap_count = _gap_count(pair, args.gens)
     # Each line is its parent chain's line with one value spliced in, so no
     # line is sorted or joined.  A parent's value is (line, values, offsets):
     # the parent's whole output line, its gap values ascending, and the char
@@ -110,15 +113,11 @@ def cmd_enumerate(args, pair) -> int:
 
 
 def cmd_count(args, pair) -> int:
-    if args.gens is None:
-        expected = count_lean_sets_total(pair)
-        gap_count = None
-    else:
-        gap_count = _gens_to_r(pair, args.gens)
-        expected = count_lean_sets(pair, gap_count)
+    gap_count = _gap_count(pair, args.gens)
+    expected = count_lean_sets_total(pair) if gap_count is None else count_lean_sets(pair, gap_count)
     if args.brute:
         # Each chain counts 1, and the root 1 when the empty chain is in the stream.
-        seen = sum(_gap_chains(pair, gap_count, 1, lambda parent, point: 1, lambda parent, point, value: None))
+        seen = sum(_gap_chains(pair, gap_count, 1, lambda parent, point: 1))
         if seen != expected:
             raise InvariantError(f"enumerated {seen} lean sets, formula says {expected}")
     print(expected)
@@ -187,17 +186,10 @@ def cmd_render(args, pair) -> int:
 
 def cmd_verify(args, pair) -> int:
     results = run_checks(pair, deep=args.deep)
-    failed = False
     for result in results:
-        if result.skipped:
-            status = "skip"
-        elif result.ok:
-            status = "ok"
-        else:
-            status = "FAIL"
-            failed = True
+        status = "skip" if result.skipped else "ok" if result.ok else "FAIL"
         print(f"{status:4s} {result.name}: {result.detail}")
-    return 3 if failed else 0
+    return 0 if all(result.skipped or result.ok for result in results) else 3
 
 
 def _command(sub, name: str, help: str, handler) -> argparse.ArgumentParser:

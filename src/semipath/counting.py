@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .semigroup import SemigroupPair, _is_int, _require_pair
+from .semigroup import SemigroupPair, _is_int, _require_int, _require_pair
 
 __all__ = [
     "CountRow",
@@ -68,16 +68,13 @@ def _exact_div(numerator: int, divisor: int, context: str) -> int:
 
 
 def _require_generator_count(semigroup: SemigroupPair, n: int) -> None:
-    _require_pair(semigroup)
-    if not (_is_int(n) and 1 <= n <= semigroup.alpha):
-        raise ValueError(f"generator count must lie in [1, {semigroup.alpha}], got {n!r}")
+    _require_int(n, "generator count", 1, _require_pair(semigroup).alpha)
 
 
 def count_lean_sets(semigroup: SemigroupPair, r: int) -> int:
     """Number of lean sets with exactly r gaps: C(alpha-1, r) C(beta-1, r) / (r+1)."""
     _require_pair(semigroup)
-    if not (_is_int(r) and r >= 0):
-        raise ValueError(f"gap count must be a non-negative integer, got {r!r}")
+    _require_int(r, "gap count", 0)
     numerator = math.comb(semigroup.alpha - 1, r) * math.comb(semigroup.beta - 1, r)
     return _exact_div(numerator, r + 1, f"lean-set count for r={r}")
 
@@ -95,16 +92,15 @@ def narayana(alpha: int, r: int) -> int:
     Equals the count of lean sets with r gaps for the pair (alpha, alpha+1);
     computed from its own formula so the two routes stay independent.
     """
-    if not (_is_int(alpha) and _is_int(r) and alpha >= 1 and r >= 0):
-        raise ValueError(f"need integers alpha >= 1 and r >= 0, got ({alpha!r}, {r!r})")
+    _require_int(alpha, "alpha", 1)
+    _require_int(r, "r", 0)
     numerator = math.comb(alpha, r) * math.comb(alpha, r + 1)
     return _exact_div(numerator, alpha, f"narayana({alpha}, {r})")
 
 
 def catalan(n: int) -> int:
     """Catalan number C(2n, n) / (n+1); the lean-set total for (n, n+1)."""
-    if not (_is_int(n) and n >= 0):
-        raise ValueError(f"need an integer n >= 0, got {n!r}")
+    _require_int(n, "n", 0)
     return _exact_div(math.comb(2 * n, n), n + 1, f"catalan({n})")
 
 

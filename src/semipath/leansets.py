@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .semigroup import GapPoint, SemigroupPair, _gap_of, _is_int, _require_pair, _sorted_ints, gaps
+from .semigroup import GapPoint, SemigroupPair, _gap_of, _require_int, _require_pair, _sorted_ints, gaps
 
 __all__ = ["LeanSet", "is_lean", "enumerate_lean_sets"]
 
@@ -172,8 +172,6 @@ def enumerate_lean_sets(
     at the call, before the first set is drawn, and so is the pair.
     """
     _require_pair(semigroup)
-    if gap_count is not None and not (_is_int(gap_count) and 0 <= gap_count < semigroup.alpha):
-        raise ValueError(
-            f"gap count must be an integer in [0, {semigroup.alpha - 1}], got {gap_count!r}"
-        )
+    if gap_count is not None:
+        _require_int(gap_count, "gap count", 0, semigroup.alpha - 1)
     return (LeanSet._from_chain(semigroup, chain) for chain in _gap_chains(semigroup, gap_count))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .leansets import LeanSet
 from .paths import _corners, path_from_lean_set
-from .semigroup import SemigroupPair, _is_int, _require_kind, gaps
+from .semigroup import SemigroupPair, _require_int, _require_kind, gaps
 
 __all__ = ["RenderSpec", "render"]
 
@@ -34,10 +34,8 @@ class RenderSpec:
                 raise ValueError(f"{switch} must be a bool, got {getattr(self, switch)!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.format!r}")
-        if self.format == "svg" and not _is_int(self.cell):
-            raise ValueError(f"svg cell size must be an integer, got {self.cell!r}")
-        if self.format == "svg" and self.cell < 4:
-            raise ValueError(f"svg cell size must be at least 4 pixels, got {self.cell}")
+        if self.format == "svg":
+            _require_int(self.cell, "svg cell size", 4)
 
 
 def render(semigroup: SemigroupPair, lean: LeanSet, spec: RenderSpec = RenderSpec()) -> str:

@@ -38,6 +38,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_int(value, what: str, low: int, high: int | None = None) -> None:
+    """The library's one integer-argument rule: an int proper in [low, high],
+    or >= low when high is None, else ValueError naming what and the value."""
+    if high is not None:
+        if not (_is_int(value) and low <= value <= high):
+            raise ValueError(f"{what} must lie in [{low}, {high}], got {value!r}")
+    elif not (_is_int(value) and value >= low):
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def _sorted_ints(xs: Iterable, what: str = "generators") -> list[int]:
     """The distinct values of xs, ascending, each checked to be an int proper."""
     if not isinstance(xs, Iterable):
@@ -81,6 +91,9 @@ class SemigroupPair:
     frobenius: int = field(init=False, repr=False, compare=False)
     _beta_inverse: int = field(init=False, repr=False, compare=False)  # beta^-1 mod alpha
     _alpha_inverse: int = field(init=False, repr=False, compare=False)  # alpha^-1 mod beta
+    # The GapPoint, or None for no gap, of each 1 <= x <= frobenius asked for so
+    # far: leansets._lean_chain's memo per pair object, one _gap_of per value.
+    _gap_points: dict[int, GapPoint | None] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.alpha) or not _is_int(self.beta):
@@ -100,13 +113,6 @@ class SemigroupPair:
         2*alpha*beta + frobenius; read off the membership sieve once per pair."""
         sieve = membership_sieve(self, 2 * self.product + self.frobenius)
         return int("".join("1" if m else "0" for m in reversed(sieve)), 2)
-
-    @cached_property
-    def _gap_points(self) -> dict[int, GapPoint | None]:
-        """The GapPoint of each value 1 <= x <= frobenius asked for so far, or
-        None when x is no gap; leansets._lean_chain fills it from _gap_of, one
-        presentation per value.  One memo per pair object, like _member_bits."""
-        return {}
 
 
 class Presentation(NamedTuple):
@@ -136,8 +142,7 @@ def presentation(semigroup: SemigroupPair, n: int) -> Presentation:
     integer; anything else means the arithmetic is broken.
     """
     _require_pair(semigroup)
-    if not _is_int(n) or n <= 0:
-        raise ValueError(f"presentation needs a positive integer, got {n!r}")
+    _require_int(n, "n", 1)
     alpha, beta = semigroup.alpha, semigroup.beta
     b = (-n * semigroup._beta_inverse) % alpha
     a = (-n * semigroup._alpha_inverse) % beta
@@ -150,8 +155,7 @@ def presentation(semigroup: SemigroupPair, n: int) -> Presentation:
 def is_member(semigroup: SemigroupPair, n: int) -> bool:
     """Whether n lies in <alpha, beta>."""
     _require_pair(semigroup)
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"membership is defined for non-negative integers, got {n!r}")
+    _require_int(n, "n", 0)
     return n == 0 or _gap_of(semigroup, n) is None
 
 
@@ -161,9 +165,7 @@ def gaps(semigroup: SemigroupPair) -> tuple[GapPoint, ...]:
     alpha, beta, ab = semigroup.alpha, semigroup.beta, semigroup.product
     out = []
     for a in range(1, beta):
-        rest = ab - a * alpha
-        top = min(alpha - 1, (rest - 1) // beta)
-        for b in range(1, top + 1):
+        for b in range(1, (ab - a * alpha - 1) // beta + 1):
             out.append(GapPoint(ab - a * alpha - b * beta, a, b))
     out.sort(key=lambda g: g.value)
     expected = (alpha - 1) * (beta - 1) // 2
@@ -192,8 +194,7 @@ def membership_sieve(semigroup: SemigroupPair, limit: int) -> list[bool]:
     opinion and the workhorse for windowed semimodule computations.
     """
     _require_pair(semigroup)
-    if not _is_int(limit) or limit < 0:
-        raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
+    _require_int(limit, "limit", 0)
     member = [False] * (limit + 1)
     member[0] = True
     alpha, beta = semigroup.alpha, semigroup.beta

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .leansets import _lean_chain
-from .semigroup import SemigroupPair, _is_int, _require_pair, _require_same_pair, _sorted_ints
+from .semigroup import SemigroupPair, _require_int, _require_pair, _require_same_pair, _sorted_ints
 
 __all__ = [
     "Semimodule",
@@ -156,8 +156,7 @@ def is_isomorphic(
 def elements_up_to(semigroup: SemigroupPair, module: Semimodule, bound: int) -> list[int]:
     """All elements of the semimodule that do not exceed bound, sorted."""
     _require_same_pair(semigroup, module, Semimodule)
-    if not _is_int(bound) or bound < 0:
-        raise ValueError(f"bound must be a non-negative integer, got {bound!r}")
+    _require_int(bound, "bound", 0)
     alpha, w = semigroup.alpha, _apery(semigroup, module.gens)
     return [y for y in range(bound + 1) if y >= w[y % alpha]]
 

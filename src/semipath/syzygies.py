@@ -34,7 +34,7 @@ from typing import Iterator
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, _labels, _rows, admissible_rotation, lean_set_from_path
-from .semigroup import SemigroupPair, _is_int, _require_kind, _require_pair, _require_same_pair
+from .semigroup import SemigroupPair, _is_int, _require_int, _require_kind, _require_pair, _require_same_pair
 from .semimodules import Semimodule
 
 __all__ = [
@@ -308,8 +308,7 @@ def iterated_syzygy(semigroup: SemigroupPair, module: Semimodule, times: int) ->
     takes the whole laps at once, and between 1 and n steps remain.
     """
     _require_same_pair(semigroup, module, Semimodule)
-    if not _is_int(times) or times < 1:
-        raise ValueError(f"iteration count must be an integer >= 1, got {times!r}")
+    _require_int(times, "iteration count", 1)
     current = module.normalize()
     n = len(current.gens)
     steps = times if times <= 2 * n else (times - 1) % n + 1

@@ -562,7 +562,10 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
     assert run(capsys, "couple", "5", "7", "--set", ",") == (2, "", "error: the generator set is empty\n")
     code, _, err = run(capsys, "render", "5", "7", "--set", "0,9,6,8", "--format", "svg", "--cell", "2")
-    assert code == 2
+    assert (code, err) == (2, "error: svg cell size must be an integer >= 4, got 2\n")
+    assert run(capsys, "member", "5", "7", "--", "-1") == (2, "", "error: n must be an integer >= 0, got -1\n")
+    code, _, err = run(capsys, "syzygy", "5", "7", "--set", "0", "--iterate", "0")
+    assert (code, err) == (2, "error: iteration count must be an integer >= 1, got 0\n")
 
 
 # Each subcommand with valid remaining options, so only the pair is wrong.

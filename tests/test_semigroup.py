@@ -262,6 +262,35 @@ def test_library_boundary_refuses_non_int(call):
         call()
 
 
+# Every single-value integer guard, as (call, what, low, high, a value in
+# range): each reads semigroup._require_int, so each refuses in its words.
+INT_GUARDS = {
+    "presentation": (lambda v: presentation(S57, v), "n", 1, None, 3),
+    "is_member": (lambda v: is_member(S57, v), "n", 0, None, 3),
+    "membership_sieve": (lambda v: membership_sieve(S57, v), "limit", 0, None, 10),
+    "elements_up_to": (lambda v: elements_up_to(S57, M57, v), "bound", 0, None, 10),
+    "enumerate_lean_sets": (lambda v: enumerate_lean_sets(S57, v), "gap count", 0, 4, 2),
+    "iterated_syzygy": (lambda v: iterated_syzygy(S57, M57, v), "iteration count", 1, None, 3),
+    "generator-count": (lambda v: orbit_count_table(S57, v), "generator count", 1, 5, 4),
+    "count_lean_sets": (lambda v: count_lean_sets(S57, v), "gap count", 0, None, 2),
+    "catalan": (catalan, "n", 0, None, 3),
+    "narayana-alpha": (lambda v: narayana(v, 1), "alpha", 1, None, 4),
+    "narayana-r": (lambda v: narayana(4, v), "r", 0, None, 1),
+    "svg-cell": (lambda v: semipath.RenderSpec(format="svg", cell=v), "svg cell size", 4, None, 20),
+}
+
+
+@pytest.mark.parametrize("call, what, low, high, good", INT_GUARDS.values(), ids=INT_GUARDS.keys())
+def test_every_integer_guard_reads_one_rule(call, what, low, high, good):
+    rule = f"must lie in [{low}, {high}]" if high is not None else f"must be an integer >= {low}"
+    bad = [True, float(good), low - 1] + ([high + 1] if high is not None else [])
+    for value in bad:
+        with pytest.raises(ValueError) as refusal:
+            call(value)
+        assert str(refusal.value) == f"{what} {rule}, got {value!r}"
+    call(good)
+
+
 L57 = LeanSet(S57, (0, 6, 8, 9))
 P57 = semipath.path_from_lean_set(S57, L57)
 # Every public function whose first argument is the pair, each with valid
