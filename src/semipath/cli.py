@@ -36,12 +36,16 @@ __all__ = ["main"]
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
+    """The ascending values of a --set, which must contain 0: couple, syzygy,
+    orbit and render all read a lean set or a normalized module."""
     try:
         values = sorted({int(token) for token in text.split(",") if token.strip()})
     except ValueError:
         raise ValueError(f"could not parse {text!r} as a comma-separated integer set") from None
     if not values:
         raise ValueError("the generator set is empty")
+    if 0 not in values:
+        raise ValueError(f"the generator set must contain 0, got {{{', '.join(map(str, values))}}}")
     return tuple(values)
 
 
@@ -131,10 +135,7 @@ def cmd_couple(args, pair) -> int:
 
 
 def cmd_syzygy(args, pair) -> int:
-    module = Semimodule(pair, _parse_set(args.set))
-    if not module.is_normalized:
-        raise ValueError(f"the set must contain 0, got {module.gens}")
-    result = iterated_syzygy(pair, module, args.iterate)
+    result = iterated_syzygy(pair, Semimodule(pair, _parse_set(args.set)), args.iterate)
     if args.normalize:
         result = result.normalize()
     _emit(args, result, ",".join(str(g) for g in result.gens))

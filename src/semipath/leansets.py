@@ -83,9 +83,11 @@ def _lean_chain(semigroup: SemigroupPair, values: Sequence[int]) -> tuple[GapPoi
             return None
         points.append(point)
     points.sort(key=_by_a)
-    for p, q in zip(points, points[1:]):
-        if p.a >= q.a or p.b <= q.b:
+    last_a, last_b = 0, semigroup.alpha
+    for _, a, b in points:
+        if a <= last_a or b >= last_b:
             return None
+        last_a, last_b = a, b
     return tuple(points)
 
 
@@ -126,7 +128,8 @@ def _gap_chains(
     """
     # Each node is (reach, point, row, start).  rows[b] gathers, in (a, b)
     # order, the nodes below b, and rows[alpha] all of them; a node's
-    # successors are the ones its row gains after it, row[start:].
+    # successors are the ones its row gains after it, row[start:], walked in
+    # place by a list iterator set to start, with no copy.
     # reach, the most points a chain from (a, b) can have, is b exactly: b
     # falls along a chain, and the diagonal steps (a + 1, b - 1) stay gaps.
     rows = [[] for _ in range(semigroup.alpha + 1)]
@@ -156,7 +159,9 @@ def _gap_chains(
             if emit:
                 yield value
             if extend and reach > 1:
-                stack.append((grow(parent, point, value), iter(row[start:])))
+                successors = iter(row)
+                successors.__setstate__(start)
+                stack.append((grow(parent, point, value), successors))
                 break
         else:
             stack.pop()

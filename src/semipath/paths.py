@@ -92,7 +92,9 @@ def _labels(semigroup: SemigroupPair, down, right) -> tuple[list[int], list[int]
     """(es, se): the ES- and SE-turn labels alpha*beta - a*alpha - b*beta of
     the path with these rows, left to right; the last ES label is the end's 0.
     Summed from the start's 0: a down run d adds d*beta up to an SE-turn, a
-    right run r subtracts r*alpha up to an ES-turn.  The one label sum."""
+    right run r subtracts r*alpha up to an ES-turn.  The label sum over
+    rows, which the orbit cycle and lean_set_from_path read; the couple and
+    the syzygy step read the same SE labels off a gap chain's corners."""
     alpha, beta = semigroup.alpha, semigroup.beta
     label, es, se = 0, [], []
     for d, r in zip(down, right):

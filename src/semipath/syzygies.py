@@ -22,6 +22,10 @@ count n.  Each SE label is the ES label before it plus d*beta, and the down
 runs d sum to alpha, so sum J = sum I + alpha*beta; around a cycle this
 telescopes to n * (sum of the p shifts min J) = p * alpha*beta, the lap
 identity: Syz^n(M) = M + alpha*beta for every normalized M.
+
+The couple and the syzygy step read J straight off the gap chain's corners
+(_se_labels); the orbit cycle walks path-matrix rows and reads its labels
+from the row sum paths._labels.
 """
 
 from __future__ import annotations
@@ -107,8 +111,23 @@ def fundamental_couple(semigroup: SemigroupPair, lean: LeanSet) -> FundamentalCo
     A gapless set gets I = [0], J = [alpha*beta].
     """
     _require_same_pair(semigroup, lean, LeanSet)
-    es, se = _labels(semigroup, *_rows(semigroup, lean.gap_points))
-    return FundamentalCouple(tuple(es[::-1]), tuple(se[::-1]))
+    chain = lean.gap_points
+    return FundamentalCouple((0, *[p.value for p in chain[::-1]]), tuple(_se_labels(semigroup, chain)[::-1]))
+
+
+def _se_labels(semigroup: SemigroupPair, chain) -> list[int]:
+    """The SE-turn labels, left to right, of the path whose ES-turns are the
+    chain's gap points (a_1, b_1) .. (a_r, b_r), ascending in a: the corner
+    of the k-th is (a_{k-1}, b_k), with a_0 = 0 and b_{r+1} = 0, so its
+    label is alpha*beta - a_{k-1}*alpha - b_k*beta.  Read off the corners,
+    with no path rows built."""
+    ab, alpha, beta = semigroup.product, semigroup.alpha, semigroup.beta
+    labels, top = [], ab
+    for _, a, b in chain:
+        labels.append(top - b * beta)
+        top = ab - a * alpha
+    labels.append(top)
+    return labels
 
 
 def _is_gap(semigroup: SemigroupPair, value: int) -> bool:
@@ -186,23 +205,23 @@ def syzygy(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     gets the couple value alpha*beta, so its syzygy is the shift by
     alpha*beta, an isomorphic copy.
     """
-    rows = _normalized_rows(semigroup, module, "syzygy needs a normalized semimodule; normalize first")
-    _, se = _labels(semigroup, *rows)
-    return Semimodule._trusted(semigroup, tuple(sorted(se)))
+    chain = _normalized_chain(semigroup, module, "syzygy needs a normalized semimodule; normalize first")
+    return Semimodule._trusted(semigroup, tuple(sorted(_se_labels(semigroup, chain))))
 
 
-def _normalized_rows(semigroup: SemigroupPair, module: Semimodule, refusal: str) -> tuple:
-    """The path-matrix rows of a normalized module of this pair, else the
-    ValueError refusal.  A valid normalized module is a lean set, so its gap
-    points form a chain with a rising and b falling; that O(n) check stands
-    in for validating the module again, and its failure is an internal error."""
+def _normalized_chain(semigroup: SemigroupPair, module: Semimodule, refusal: str) -> tuple:
+    """The gap chain of a normalized module of this pair, ascending in a,
+    else the ValueError refusal.  A valid normalized module is a lean set, so
+    its gap points form a chain with a rising and b falling; that O(n) check
+    stands in for validating the module again, and its failure is an
+    internal error."""
     _require_same_pair(semigroup, module, Semimodule)
     if module.gens[0]:
         raise ValueError(refusal)
     chain = _lean_chain(semigroup, module.gens)
     if chain is None:
         raise InvariantError(f"generators {module.gens} are not a monotone gap chain")
-    return _rows(semigroup, chain)
+    return chain
 
 
 def syzygy_oracle(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
@@ -284,7 +303,7 @@ def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
     period is the cycle's length.  Period | n = #generators and the lap
     identity n * (shift sum) = period * alpha*beta are theorems; each failure
     is an internal error."""
-    rows = _normalized_rows(semigroup, module, "orbit iteration needs a normalized semimodule")
+    rows = _rows(semigroup, _normalized_chain(semigroup, module, "orbit iteration needs a normalized semimodule"))
     cycle, shift = [], 0
     for step in _steps(semigroup.alpha, semigroup.beta, *rows):
         es, se = _labels(semigroup, *rows)

@@ -250,6 +250,10 @@ CONSOLE_PINS = {
     "orbits 35 36 --gens 30 --json": "772465d9c5221ddbbe525bfb0a8bd0ac5efdb6a8b0c6485143d03bdac2359ea6",
     "orbits 35 36 --gens 12 --json": "ce2784cd3d35b87c28aac960d86c84a5e96e66f33cf75c2ad59e4f8976ad1945",
     "verify 5 8 --deep": "f3a0203761e85b9d9973d826e363690e3871b017227ce7fbbb0d04733898473c",
+    # a chain of five gap points, pinned in the workflow by its stdout
+    "couple 11 13 --set 0,1,2,3,4,5 --json": hashlib.sha256(
+        b'{"I":[0,5,3,1,4,2],"J":[44,16,14,56,15,13]}\n'
+    ).hexdigest(),
 }
 
 
@@ -440,21 +444,56 @@ def _labels_right_run_first(semigroup, down, right):
 
 
 def test_verify_catches_labels_read_right_run_first(capsys, monkeypatch):
-    # The couple, the syzygy step and the orbit cycle all read paths._labels;
-    # a label sum that takes each right run before its down run must fail
-    # every verdict whose oracle shares no kernel with it.  syzygy_period's
-    # lap identity refuses the cycle too, so its periods never reach the table.
+    # Only the orbit cycle reads paths._labels in syzygies: a label sum that
+    # takes each right run before its down run mislabels every cycle member,
+    # and syzygy_period's lap identity refuses the cycle, so its periods
+    # never reach the table.
     monkeypatch.setattr(semipath.syzygies, "_labels", _labels_right_run_first)
+    code, out, err = run(capsys, "verify", "7", "11", "--deep")
+    assert code == 3 and err == ""
+    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
+        "period-route-equivalence",
+        "period-divisibility",
+        "orbit-tables-vs-iteration",
+    }
+
+
+def _se_labels_own_corner(semigroup, chain):
+    # Each point's own corner (a_k, b_k), its gap value, in place of the SE
+    # corner (a_{k-1}, b_k); the last label is right.
+    return [p.value for p in chain] + [semigroup.product - (chain[-1].a if chain else 0) * semigroup.alpha]
+
+
+def test_verify_catches_se_labels_read_off_the_wrong_corner(capsys, monkeypatch):
+    # The couple and the syzygy step read syzygies._se_labels off the chain's
+    # corners; the oracle, the couple conditions and the matrix route share
+    # no kernel with it.
+    monkeypatch.setattr(semipath.syzygies, "_se_labels", _se_labels_own_corner)
     code, out, err = run(capsys, "verify", "7", "11", "--deep")
     assert code == 3 and err == ""
     assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
         "syzygy-route-equivalence",
         "fundamental-couples",
         "syzygy-matrix-route",
+    }
+
+
+def test_verify_catches_a_couple_listing_i_ascending(capsys, monkeypatch):
+    # I must run right to left along the path, paired with J index by index;
+    # sorted ascending, it breaks the congruence ladder and the order in
+    # which consecutive cosets meet.
+    real = semipath.verify.fundamental_couple
+
+    def ascending(semigroup, lean):
+        couple = real(semigroup, lean)
+        return FundamentalCouple(tuple(sorted(couple.gens)), couple.syzygy_gens)
+
+    monkeypatch.setattr(semipath.verify, "fundamental_couple", ascending)
+    code, out, err = run(capsys, "verify", "7", "11", "--deep")
+    assert code == 3 and err == ""
+    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
+        "fundamental-couples",
         "syzygy-consecutive-union",
-        "period-route-equivalence",
-        "period-divisibility",
-        "orbit-tables-vs-iteration",
     }
 
 
@@ -554,8 +593,9 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "orbit", "5", "7", "--set", "0,5")
     assert code == 2 and "(0, 5) is not minimal" in err
-    code, _, err = run(capsys, "syzygy", "5", "7", "--set", "1,2")
-    assert code == 2
+    for command in ("couple", "syzygy", "orbit", "render"):
+        want = (2, "", "error: the generator set must contain 0, got {3, 9}\n")
+        assert run(capsys, command, "5", "7", "--set", "3,9") == want, command
     code, _, err = run(capsys, "enumerate", "5", "7", "--gens", "9")
     assert code == 2
     code, _, err = run(capsys, "couple", "5", "7", "--set", "zero")

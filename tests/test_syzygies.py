@@ -51,8 +51,8 @@ from semipath import (
     validate_fundamental_couple,
 )
 from semipath.leansets import _gap_chains
-from semipath.paths import _rows
-from semipath.syzygies import _pairwise_lean, _steps
+from semipath.paths import _labels, _rows
+from semipath.syzygies import _pairwise_lean, _se_labels, _steps
 from semipath.verify import _definitional_cycle, brute_period_tally, run_checks
 
 S57 = SemigroupPair(5, 7)
@@ -369,6 +369,7 @@ def test_syzygy_oracle_shares_no_kernel_with_minimal_generators(monkeypatch):
         monkeypatch.setattr(namespace, "_lean_chain", refuse)
     for namespace in (semipath.paths, semipath.syzygies):
         monkeypatch.setattr(namespace, "_labels", refuse)
+    monkeypatch.setattr(semipath.syzygies, "_se_labels", refuse)
     fresh = SemigroupPair(5, 7)  # its membership bitset is built under the patches
     assert syzygy_oracle(fresh, module).gens == (13, 14, 15, 16)
     assert syzygy_oracle(S57, shifted).gens == (53, 54, 55, 56)
@@ -386,7 +387,7 @@ def test_definitional_orbit_walk_shares_no_kernel_with_the_rows_walk(monkeypatch
     expected = [
         [m.gens for m in syzygy_period(pair, Semimodule._trusted(pair, gens)).cycle] for gens in members
     ]
-    for name in ("_steps", "_admissible_index", "_rows", "_labels", "_lean_chain"):
+    for name in ("_steps", "_admissible_index", "_rows", "_labels", "_se_labels", "_lean_chain"):
         monkeypatch.setattr(semipath.syzygies, name, refuse)
     for name in ("_admissible_index", "_rows", "_labels"):
         monkeypatch.setattr(semipath.paths, name, refuse)
@@ -463,7 +464,7 @@ def test_rows_equal_the_coordinate_differences_on_every_chain():
 
 
 def gap_point_couple(semigroup, lean):
-    """Reference for the label sum paths._labels: I is 0 and the gap values
+    """Reference for the couple's corner read _se_labels: I is 0 and the gap values
     right to left, J the SE-turn labels v(a_r, 0), v(a_{r-1}, b_r), ...,
     v(0, b_1) with v(a, b) = alpha*beta - a*alpha - b*beta, read off the
     gap points padded by a_0 = 0 and b_{r+1} = 0."""
@@ -478,6 +479,24 @@ def test_couple_equals_the_gap_point_labels_on_every_lean_set():
     for pair in SMALL_PAIRS:
         for lean in enumerate_lean_sets(pair):
             assert fundamental_couple(pair, lean) == gap_point_couple(pair, lean), (pair, lean.members)
+
+
+def test_se_labels_equal_the_row_sum_on_every_lean_set():
+    # The couple and the syzygy step read the SE labels off the chain's
+    # corners; the orbit cycle sums them along the path rows.  The two routes
+    # must give the same labels, and so the same couple, on every chain.
+    pairs = [
+        SemigroupPair(alpha, beta) for beta in range(3, 12) for alpha in range(2, beta) if math.gcd(alpha, beta) == 1
+    ]
+    sets = 0
+    for pair in pairs:
+        for lean in enumerate_lean_sets(pair):
+            sets += 1
+            es, se = _labels(pair, *_rows(pair, lean.gap_points))
+            assert _se_labels(pair, lean.gap_points) == se, (pair, lean.members)
+            couple = FundamentalCouple(tuple(es[::-1]), tuple(se[::-1]))
+            assert fundamental_couple(pair, lean) == couple, (pair, lean.members)
+    assert len(pairs) == 31 and sets == sum(count_lean_sets_total(pair) for pair in pairs)
 
 
 def test_leader_tally_equals_the_per_module_tally():
