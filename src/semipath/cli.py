@@ -1,7 +1,10 @@
 """Command-line interface.
 
-`main` reads the pair alpha beta once, so a bad pair exits 2 before any
-handler runs, and each `cmd_*` handler takes (args, pair).
+One parser serves every `main` call in a process; it is built on first use,
+never at import.  `main` reads the pair alpha beta once, so a bad pair exits
+2 before any handler runs.  It then calls the subcommand's handler,
+`cmd_<name>(args, pair)`, looked up in this module at each call, so a
+handler rebound after the parser was built is the one that runs.
 
 Exit codes: 0 on success, 2 on invalid input (non-coprime pair, non-lean
 set, bad flags), 3 on an internal invariant violation, 130 on Ctrl-C and
@@ -15,6 +18,7 @@ import json
 import os
 import sys
 from bisect import bisect
+from functools import cache
 from itertools import islice
 
 from .counting import (
@@ -193,15 +197,20 @@ def cmd_verify(args, pair) -> int:
     return 0 if all(result.skipped or result.ok for result in results) else 3
 
 
-def _command(sub, name: str, help: str, handler) -> argparse.ArgumentParser:
-    """Add the subcommand `name`: the pair alpha beta first, run by `handler`."""
+def _command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """Add the subcommand `name`: the pair alpha beta first, run by _handler(name)."""
     parser = sub.add_parser(name, help=help)
     parser.add_argument("alpha", type=int, help="smaller generator")
     parser.add_argument("beta", type=int, help="larger generator, coprime to alpha")
-    parser.set_defaults(handler=handler)
     return parser
 
 
+def _handler(command: str):
+    """The cmd_* function of a subcommand, as this module binds it now."""
+    return globals()["cmd_" + command.replace("-", "_")]
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semipath",
@@ -210,42 +219,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _command(sub, "gaps", "list the gaps of <alpha,beta>", cmd_gaps)
+    _command(sub, "gaps", "list the gaps of <alpha,beta>")
 
-    p = _command(sub, "member", "test membership of n in <alpha,beta>", cmd_member)
+    p = _command(sub, "member", "test membership of n in <alpha,beta>")
     p.add_argument("n", type=int)
 
-    p = _command(sub, "enumerate", "stream all lean sets, one per line", cmd_enumerate)
+    p = _command(sub, "enumerate", "stream all lean sets, one per line")
     p.add_argument("--gens", type=int, default=None, help="only sets with this many generators")
     p.add_argument("--json", action="store_true", help="emit semimodule JSON objects")
 
-    p = _command(sub, "count", "count lean sets by closed form", cmd_count)
+    p = _command(sub, "count", "count lean sets by closed form")
     p.add_argument("--gens", type=int, default=None)
     p.add_argument("--brute", action="store_true", help="recount by enumeration and compare")
 
-    p = _command(sub, "couple", "fundamental couple [I, J] of a lean set", cmd_couple)
+    p = _command(sub, "couple", "fundamental couple [I, J] of a lean set")
     p.add_argument("--set", required=True, help="comma-separated lean set containing 0")
     p.add_argument("--json", action="store_true")
 
-    p = _command(sub, "syzygy", "generators of the (iterated) syzygy", cmd_syzygy)
+    p = _command(sub, "syzygy", "generators of the (iterated) syzygy")
     p.add_argument("--set", required=True, help="comma-separated lean set containing 0")
     p.add_argument("--iterate", type=int, default=1, metavar="K", help="apply the syzygy K times")
     p.add_argument("--normalize", action="store_true", help="shift the result to contain 0")
     p.add_argument("--json", action="store_true")
 
-    p = _command(sub, "orbit", "orbit of a semimodule under syzygy-and-normalize", cmd_orbit)
+    p = _command(sub, "orbit", "orbit of a semimodule under syzygy-and-normalize")
     p.add_argument("--set", required=True)
     p.add_argument("--json", action="store_true")
 
-    p = _command(sub, "orbits", "orbit count table for n-generator semimodules", cmd_orbits)
+    p = _command(sub, "orbits", "orbit count table for n-generator semimodules")
     p.add_argument("--gens", type=int, required=True)
     p.add_argument("--brute", action="store_true", help="confirm by iterating every module")
     p.add_argument("--json", action="store_true")
 
-    p = _command(sub, "fixed-points", "count semimodules isomorphic to their syzygy", cmd_fixed_points)
+    p = _command(sub, "fixed-points", "count semimodules isomorphic to their syzygy")
     p.add_argument("--gens", type=int, default=None)
 
-    p = _command(sub, "render", "draw the path of a lean set", cmd_render)
+    p = _command(sub, "render", "draw the path of a lean set")
     p.add_argument("--set", required=True)
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--cell", type=int, default=20, help="svg cell size in pixels")
@@ -253,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-diagonal", action="store_true")
     p.add_argument("--no-markers", action="store_true")
 
-    p = _command(sub, "verify", "run the brute-force cross-check suite", cmd_verify)
+    p = _command(sub, "verify", "run the brute-force cross-check suite")
     p.add_argument("--deep", action="store_true", help="exhaustive sweeps, including orbit tables")
 
     return parser
@@ -262,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args, SemigroupPair(args.alpha, args.beta))
+        code = _handler(args.command)(args, SemigroupPair(args.alpha, args.beta))
         sys.stdout.flush()
         return code
     except ValueError as exc:

@@ -92,12 +92,21 @@ class Semimodule:
 
     @classmethod
     def from_json(cls, data: dict) -> "Semimodule":
+        """The module of a to_json object.  Its generators are a set: the
+        ascending list to_json writes is read once, by the constructor, and
+        only a list the constructor refuses is sorted and read again."""
         try:
             pair = _shared_pair(data["alpha"], data["beta"])
-            gens = list(data["generators"])
+            gens = tuple(data["generators"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed semimodule object: {data!r}") from exc
-        return cls(pair, tuple(_sorted_ints(gens)))
+        try:
+            return cls(pair, gens)
+        except ValueError:
+            values = tuple(_sorted_ints(gens))
+            if values == gens:
+                raise
+        return cls(pair, values)
 
 
 # The frozen class's slot descriptors, through which _trusted fills it.

@@ -18,7 +18,7 @@ import semipath.paths
 import semipath.syzygies
 import semipath.verify
 from semipath import InvariantError, LeanSet, PathMatrix, SemigroupPair, Semimodule, enumerate_lean_sets, gap_point
-from semipath.cli import _build_parser, main
+from semipath.cli import _build_parser, _handler, main
 from semipath.syzygies import FundamentalCouple, fundamental_couple, syzygy, validate_fundamental_couple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -699,10 +699,47 @@ def test_brute_force_disagreement_is_an_internal_error(capsys, monkeypatch, argv
     monkeypatch.setattr(semipath.cli, name, fake)
     args = _build_parser().parse_args(argv)
     with pytest.raises(InvariantError):
-        args.handler(args, SemigroupPair(args.alpha, args.beta))
+        _handler(args.command)(args, SemigroupPair(args.alpha, args.beta))
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("internal error: ")
+
+
+def test_one_parser_serves_every_call():
+    assert _build_parser() is _build_parser()
+
+
+def test_a_handler_rebound_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+    # The cached parser names no handler; main looks cmd_* up at each call, so
+    # a rebinding made after the parser was built (as a tracer makes) is seen.
+    assert run(capsys, "gaps", "5", "7")[0] == 0
+    calls = []
+    monkeypatch.setattr(semipath.cli, "cmd_gaps", lambda args, pair: calls.append(pair) or 0)
+    assert run(capsys, "gaps", "5", "7") == (0, "", "")
+    assert calls == [SemigroupPair(5, 7)]
+
+
+def test_consecutive_calls_share_no_options(capsys):
+    code, out, _ = run(capsys, "enumerate", "5", "7", "--gens", "4", "--json")
+    assert code == 0 and out.startswith('{"alpha":5,"beta":7,"generators":[0,')
+    code, out, _ = run(capsys, "enumerate", "5", "7", "--gens", "4")
+    assert code == 0 and out.startswith("0,") and "{" not in out
+    assert len(out.splitlines()) == 20
+
+
+def test_a_usage_error_reads_the_same_after_other_calls(capsys):
+    def bad_flag():
+        with pytest.raises(SystemExit) as exit_info:
+            main(["enumerate", "5", "7", "--no-such-flag"])
+        return exit_info.value.code, capsys.readouterr()
+
+    _build_parser.cache_clear()  # so the bad call is the one that builds the parser
+    first = bad_flag()
+    assert first[0] == 2 and first[1].out == ""
+    assert "unrecognized arguments: --no-such-flag" in first[1].err
+    assert run(capsys, "count", "5", "7", "--gens", "4") == (0, "20\n", "")
+    assert bad_flag() == first
+    assert run(capsys, "gaps", "5", "7") == (0, "1 2 3 4 6 8 9 11 13 16 18 23\n", "")
 
 
 def _actions(parser):

@@ -8,6 +8,7 @@ import pytest
 
 import semipath.leansets
 import semipath.semigroup
+import semipath.semimodules
 from semipath import (
     GapPoint,
     LeanSet,
@@ -182,6 +183,25 @@ def test_from_json_reads_its_generators_as_a_set(gens):
     assert Semimodule.from_json({"alpha": 5, "beta": 7, "generators": gens}).gens == (0, 6)
     with pytest.raises(ValueError):
         Semimodule(S57, tuple(gens))
+
+
+def test_from_json_reads_the_generators_to_json_writes_once(monkeypatch):
+    calls = []
+
+    def counted(xs, *rest):
+        calls.append(xs)
+        return semipath.semigroup._sorted_ints(xs, *rest)
+
+    objects = [Semimodule(S57, lean.members).to_json() for lean in enumerate_lean_sets(S57)]
+    monkeypatch.setattr(semipath.semimodules, "_sorted_ints", counted)
+    for data in objects:
+        Semimodule.from_json(data)
+    # One check per object, the constructor's; a set in another order is
+    # sorted first and so read three times.
+    assert len(calls) == len(objects) == 66
+    calls.clear()
+    assert Semimodule.from_json({"alpha": 5, "beta": 7, "generators": [6, 0, 6]}).gens == (0, 6)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("bad", [True, 6.9, 6.0, "8"], ids=repr)
