@@ -71,6 +71,12 @@ def _require_generator_count(semigroup: SemigroupPair, n: int) -> None:
     _require_int(n, "generator count", 1, _require_pair(semigroup).alpha)
 
 
+def _require_period(n: int, ell: int) -> None:
+    """The library's one period rule: ell a positive divisor of the checked n."""
+    if not (_is_int(ell) and ell >= 1 and n % ell == 0):
+        raise ValueError(f"ell must be a positive divisor of n={n}, got {ell!r}")
+
+
 def count_lean_sets(semigroup: SemigroupPair, r: int) -> int:
     """Number of lean sets with exactly r gaps: C(alpha-1, r) C(beta-1, r) / (r+1)."""
     _require_pair(semigroup)
@@ -113,9 +119,8 @@ def count_ell_periodic(semigroup: SemigroupPair, n: int, ell: int) -> int:
     overcount in that case).
     """
     _require_generator_count(semigroup, n)
+    _require_period(n, ell)
     alpha, beta = semigroup.alpha, semigroup.beta
-    if not (_is_int(ell) and ell >= 1 and n % ell == 0):
-        raise ValueError(f"ell must be a positive divisor of n={n}, got {ell!r}")
     quotient = n // ell
     if semigroup.product % quotient:
         return 0

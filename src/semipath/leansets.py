@@ -63,13 +63,13 @@ _by_a = itemgetter(1)  # a GapPoint's a
 def _lean_chain(semigroup: SemigroupPair, values: Sequence[int]) -> tuple[GapPoint, ...] | None:
     """The gap points of the ascending values after their leading 0, sorted
     by a, when a strictly increases and b strictly decreases along them, that
-    is, when the values form a lean set; else None.  The values must be ints:
-    the public callers test them first.  Each value up to the Frobenius
-    number is presented once per pair and remembered in its _gap_points;
-    a larger one is no gap.
+    is, when the values form a lean set; else None.  It is the one rule that
+    a set starts at 0; the public callers test that it is a non-empty set of
+    ints.  Each value up to the Frobenius number is presented once per pair
+    and remembered in its _gap_points; a larger one is no gap.
     """
-    if not values or values[0] != 0:
-        raise ValueError("a lean set must consist of non-negative integers and contain 0")
+    if values[0] != 0:
+        raise ValueError(f"the least value must be 0 (normalize first), got {tuple(values)}")
     memo, frobenius = semigroup._gap_points, semigroup.frobenius
     points = []
     for x in values[1:]:

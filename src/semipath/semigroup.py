@@ -49,12 +49,14 @@ def _require_int(value, what: str, low: int, high: int | None = None) -> None:
 
 
 def _sorted_ints(xs: Iterable, what: str = "generators") -> list[int]:
-    """The distinct values of xs, ascending, each checked to be an int proper."""
+    """The distinct values of xs, ascending: the one rule for a set of ints proper, never empty."""
     if not isinstance(xs, Iterable):
         raise ValueError(f"{what} must be integers, got {xs!r}")
     values = list(xs)
     if not all(_is_int(v) for v in values):
         raise ValueError(f"{what} must be integers, got {values!r}")
+    if not values:
+        raise ValueError(f"{what} must not be empty")
     return sorted(set(values))
 
 

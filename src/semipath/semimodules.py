@@ -55,8 +55,6 @@ class Semimodule:
         pair, gens = _require_pair(self.semigroup), self.gens
         if not isinstance(gens, tuple) or list(gens) != _sorted_ints(gens):
             raise ValueError(f"generators must be a strictly ascending tuple, got {gens!r}")
-        if not gens:
-            raise ValueError("a semimodule needs at least one generator")
         if gens[0] < 0:
             raise ValueError(f"generators must be non-negative integers, got {gens}")
         # Minimal exactly when the shift to 0 is lean: the monotone gap-chain criterion.
@@ -130,8 +128,6 @@ def minimal_generators(semigroup: SemigroupPair, xs: Iterable[int]) -> tuple[int
     """
     _require_pair(semigroup)
     values = _sorted_ints(xs)
-    if not values:
-        raise ValueError("cannot generate a semimodule from an empty set")
     if values[0] < 0:
         raise ValueError(f"generators must be non-negative integers, got {values}")
     alpha, beta = semigroup.alpha, semigroup.beta
@@ -147,8 +143,6 @@ def normalize(semigroup: SemigroupPair, gens: Union[Semimodule, Iterable[int]]) 
         _require_same_pair(semigroup, gens, Semimodule)
         return gens.normalize()
     values = _sorted_ints(gens)
-    if not values:
-        raise ValueError("cannot normalize an empty generator set")
     low = values[0]
     return Semimodule(semigroup, minimal_generators(semigroup, (v - low for v in values)))
 

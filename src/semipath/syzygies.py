@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
+from .counting import _require_period
 from .errors import InvariantError
 from .leansets import LeanSet, _lean_chain
 from .paths import PathMatrix, _admissible_index, _labels, _rows, admissible_rotation, lean_set_from_path
@@ -205,19 +206,17 @@ def syzygy(semigroup: SemigroupPair, module: Semimodule) -> Semimodule:
     gets the couple value alpha*beta, so its syzygy is the shift by
     alpha*beta, an isomorphic copy.
     """
-    chain = _normalized_chain(semigroup, module, "syzygy needs a normalized semimodule; normalize first")
+    chain = _normalized_chain(semigroup, module)
     return Semimodule._trusted(semigroup, tuple(sorted(_se_labels(semigroup, chain))))
 
 
-def _normalized_chain(semigroup: SemigroupPair, module: Semimodule, refusal: str) -> tuple:
-    """The gap chain of a normalized module of this pair, ascending in a,
-    else the ValueError refusal.  A valid normalized module is a lean set, so
-    its gap points form a chain with a rising and b falling; that O(n) check
-    stands in for validating the module again, and its failure is an
-    internal error."""
+def _normalized_chain(semigroup: SemigroupPair, module: Semimodule) -> tuple:
+    """The gap chain of a normalized module of this pair, ascending in a;
+    _lean_chain refuses one not normalized.  A valid normalized module is a
+    lean set, so its gap points form a chain with a rising and b falling;
+    that O(n) check stands in for validating the module again, and its
+    failure is an internal error."""
     _require_same_pair(semigroup, module, Semimodule)
-    if module.gens[0]:
-        raise ValueError(refusal)
     chain = _lean_chain(semigroup, module.gens)
     if chain is None:
         raise InvariantError(f"generators {module.gens} are not a monotone gap chain")
@@ -303,7 +302,7 @@ def syzygy_period(semigroup: SemigroupPair, module: Semimodule) -> OrbitReport:
     period is the cycle's length.  Period | n = #generators and the lap
     identity n * (shift sum) = period * alpha*beta are theorems; each failure
     is an internal error."""
-    rows = _rows(semigroup, _normalized_chain(semigroup, module, "orbit iteration needs a normalized semimodule"))
+    rows = _rows(semigroup, _normalized_chain(semigroup, module))
     cycle, shift = [], 0
     for step in _steps(semigroup.alpha, semigroup.beta, *rows):
         es, se = _labels(semigroup, *rows)
@@ -346,12 +345,9 @@ def orbit_witness(semigroup: SemigroupPair, n: int, ell: int) -> Semimodule:
     tiled from blocks of the shape [1, ..., 1, tail]; such blocks cannot be
     split into smaller repeating blocks, which pins the period to ell.
     """
-    _require_pair(semigroup)
-    alpha, beta = semigroup.alpha, semigroup.beta
-    if not (_is_int(n) and _is_int(ell)) or n < 1 or ell < 1 or n % ell:
-        raise ValueError(f"need integers ell dividing n with both positive, got n={n!r}, ell={ell!r}")
-    if n >= alpha:
-        raise ValueError(f"witness construction needs n < alpha, got n={n}, alpha={alpha}")
+    alpha, beta = _require_pair(semigroup).alpha, semigroup.beta
+    _require_int(n, "generator count", 1, alpha - 1)
+    _require_period(n, ell)
     quotient = n // ell
     down_copies = math.gcd(alpha, quotient)
     right_copies = math.gcd(beta, quotient)

@@ -334,27 +334,87 @@ def _couple_with_swapped_order(pair, lean):
     return FundamentalCouple(gens, couple.syzygy_gens)
 
 
-@pytest.mark.parametrize(
-    "argv, name, fake, failing",
-    [
-        (["5", "7"], "syzygy", _non_lean_syzygy,
-         {"syzygy-route-equivalence", "syzygy-matrix-route"}),
-        (["7", "11"], "fundamental_couple", _couple_with_swapped_order,
-         {"fundamental-couples", "syzygy-consecutive-union"}),
-        (["5", "7"], "admissible_rotation", _unrotated,
-         {"syzygy-matrix-route", "cycle-lemma"}),
-        (["5", "7"], "syzygy_matrix", _top_row_backwards,
-         {"syzygy-matrix-route"}),
-    ],
-    ids=["non-lean-syzygy", "swapped-couple", "unrotated", "top-row-backwards"],
-)
-def test_verify_reports_a_broken_route_as_failed_checks(capsys, monkeypatch, argv, name, fake, failing):
+def _presentation_off_at_5(pair, n):
+    q = semipath.presentation(pair, n)
+    return q._replace(a=q.a + 1) if n == 5 else q
+
+
+def _membership_flipped_at_frobenius(pair, n):
+    return semipath.is_member(pair, n) != (n == pair.frobenius)
+
+
+def _narayana_off_at_2(alpha, r):
+    return semipath.narayana(alpha, r) + (r == 2)
+
+
+def _gaps_without_the_last(pair):
+    return semipath.gaps(pair)[:-1]
+
+
+def _oracle_shifted_by_one(pair, module):
+    return Semimodule._trusted(pair, tuple(g + 1 for g in semipath.syzygy_oracle(pair, module).gens))
+
+
+def _one_gap_stream_runs_on(pair, gap_count=None):
+    yield from enumerate_lean_sets(pair, gap_count)
+    if gap_count == 1:
+        yield from enumerate_lean_sets(pair, 2)
+
+
+def _count_off_at_1(pair, r):
+    return semipath.count_lean_sets(pair, r) + (r == 1)
+
+
+def _path_reader_drops_a_gap(pair, matrix):
+    return LeanSet._from_chain(pair, semipath.lean_set_from_path(pair, matrix).gap_points[:-1])
+
+
+def _fixed_points_off(pair, n):
+    return semipath.count_fixed_points(pair, n) + 1
+
+
+# One broken route per case, patched into semipath.verify by name: the verify
+# arguments, the fake, the exact set of FAIL names and the number of lines.
+BROKEN_ROUTES = {
+    "non-lean-syzygy": (["5", "7"], "syzygy", _non_lean_syzygy,
+                        {"syzygy-route-equivalence", "syzygy-matrix-route"}, 13),
+    "swapped-couple": (["7", "11"], "fundamental_couple", _couple_with_swapped_order,
+                       {"fundamental-couples", "syzygy-consecutive-union"}, 13),
+    "unrotated": (["5", "7"], "admissible_rotation", _unrotated, {"syzygy-matrix-route", "cycle-lemma"}, 13),
+    "top-row-backwards": (["5", "7"], "syzygy_matrix", _top_row_backwards, {"syzygy-matrix-route"}, 13),
+    "presentation": (["7", "11"], "presentation", _presentation_off_at_5, {"presentation-round-trip"}, 13),
+    "is_member": (["7", "11"], "is_member", _membership_flipped_at_frobenius, {"membership-vs-double-loop"}, 13),
+    "narayana": (["7", "8"], "narayana", _narayana_off_at_2, {"catalan-narayana"}, 14),
+    # A module holding the missing gap has no table chain, so its couple and path verdicts fail.
+    "gaps": (["7", "11", "--deep"], "gaps", _gaps_without_the_last,
+             {"gap-table", "fundamental-couples", "syzygy-matrix-route"}, 14),
+    "syzygy_oracle": (["5", "7"], "syzygy_oracle", _oracle_shifted_by_one,
+                      {"syzygy-route-equivalence", "syzygy-consecutive-union", "period-divisibility"}, 13),
+    "enumerate_lean_sets": (["5", "7"], "enumerate_lean_sets", _one_gap_stream_runs_on, {"lean-stream"}, 13),
+    "count_lean_sets": (["5", "7"], "count_lean_sets", _count_off_at_1, {"lean-count-formulas"}, 13),
+    # Every failing set starts an orbit walk, so the walks cover the modules more than once.
+    "lean_set_from_path": (["5", "7"], "lean_set_from_path", _path_reader_drops_a_gap,
+                           {"path-round-trip", "period-route-equivalence"}, 13),
+    "count_fixed_points": (["5", "7", "--deep"], "count_fixed_points", _fixed_points_off,
+                           {"orbit-tables-vs-iteration"}, 14),
+}
+
+
+@pytest.mark.parametrize("argv, name, fake, failing, count", BROKEN_ROUTES.values(), ids=BROKEN_ROUTES.keys())
+def test_verify_reports_a_broken_route_as_failed_checks(capsys, monkeypatch, argv, name, fake, failing, count):
     monkeypatch.setattr(semipath.verify, name, fake)
     code, out, err = run(capsys, "verify", *argv)
     lines = out.splitlines()
     assert code == 3 and err == ""
-    assert len(lines) == 13
+    assert len(lines) == count
     assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == failing
+
+
+def test_every_verify_verdict_has_a_broken_route_that_fails_it(capsys):
+    code, out, _ = run(capsys, "verify", "7", "8", "--deep")
+    verdicts = {line.split()[1].rstrip(":") for line in out.splitlines()}
+    assert code == 0 and len(verdicts) == 15
+    assert verdicts <= set().union(*(case[3] for case in BROKEN_ROUTES.values()))
 
 
 def test_a_failing_pairwise_test_of_a_couple_is_an_internal_error(capsys, monkeypatch):

@@ -30,8 +30,12 @@ from semipath import (
     orbit_count_table,
     orbit_witness,
     presentation,
+    syzygy,
+    syzygy_oracle,
+    syzygy_period,
     validate_fundamental_couple,
 )
+from semipath.cli import _parse_set
 from semipath.semigroup import _is_int, _sorted_ints
 from semipath.syzygies import _is_gap
 from semipath.verify import brute_period_tally, naive_members, run_checks
@@ -277,6 +281,8 @@ INT_GUARDS = {
     "narayana-alpha": (lambda v: narayana(v, 1), "alpha", 1, None, 4),
     "narayana-r": (lambda v: narayana(4, v), "r", 0, None, 1),
     "svg-cell": (lambda v: semipath.RenderSpec(format="svg", cell=v), "svg cell size", 4, None, 20),
+    # 4 does not divide 35, so at ell = 1 only n = 1 has a witness.
+    "orbit_witness": (lambda v: orbit_witness(S57, v, 1), "generator count", 1, 4, 1),
 }
 
 
@@ -293,6 +299,64 @@ def test_every_integer_guard_reads_one_rule(call, what, low, high, good):
 
 L57 = LeanSet(S57, (0, 6, 8, 9))
 P57 = semipath.path_from_lean_set(S57, L57)
+SHIFTED = Semimodule(S57, (3, 9))
+# Refusal texts pinned exactly, each with a call that raises it: one rule,
+# so one text, for each refused fact.
+REFUSALS = {
+    "LeanSet-no-0": (lambda: LeanSet(S57, (6, 8)), "the least value must be 0 (normalize first), got (6, 8)"),
+    "LeanSet-negative": (
+        lambda: LeanSet(S57, (-1, 0, 6)), "the least value must be 0 (normalize first), got (-1, 0, 6)"
+    ),
+    "is_lean-no-0": (lambda: is_lean(S57, [8, 6]), "the least value must be 0 (normalize first), got (6, 8)"),
+    "syzygy-no-0": (lambda: syzygy(S57, SHIFTED), "the least value must be 0 (normalize first), got (3, 9)"),
+    "syzygy_period-no-0": (
+        lambda: syzygy_period(S57, SHIFTED), "the least value must be 0 (normalize first), got (3, 9)"
+    ),
+    "count_ell_periodic-ell": (lambda: count_ell_periodic(S57, 4, 3), "ell must be a positive divisor of n=4, got 3"),
+    "orbit_witness-ell": (lambda: orbit_witness(S57, 4, 3), "ell must be a positive divisor of n=4, got 3"),
+    "orbit_witness-ell-zero": (lambda: orbit_witness(S57, 4, 0), "ell must be a positive divisor of n=4, got 0"),
+    "orbit_witness-none": (
+        lambda: orbit_witness(S57, 4, 1), "n/ell = 4 does not divide alpha*beta = 35; no such orbit exists"
+    ),
+    "parse_set": (lambda: _parse_set("0,x"), "could not parse '0,x' as a comma-separated integer set"),
+    "PathMatrix-lists": (
+        lambda: PathMatrix([1, 4], (3, 4)), "down and right rows must be tuples, got [1, 4] and (3, 4)"
+    ),
+    "PathMatrix-lengths": (lambda: PathMatrix((1, 4), (7,)), "down and right rows must have equal length"),
+    "PathMatrix-empty": (lambda: PathMatrix((), ()), "a path matrix needs at least one column"),
+    "PathMatrix-runs": (lambda: PathMatrix((1, 0), (3, 4)), "all run lengths must be integers >= 1, got (1, 0)"),
+    "lean_set_from_path": (
+        lambda: semipath.lean_set_from_path(S57, PathMatrix((1, 4), (3, 4))),
+        "path does not stay below the diagonal, it encodes no lean set",
+    ),
+    "RenderSpec-format": (
+        lambda: semipath.RenderSpec(format="png"), "format must be one of ('ascii', 'svg'), got 'png'"
+    ),
+    "SemigroupPair-order": (lambda: SemigroupPair(7, 5), "need 2 <= alpha < beta, got (7, 5)"),
+    "couple-entries": (
+        lambda: validate_fundamental_couple(S57, (0, 8.0), (15, 14)),
+        "couple entries must be integers, got I=(0, 8.0), J=(15, 14)",
+    ),
+    "syzygy_oracle-one-generator": (
+        lambda: syzygy_oracle(S57, Semimodule(S57, (0,))), "the defining union is empty for a single generator"
+    ),
+    "gap_point": (lambda: gap_point(S57, 5), "5 is not a gap of <5,7>"),
+    "LeanSet-not-lean": (lambda: LeanSet(S57, (0, 5)), "{0, 5} is not a lean set of <5,7>"),
+    "kind": (lambda: syzygy(S57, [0, 6]), "input must be a Semimodule, got [0, 6]"),
+    "other-pair": (
+        lambda: syzygy(SemigroupPair(4, 9), M57),
+        "input built over SemigroupPair(alpha=5, beta=7) was passed with SemigroupPair(alpha=4, beta=9)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_refusal_reads_its_exact_text(call, message):
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
 # Every public function whose first argument is the pair, each with valid
 # other arguments, so that only the pair can be refused.
 PAIR_CALLS = {

@@ -83,12 +83,12 @@ def test_elements_up_to_examples():
 
 
 def test_semimodule_validation():
-    # One _sorted_ints comparison refuses a non-int, an unsorted tuple and a
-    # list alike; the empty, negative and non-minimal refusals keep theirs.
+    # One _sorted_ints comparison refuses a non-int, an unsorted tuple, a
+    # list and an empty set alike; the negative and non-minimal refusals keep theirs.
     for gens, message in (
         ((0, 5), r"^\(0, 5\) is not minimal: a difference of two generators lies in <5,7>$"),
         ((3, 0), r"generators must be a strictly ascending tuple, got \(3, 0\)"),
-        ((), "a semimodule needs at least one generator"),
+        ((), "^generators must not be empty$"),
         ((0, 1.0), r"generators must be integers, got \[0, 1.0\]"),
         ((0, 6, 6), "generators must be a strictly ascending tuple"),
         ([0, 6], r"generators must be a strictly ascending tuple, got \[0, 6\]"),
@@ -259,14 +259,32 @@ def test_minimal_generators_and_normalize_refuse_non_ints(bad):
         normalize(S57, [bad, 0, 6])
 
 
+def _from_json(gens):
+    return Semimodule.from_json({"alpha": 5, "beta": 7, "generators": gens})
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: minimal_generators(S57, []), "cannot generate a semimodule from an empty set"),
+        (lambda: minimal_generators(S57, []), "generators must not be empty"),
         (lambda: minimal_generators(S57, [-1, 3]), "generators must be non-negative integers, got [-1, 3]"),
-        (lambda: normalize(S57, []), "cannot normalize an empty generator set"),
+        (lambda: normalize(S57, []), "generators must not be empty"),
+        (lambda: Semimodule(S57, ()), "generators must not be empty"),
+        (lambda: is_isomorphic(S57, [], [0]), "generators must not be empty"),
+        (lambda: LeanSet(S57, ()), "members must not be empty"),
+        (lambda: LeanSet.from_members(S57, []), "members must not be empty"),
+        (lambda: is_lean(S57, []), "members must not be empty"),
+        # from_json reads a refused list once more, sorted: it re-raises the
+        # first refusal when sorting changes nothing, and [] is refused again.
+        (lambda: _from_json([]), "generators must not be empty"),
+        (lambda: _from_json([0, 5]), "(0, 5) is not minimal: a difference of two generators lies in <5,7>"),
+        (lambda: _from_json([-1, 3]), "generators must be non-negative integers, got (-1, 3)"),
     ],
-    ids=["minimal-empty", "minimal-negative", "normalize-empty"],
+    ids=[
+        "minimal-empty", "minimal-negative", "normalize-empty", "Semimodule-empty", "is_isomorphic-empty",
+        "LeanSet-empty", "from_members-empty", "is_lean-empty", "from_json-empty", "from_json-not-minimal",
+        "from_json-negative",
+    ],
 )
 def test_empty_and_negative_generator_sets_are_refused(call, message):
     with pytest.raises(ValueError) as refusal:
