@@ -92,7 +92,9 @@ class Semimodule:
     def from_json(cls, data: dict) -> "Semimodule":
         """The module of a to_json object.  Its generators are a set: the
         ascending list to_json writes is read once, by the constructor, and
-        only a list the constructor refuses is sorted and read again."""
+        only a list the constructor refuses is sorted and read again.  Either
+        read raises its refusal outside the other's handler, so a bad list
+        is refused once."""
         try:
             pair = _shared_pair(data["alpha"], data["beta"])
             gens = tuple(data["generators"])
@@ -100,10 +102,11 @@ class Semimodule:
             raise ValueError(f"malformed semimodule object: {data!r}") from exc
         try:
             return cls(pair, gens)
-        except ValueError:
-            values = tuple(_sorted_ints(gens))
-            if values == gens:
-                raise
+        except ValueError as exc:
+            refusal = exc
+        values = tuple(_sorted_ints(gens))
+        if values == gens:
+            raise refusal
         return cls(pair, values)
 
 

@@ -13,16 +13,12 @@ from pathlib import Path
 import pytest
 
 import semipath.cli
-import semipath.counting
-import semipath.paths
-import semipath.syzygies
-import semipath.verify
-from semipath import InvariantError, LeanSet, PathMatrix, SemigroupPair, Semimodule, enumerate_lean_sets, gap_point
+from semipath import InvariantError, SemigroupPair, Semimodule, enumerate_lean_sets
 from semipath.cli import _build_parser, _handler, main
-from semipath.syzygies import FundamentalCouple, fundamental_couple, syzygy, validate_fundamental_couple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CLI_SURFACE = Path(__file__).with_name("cli_surface.json")
+STDOUT_GOLDENS = Path(__file__).with_name("stdout_sha256.txt")
 
 
 def run(capsys, *argv):
@@ -198,71 +194,21 @@ def test_verify_deep_5_7(capsys):
     } <= names
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["7", "8", "--deep"], "aa69e5b9b3f0771c6d1d9c8e417c3c50d81fe050d63387e350cecf2fa09dacea"),
-        # more than 200 lean sets, so this run checks the seeded sample of modules
-        (["7", "11"], "5f9d5ed5cd41e76b0f76570336f7ed9c8224bbb1beee1a3c70eb50f87c4a7a06"),
-        # every module of (7,11): the benchmark's own verify input
-        (["7", "11", "--deep"], "c6c89c18cd5f7fc7a00119a954427a9f350b6a0e2fb43166d6acde394ebfecfc"),
-        # 742,900 lean sets, over ENUMERATION_CAP: one skip line, which prints the cap
-        (["13", "14"], "3efd2e0b9dea6b23be3bb8cab3b19d1f9192d253041c2c6c83382792e069e270"),
-    ],
-    ids=["7-8-deep", "7-11", "7-11-deep", "13-14-over-cap"],
+# The stdout goldens, command line -> sha256, the one table that the CI
+# workflow also reads.
+STDOUT_SHA256 = dict(
+    line.split("  ", 1)[::-1] for line in STDOUT_GOLDENS.read_text().splitlines() if line and not line.startswith("#")
 )
-def test_verify_stdout_is_unchanged(capsys, argv, digest):
+
+
+@pytest.mark.parametrize("argv", STDOUT_SHA256, ids=lambda argv: argv.replace(" ", "_"))
+def test_stdout_is_unchanged(capsys, argv):
     # sha256 of the whole stdout, so no change to an oracle can alter a verdict
-    # or a detail line unnoticed.
-    code, out, _ = run(capsys, "verify", *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["enumerate", "7", "11"], "6220dfff515ca8209f03cbade9da2c74f8b41f20d0658bceac9240ad8b96a118"),
-        (["enumerate", "7", "11", "--json"], "add0d88996ab5c5ebc203df8359a0652814a9229402a95c27a20999671be5d6e"),
-        (["enumerate", "8", "13", "--gens", "5", "--json"],
-         "8a1be10e9e6caddb2fa1541162459a7f453711a72b9c8dbd469c17b7031e61b7"),
-        (["enumerate", "8", "13", "--gens", "4"],
-         "19f463227f89139ebfe0cb4cfb7e72c76479f7f88c2c43de082194b9cda698e1"),
-        (["count", "8", "13", "--brute"], "8a9862cc81600fc3a3bb5216ecdce8d4faebe2f5929787f6f9943edf18f8fb5d"),
-    ],
-    ids=["enumerate-7-11", "enumerate-7-11-json", "enumerate-8-13-gens-5-json", "enumerate-8-13-gens-4",
-         "count-8-13-brute"],
-)
-def test_enumerate_stdout_is_unchanged(capsys, argv, digest):
-    # sha256 of the whole stdout: the order of the stream and every byte of each line.
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# The digests the workflow's console-script step pins, by command line.
-CONSOLE_PINS = {
-    "render 5 7 --set 0,6,8,9": "1af56a1dd940ac93ae4925ccc31469e9a94b9ec4185da29c554703e1e2956359",
-    "render 5 7 --set 0,6,8,9 --format svg --labels": "3b9a7add026b83eb26f86833287dfbbc4268f55a7e6a7738d3a4099c097c49cd",
-    "gaps 9 14": "75ff49a504bc54e1d347d7a65058cbb48048f7adc8b4a3c442c1caf8ca13b5c0",
-    "fixed-points 15 16": "246fb9cf6fda9a4a18217e14bdbe8fbedfb339b3c4ddd39f187f8defadedded7",
-    "orbits 8 13 --gens 4 --brute": "e08ad43c5629943054dea2126c664e2ca4cc2fd301536d012e2ff7067999092a",
-    "orbits 35 36 --gens 30 --json": "772465d9c5221ddbbe525bfb0a8bd0ac5efdb6a8b0c6485143d03bdac2359ea6",
-    "orbits 35 36 --gens 12 --json": "ce2784cd3d35b87c28aac960d86c84a5e96e66f33cf75c2ad59e4f8976ad1945",
-    "verify 5 8 --deep": "f3a0203761e85b9d9973d826e363690e3871b017227ce7fbbb0d04733898473c",
-    # a chain of five gap points, pinned in the workflow by its stdout
-    "couple 11 13 --set 0,1,2,3,4,5 --json": hashlib.sha256(
-        b'{"I":[0,5,3,1,4,2],"J":[44,16,14,56,15,13]}\n'
-    ).hexdigest(),
-}
-
-
-@pytest.mark.parametrize("argv", CONSOLE_PINS, ids=lambda argv: argv.replace(" ", "_"))
-def test_stdout_matches_the_console_script_pins(capsys, argv):
-    # Read in-process; orbits --brute and verify --deep walk every gap chain of their pair.
+    # or a detail line, and no change to a stream its order or a byte of a
+    # line, unnoticed.  orbits --brute and verify --deep walk every gap chain.
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CONSOLE_PINS[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
 @pytest.mark.parametrize("alpha, beta", [(2, 5), (3, 4), (5, 7), (7, 11), (8, 13)])
@@ -282,359 +228,6 @@ def test_enumerate_lines_spell_the_lean_set_members(capsys, alpha, beta):
         code, out, _ = run(capsys, "enumerate", str(alpha), str(beta), *flags, "--json")
         expected = [f'{{"alpha":{alpha},"beta":{beta},"generators":[{line}]}}' for line in members]
         assert code == 0 and out.splitlines() == expected
-
-
-def test_verify_treats_a_non_lean_enumerated_set_as_an_internal_error(capsys, monkeypatch):
-    # 6 and 1 sit at (3, 2) and (4, 2) for <5,7>: b does not fall, and 6 - 1 lies in S.
-    real = semipath.verify.enumerate_lean_sets
-
-    def with_one_non_lean_set(semigroup, gap_count=None):
-        yield from real(semigroup, gap_count)
-        if gap_count is None:
-            yield LeanSet._from_chain(semigroup, (gap_point(semigroup, 6), gap_point(semigroup, 1)))
-
-    monkeypatch.setattr(semipath.verify, "enumerate_lean_sets", with_one_non_lean_set)
-    # The syzygy step and the orbit walk raise on that set; verify fails their
-    # verdicts and still prints every line.
-    failing = {
-        "lean-count-formulas",
-        "lean-stream",
-        "syzygy-route-equivalence",
-        "fundamental-couples",
-        "syzygy-matrix-route",
-        "period-divisibility",
-        "period-route-equivalence",
-    }
-    for argv, count in ((["verify", "5", "7"], 13), (["verify", "5", "7", "--deep"], 14)):
-        code, out, err = run(capsys, *argv)
-        lines = out.splitlines()
-        assert code == 3 and err == ""
-        assert len(lines) == count and "FAIL lean-stream: no duplicates, filter consistent" in lines
-        assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == failing
-
-
-def _non_lean_syzygy(pair, module):
-    g0 = module.gens[0]
-    return Semimodule._trusted(pair, (g0, g0 + pair.alpha))
-
-
-def _unrotated(pair, matrix):
-    return 0, matrix
-
-
-def _top_row_backwards(matrix):
-    return PathMatrix._trusted(matrix.down[-1:] + matrix.down[:-1], matrix.right)
-
-
-def _couple_with_swapped_order(pair, lean):
-    couple = fundamental_couple(pair, lean)
-    gens = couple.gens
-    if len(gens) >= 3:
-        gens = (gens[0], gens[2], gens[1]) + gens[3:]
-    return FundamentalCouple(gens, couple.syzygy_gens)
-
-
-def _presentation_off_at_5(pair, n):
-    q = semipath.presentation(pair, n)
-    return q._replace(a=q.a + 1) if n == 5 else q
-
-
-def _membership_flipped_at_frobenius(pair, n):
-    return semipath.is_member(pair, n) != (n == pair.frobenius)
-
-
-def _narayana_off_at_2(alpha, r):
-    return semipath.narayana(alpha, r) + (r == 2)
-
-
-def _gaps_without_the_last(pair):
-    return semipath.gaps(pair)[:-1]
-
-
-def _oracle_shifted_by_one(pair, module):
-    return Semimodule._trusted(pair, tuple(g + 1 for g in semipath.syzygy_oracle(pair, module).gens))
-
-
-def _one_gap_stream_runs_on(pair, gap_count=None):
-    yield from enumerate_lean_sets(pair, gap_count)
-    if gap_count == 1:
-        yield from enumerate_lean_sets(pair, 2)
-
-
-def _count_off_at_1(pair, r):
-    return semipath.count_lean_sets(pair, r) + (r == 1)
-
-
-def _path_reader_drops_a_gap(pair, matrix):
-    return LeanSet._from_chain(pair, semipath.lean_set_from_path(pair, matrix).gap_points[:-1])
-
-
-def _fixed_points_off(pair, n):
-    return semipath.count_fixed_points(pair, n) + 1
-
-
-# One broken route per case, patched into semipath.verify by name: the verify
-# arguments, the fake, the exact set of FAIL names and the number of lines.
-BROKEN_ROUTES = {
-    "non-lean-syzygy": (["5", "7"], "syzygy", _non_lean_syzygy,
-                        {"syzygy-route-equivalence", "syzygy-matrix-route"}, 13),
-    "swapped-couple": (["7", "11"], "fundamental_couple", _couple_with_swapped_order,
-                       {"fundamental-couples", "syzygy-consecutive-union"}, 13),
-    "unrotated": (["5", "7"], "admissible_rotation", _unrotated, {"syzygy-matrix-route", "cycle-lemma"}, 13),
-    "top-row-backwards": (["5", "7"], "syzygy_matrix", _top_row_backwards, {"syzygy-matrix-route"}, 13),
-    "presentation": (["7", "11"], "presentation", _presentation_off_at_5, {"presentation-round-trip"}, 13),
-    "is_member": (["7", "11"], "is_member", _membership_flipped_at_frobenius, {"membership-vs-double-loop"}, 13),
-    "narayana": (["7", "8"], "narayana", _narayana_off_at_2, {"catalan-narayana"}, 14),
-    # A module holding the missing gap has no table chain, so its couple and path verdicts fail.
-    "gaps": (["7", "11", "--deep"], "gaps", _gaps_without_the_last,
-             {"gap-table", "fundamental-couples", "syzygy-matrix-route"}, 14),
-    "syzygy_oracle": (["5", "7"], "syzygy_oracle", _oracle_shifted_by_one,
-                      {"syzygy-route-equivalence", "syzygy-consecutive-union", "period-divisibility"}, 13),
-    "enumerate_lean_sets": (["5", "7"], "enumerate_lean_sets", _one_gap_stream_runs_on, {"lean-stream"}, 13),
-    "count_lean_sets": (["5", "7"], "count_lean_sets", _count_off_at_1, {"lean-count-formulas"}, 13),
-    # Every failing set starts an orbit walk, so the walks cover the modules more than once.
-    "lean_set_from_path": (["5", "7"], "lean_set_from_path", _path_reader_drops_a_gap,
-                           {"path-round-trip", "period-route-equivalence"}, 13),
-    "count_fixed_points": (["5", "7", "--deep"], "count_fixed_points", _fixed_points_off,
-                           {"orbit-tables-vs-iteration"}, 14),
-}
-
-
-@pytest.mark.parametrize("argv, name, fake, failing, count", BROKEN_ROUTES.values(), ids=BROKEN_ROUTES.keys())
-def test_verify_reports_a_broken_route_as_failed_checks(capsys, monkeypatch, argv, name, fake, failing, count):
-    monkeypatch.setattr(semipath.verify, name, fake)
-    code, out, err = run(capsys, "verify", *argv)
-    lines = out.splitlines()
-    assert code == 3 and err == ""
-    assert len(lines) == count
-    assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == failing
-
-
-def test_every_verify_verdict_has_a_broken_route_that_fails_it(capsys):
-    code, out, _ = run(capsys, "verify", "7", "8", "--deep")
-    verdicts = {line.split()[1].rstrip(":") for line in out.splitlines()}
-    assert code == 0 and len(verdicts) == 15
-    assert verdicts <= set().union(*(case[3] for case in BROKEN_ROUTES.values()))
-
-
-def test_a_failing_pairwise_test_of_a_couple_is_an_internal_error(capsys, monkeypatch):
-    # Conditions 0-2 force condition 3, so the couple's pairwise test is the
-    # chain theorem's invariant: with it broken, a couple that passes 0-2
-    # raises, one that fails them keeps its clause, and verify FAILs that
-    # verdict by name and still prints every line.
-    monkeypatch.setattr(semipath.syzygies, "_pairwise_lean", lambda semigroup, values: False)
-    pair = SemigroupPair(5, 7)
-    with pytest.raises(InvariantError, match="passes conditions 0-2 but is not lean"):
-        validate_fundamental_couple(pair, (0, 8, 6, 9), (15, 13, 16, 14))
-    assert validate_fundamental_couple(pair, (0, 5), (15, 14)).clause == 1
-    code, out, err = run(capsys, "verify", "7", "11", "--deep")
-    assert code == 3 and err == ""
-    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
-        "fundamental-couples"
-    }
-
-
-def test_a_pairwise_test_that_always_passes_changes_no_verify_line(capsys, monkeypatch):
-    # The argued-equivalent mutant: conditions 0-2 already decide every
-    # verdict, so with the invariant's test always passing verify prints
-    # the same bytes on every couple of (7,11).
-    monkeypatch.setattr(semipath.syzygies, "_pairwise_lean", lambda semigroup, values: True)
-    code, out, _ = run(capsys, "verify", "7", "11", "--deep")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "c6c89c18cd5f7fc7a00119a954427a9f350b6a0e2fb43166d6acde394ebfecfc"
-
-
-def test_verify_checks_the_matrix_route_against_the_oracle_walk(capsys, monkeypatch):
-    # A fast route and a matrix route that both take two syzygy steps agree
-    # with each other; the matrix route must still fail, because it is
-    # checked against the oracle walk's next member.
-    def two_steps(pair, module):
-        return syzygy(pair, syzygy(pair, module).normalize())
-
-    def two_columns(matrix):
-        return PathMatrix._trusted(matrix.down[2:] + matrix.down[:2], matrix.right)
-
-    monkeypatch.setattr(semipath.verify, "syzygy", two_steps)
-    monkeypatch.setattr(semipath.verify, "syzygy_matrix", two_columns)
-    code, out, err = run(capsys, "verify", "5", "7")
-    lines = out.splitlines()
-    assert code == 3 and err == "" and len(lines) == 13
-    assert {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")} == {
-        "syzygy-route-equivalence",
-        "syzygy-matrix-route",
-    }
-
-
-def test_verify_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
-    # The rows walk then only cycles the top row; the definitional walk of
-    # period-route-equivalence shares no kernel with it and must disagree.
-    monkeypatch.setattr(semipath.syzygies, "_admissible_index", lambda alpha, beta, down, right: 0)
-    code, out, err = run(capsys, "verify", "7", "11", "--deep")
-    assert code == 3 and err == ""
-    assert "FAIL period-route-equivalence: matrix vs element iteration" in out.splitlines()
-
-
-def test_brute_orbits_report_a_walk_that_never_returns(capsys, monkeypatch):
-    # Each walk rotates its bottom row once, on its first step, and never
-    # again: some start then never returns, and the walker itself, not the
-    # tally's coverage check, ends the run as an internal error.
-    real_steps, calls = semipath.verify._steps, []
-
-    def rotate_only_once(alpha, beta, down, right):
-        calls.append(None)
-        return 1 if len(calls) == 1 else 0
-
-    def fresh_walk(*start):
-        calls.clear()
-        return real_steps(*start)
-
-    monkeypatch.setattr(semipath.syzygies, "_admissible_index", rotate_only_once)
-    monkeypatch.setattr(semipath.verify, "_steps", fresh_walk)
-    code, out, err = run(capsys, "orbits", "5", "7", "--gens", "4", "--brute")
-    assert (code, out) == (3, "")
-    assert err == "internal error: no syzygy recurrence within 4 steps for (2, 1, 1, 1)/(2, 1, 1, 3)\n"
-
-
-def _labels_right_run_first(semigroup, down, right):
-    label, es, se = 0, [], []
-    for d, r in zip(down, right):
-        es.append(label := label - r * semigroup.alpha)
-        se.append(label := label + d * semigroup.beta)
-    return es, se
-
-
-def test_verify_catches_labels_read_right_run_first(capsys, monkeypatch):
-    # Only the orbit cycle reads paths._labels in syzygies: a label sum that
-    # takes each right run before its down run mislabels every cycle member,
-    # and syzygy_period's lap identity refuses the cycle, so its periods
-    # never reach the table.
-    monkeypatch.setattr(semipath.syzygies, "_labels", _labels_right_run_first)
-    code, out, err = run(capsys, "verify", "7", "11", "--deep")
-    assert code == 3 and err == ""
-    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
-        "period-route-equivalence",
-        "period-divisibility",
-        "orbit-tables-vs-iteration",
-    }
-
-
-def _se_labels_own_corner(semigroup, chain):
-    # Each point's own corner (a_k, b_k), its gap value, in place of the SE
-    # corner (a_{k-1}, b_k); the last label is right.
-    return [p.value for p in chain] + [semigroup.product - (chain[-1].a if chain else 0) * semigroup.alpha]
-
-
-def test_verify_catches_se_labels_read_off_the_wrong_corner(capsys, monkeypatch):
-    # The couple and the syzygy step read syzygies._se_labels off the chain's
-    # corners; the oracle, the couple conditions and the matrix route share
-    # no kernel with it.
-    monkeypatch.setattr(semipath.syzygies, "_se_labels", _se_labels_own_corner)
-    code, out, err = run(capsys, "verify", "7", "11", "--deep")
-    assert code == 3 and err == ""
-    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
-        "syzygy-route-equivalence",
-        "fundamental-couples",
-        "syzygy-matrix-route",
-    }
-
-
-def test_verify_catches_a_couple_listing_i_ascending(capsys, monkeypatch):
-    # I must run right to left along the path, paired with J index by index;
-    # sorted ascending, it breaks the congruence ladder and the order in
-    # which consecutive cosets meet.
-    real = semipath.verify.fundamental_couple
-
-    def ascending(semigroup, lean):
-        couple = real(semigroup, lean)
-        return FundamentalCouple(tuple(sorted(couple.gens)), couple.syzygy_gens)
-
-    monkeypatch.setattr(semipath.verify, "fundamental_couple", ascending)
-    code, out, err = run(capsys, "verify", "7", "11", "--deep")
-    assert code == 3 and err == ""
-    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
-        "fundamental-couples",
-        "syzygy-consecutive-union",
-    }
-
-
-def _corners_from_beta(semigroup, matrix):
-    out, a, b = [], 0, semigroup.beta
-    for down, right in zip(matrix.down, matrix.right):
-        b -= down
-        out.append((a, b))
-        a += right
-        out.append((a, b))
-    return out
-
-
-@pytest.mark.parametrize(
-    "name, kernel",
-    [("_corners", _corners_from_beta), ("_labels", _labels_right_run_first)],
-    ids=["corners-start-at-beta", "labels-right-run-first"],
-)
-def test_verify_catches_a_broken_path_reader_kernel(capsys, monkeypatch, name, kernel):
-    # lean_set_from_path reads its (a, b) off _corners and its values off
-    # _labels; the round trip must return the whole lean set, gap points and
-    # all, so a broken kernel in paths alone fails path-round-trip.  Every
-    # failing set then starts an orbit walk, so the walks cover the modules
-    # more than once.
-    monkeypatch.setattr(semipath.paths, name, kernel)
-    code, out, err = run(capsys, "verify", "5", "7")
-    assert code == 3 and err == ""
-    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
-        "path-round-trip",
-        "period-route-equivalence",
-    }
-
-
-@pytest.mark.parametrize("leader, answer", [(True, 0), (False, 1)], ids=["never", "twice"])
-def test_verify_catches_a_cycle_not_checked_exactly_once(capsys, monkeypatch, leader, answer):
-    # verify --deep checks each cycle once, from its greatest rows; the cycles
-    # walked must cover the modules exactly, so a leader test that passes
-    # over one cycle, or starts one a second time, fails named verdicts.
-    real, changed = semipath.verify._leader_period, []
-
-    def once_wrong(alpha, beta, start):
-        period = real(alpha, beta, start)
-        if bool(period) == leader and not changed:
-            changed.append(start)
-            return answer
-        return period
-
-    monkeypatch.setattr(semipath.verify, "_leader_period", once_wrong)
-    code, out, err = run(capsys, "verify", "7", "11", "--deep")
-    assert code == 3 and err == "" and changed
-    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
-        "period-route-equivalence",
-        "orbit-tables-vs-iteration",
-    }
-
-
-def test_verify_names_a_broken_orbit_table_as_failed(capsys, monkeypatch):
-    # One module too many with period dividing 2 leaves an odd exact count at
-    # ell = 2: orbit_count_table raises, and verify --deep fails the verdict
-    # that reads the table instead of aborting.  orbits has no verdicts, so
-    # it reports the same fault as an internal error.
-    real = semipath.counting.count_ell_periodic
-    monkeypatch.setattr(semipath.counting, "count_ell_periodic", lambda pair, n, ell: real(pair, n, ell) + (ell == 2))
-    code, out, err = run(capsys, "verify", "5", "8", "--deep")
-    assert code == 3 and err == ""
-    assert {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")} == {
-        "orbit-tables-vs-iteration",
-    }
-    code, out, err = run(capsys, "orbits", "5", "8", "--gens", "4", "--brute")
-    assert code == 3 and out == "" and err.startswith("internal error: orbit count for ell=2")
-
-
-def test_orbits_brute_catches_an_orbit_walk_that_never_rotates(capsys, monkeypatch):
-    # The walk then only cycles the top row and leaves the admissible
-    # matrices, so the cycles counted from their greatest rows cannot cover
-    # every module.
-    monkeypatch.setattr(semipath.syzygies, "_admissible_index", lambda alpha, beta, down, right: 0)
-    for n in range(2, 7):
-        code, out, err = run(capsys, "orbits", "7", "11", "--gens", str(n), "--brute")
-        assert code == 3 and out == ""
-        assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def test_determinism(capsys):

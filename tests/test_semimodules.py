@@ -274,22 +274,27 @@ def _from_json(gens):
         (lambda: LeanSet(S57, ()), "members must not be empty"),
         (lambda: LeanSet.from_members(S57, []), "members must not be empty"),
         (lambda: is_lean(S57, []), "members must not be empty"),
-        # from_json reads a refused list once more, sorted: it re-raises the
-        # first refusal when sorting changes nothing, and [] is refused again.
+        # from_json reads a refused list once more, sorted: it raises the
+        # first refusal when sorting changes nothing, and the second when the
+        # sorted read refuses the list too, each on its own.
         (lambda: _from_json([]), "generators must not be empty"),
+        (lambda: _from_json([0, "x"]), "generators must be integers, got [0, 'x']"),
+        (lambda: _from_json([0, True]), "generators must be integers, got [0, True]"),
         (lambda: _from_json([0, 5]), "(0, 5) is not minimal: a difference of two generators lies in <5,7>"),
         (lambda: _from_json([-1, 3]), "generators must be non-negative integers, got (-1, 3)"),
     ],
     ids=[
         "minimal-empty", "minimal-negative", "normalize-empty", "Semimodule-empty", "is_isomorphic-empty",
-        "LeanSet-empty", "from_members-empty", "is_lean-empty", "from_json-empty", "from_json-not-minimal",
-        "from_json-negative",
+        "LeanSet-empty", "from_members-empty", "is_lean-empty", "from_json-empty", "from_json-str",
+        "from_json-bool", "from_json-not-minimal", "from_json-negative",
     ],
 )
 def test_empty_and_negative_generator_sets_are_refused(call, message):
+    # One refusal, so a traceback prints the message once.
     with pytest.raises(ValueError) as refusal:
         call()
     assert str(refusal.value) == message
+    assert refusal.value.__context__ is None
 
 
 @pytest.mark.parametrize("bad", [None, 5], ids=repr)
