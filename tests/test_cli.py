@@ -15,6 +15,7 @@ import pytest
 import semipath.cli
 from semipath import InvariantError, SemigroupPair, Semimodule, enumerate_lean_sets
 from semipath.cli import _build_parser, _handler, main
+from semipath.verify import brute_period_tally
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CLI_SURFACE = Path(__file__).with_name("cli_surface.json")
@@ -356,6 +357,91 @@ def test_brute_force_disagreement_is_an_internal_error(capsys, monkeypatch, argv
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("internal error: ")
+
+
+def test_brute_tallies_are_the_same_in_1_2_and_3_parts(capsys, monkeypatch):
+    # The part count is forced, so a runner with one CPU forks too.
+    cases = [(SemigroupPair(alpha, beta), n) for alpha, beta in ((7, 11), (8, 13)) for n in range(1, alpha + 1)]
+    cases += [(SemigroupPair(15, 16), n) for n in (2, 3, 12)]
+    argv = "orbits 15 16 --gens 12 --brute"
+    tallies = {}
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(semipath.verify, "_part_count", lambda: parts)
+        tallies[parts] = [brute_period_tally(pair, n) for pair, n in cases]
+        code, out, err = run(capsys, *argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, STDOUT_SHA256[argv], ""), parts
+    assert tallies[1] == tallies[2] == tallies[3]
+
+
+def _leader_period_by_process(here, there):
+    """_leader_period, after here() on each start this process walks and
+    there() on each start a forked part walks."""
+    pid, leader = os.getpid(), semipath.verify._leader_period
+
+    def fake(alpha, beta, start):
+        (here if os.getpid() == pid else there)()
+        return leader(alpha, beta, start)
+
+    return fake
+
+
+def _raise(exc):
+    def raising():
+        raise exc
+
+    return raising
+
+
+def _sleep_once(seconds):
+    """Sleep on the first call in each process, as each forked part starts."""
+    slept = []
+
+    def sleep():
+        if not slept:
+            slept.append(True)
+            time.sleep(seconds)
+
+    return sleep
+
+
+@pytest.mark.parametrize(
+    "argv, fake, code, err",
+    [
+        ("orbits 7 11 --gens 5 --brute", None, 0, ""),
+        ("orbits 7 11 --gens 5 --brute", _leader_period_by_process(lambda: None, _raise(InvariantError("child"))),
+         3, "internal error: child\n"),
+        # A child that cannot pickle its error sends nothing.
+        ("orbits 7 11 --gens 5 --brute", _leader_period_by_process(lambda: None, _raise(InvariantError(lambda: 0))),
+         3, "internal error: a forked part of the orbit walk ended without sending its tally\n"),
+        # The other parts would sleep for a minute: they are killed, not waited for.
+        ("orbits 15 16 --gens 12 --brute", _leader_period_by_process(_raise(KeyboardInterrupt()), _sleep_once(60)),
+         130, ""),
+    ],
+    ids=["success", "error-in-a-child", "unpicklable-error-in-a-child", "interrupt-in-part-0"],
+)
+def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, fake, code, err):
+    monkeypatch.setattr(semipath.verify, "_part_count", lambda: 3)
+    if fake is not None:
+        monkeypatch.setattr(semipath.verify, "_leader_period", fake)
+    start = time.monotonic()
+    assert run(capsys, *argv.split())[::2] == (code, err)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_parts_flush_none_of_the_buffered_stdout():
+    # stdout to a pipe is block-buffered, so the line is still in the buffer
+    # that each forked part inherits when the walk starts.
+    script = (
+        "from semipath import SemigroupPair, verify\n"
+        "verify._part_count = lambda: 3\n"
+        "print('before the walk')\n"
+        "verify.brute_period_tally(SemigroupPair(7, 11), 5)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"before the walk\n", b"")
 
 
 def test_one_parser_serves_every_call():

@@ -18,7 +18,7 @@ from semipath import InvariantError, LeanSet, PathMatrix, SemigroupPair, Semimod
 from semipath import counting, leansets, paths, syzygies, verify
 from semipath.counting import count_ell_periodic
 from semipath.leansets import _gap_chains
-from semipath.syzygies import FundamentalCouple, validate_fundamental_couple
+from semipath.syzygies import FundamentalCouple, _admissible_index, validate_fundamental_couple
 from semipath.verify import _leader_period
 from test_cli import STDOUT_SHA256, run
 
@@ -170,6 +170,10 @@ def _leader_once_wrong(leader, answer):
     return patches
 
 
+def _rotating_one_short(alpha, beta, down, right):
+    return (_admissible_index(alpha, beta, down, right) - 1) % len(right)
+
+
 _never_rotates = _patch(syzygies, "_admissible_index", lambda alpha, beta, down, right: 0)
 _one_too_many_of_period_2 = _patch(
     counting, "count_ell_periodic", lambda pair, n, ell: count_ell_periodic(pair, n, ell) + (ell == 2)
@@ -281,6 +285,12 @@ MUTATIONS = {
     "orbits-walk-returns-never": Mutation(
         "orbits 5 7 --gens 4 --brute", _walk_rotating_only_once,
         3, set(), 0, "internal error: no syzygy recurrence within 4 steps for (2, 1, 1, 1)/(2, 1, 1, 3)\n"),
+    # The walk from the second module is the first that never returns; in a
+    # forked walk only part 1 starts it, and in two or three parts part 0
+    # meets a later one.
+    "orbits-walk-rotates-one-short": Mutation(
+        "orbits 5 7 --gens 3 --brute", _patch(syzygies, "_admissible_index", _rotating_one_short),
+        3, set(), 0, "internal error: no syzygy recurrence within 3 steps for (3, 1, 1)/(1, 2, 4)\n"),
     # The walk then leaves the admissible matrices, so the cycles counted from
     # their greatest rows cannot cover every module.
     "orbits-never-rotates-2": Mutation(

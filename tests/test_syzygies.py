@@ -518,6 +518,7 @@ def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
     # A walk stops at the first rows greater than its start, or ends at its
     # return there.  Every leader walks its whole period and every other
     # module takes at least one step, 79,214 steps at the least on <15,16>.
+    # One part, so that every step is taken in this process and counted.
     steps, calls = semipath.verify._steps, []
 
     def counted(*args):
@@ -525,6 +526,7 @@ def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
             calls.append(None)
             yield rows
 
+    monkeypatch.setattr(semipath.verify, "_part_count", lambda: 1)
     monkeypatch.setattr(semipath.verify, "_steps", counted)
     assert brute_period_tally(S1516, 12) == {1: 1, 2: 6, 3: 90, 4: 448, 6: 540, 12: 40320}
     assert len(calls) == 106841
@@ -533,8 +535,10 @@ def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
     assert len(calls) == 3471
 
 
-def test_brute_period_tally_runs_in_constant_memory():
+def test_brute_period_tally_runs_in_constant_memory(monkeypatch):
     # 41,405 modules; a set of the rows already seen would hold megabytes.
+    # tracemalloc sees this process only, so the whole walk runs in it.
+    monkeypatch.setattr(semipath.verify, "_part_count", lambda: 1)
     tracemalloc.start()
     try:
         tally = brute_period_tally(S1516, 12)
