@@ -39,18 +39,14 @@ from .verify import brute_period_tally, run_checks
 __all__ = ["main"]
 
 
-def _parse_set(text: str) -> tuple[int, ...]:
-    """The ascending values of a --set, which must contain 0: couple, syzygy,
-    orbit and render all read a lean set or a normalized module."""
+def _lean_set(pair: SemigroupPair, text: str) -> LeanSet:
+    """The lean set a --set of couple, syzygy, orbit or render names: its
+    comma-separated ints, in any order, read by LeanSet.from_members."""
     try:
-        values = sorted({int(token) for token in text.split(",") if token.strip()})
+        values = [int(token) for token in text.split(",") if token.strip()]
     except ValueError:
         raise ValueError(f"could not parse {text!r} as a comma-separated integer set") from None
-    if not values:
-        raise ValueError("the generator set is empty")
-    if 0 not in values:
-        raise ValueError(f"the generator set must contain 0, got {{{', '.join(map(str, values))}}}")
-    return tuple(values)
+    return LeanSet.from_members(pair, values)
 
 
 def _json(value) -> str:
@@ -133,13 +129,13 @@ def cmd_count(args, pair) -> int:
 
 
 def cmd_couple(args, pair) -> int:
-    couple = fundamental_couple(pair, LeanSet.from_members(pair, _parse_set(args.set)))
+    couple = fundamental_couple(pair, _lean_set(pair, args.set))
     _emit(args, couple, "I: " + ",".join(map(str, couple.gens)), "J: " + ",".join(map(str, couple.syzygy_gens)))
     return 0
 
 
 def cmd_syzygy(args, pair) -> int:
-    result = iterated_syzygy(pair, Semimodule(pair, _parse_set(args.set)), args.iterate)
+    result = iterated_syzygy(pair, Semimodule._trusted(pair, _lean_set(pair, args.set).members), args.iterate)
     if args.normalize:
         result = result.normalize()
     _emit(args, result, ",".join(str(g) for g in result.gens))
@@ -147,7 +143,7 @@ def cmd_syzygy(args, pair) -> int:
 
 
 def cmd_orbit(args, pair) -> int:
-    report = syzygy_period(pair, Semimodule(pair, _parse_set(args.set)))
+    report = syzygy_period(pair, Semimodule._trusted(pair, _lean_set(pair, args.set).members))
     steps = (f"cycle[{k}]: " + ",".join(map(str, step.gens)) for k, step in enumerate(report.cycle))
     _emit(args, report, f"period: {report.period}", *steps)
     return 0
@@ -185,7 +181,7 @@ def cmd_render(args, pair) -> int:
         markers=not args.no_markers,
         labels=args.labels,
     )
-    print(render(pair, LeanSet.from_members(pair, _parse_set(args.set)), spec))
+    print(render(pair, _lean_set(pair, args.set), spec))
     return 0
 
 

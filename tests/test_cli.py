@@ -243,23 +243,31 @@ def test_determinism(capsys):
 def test_invalid_inputs_exit_2(capsys):
     code, _, err = run(capsys, "gaps", "4", "6")
     assert code == 2 and "coprime" in err
-    code, _, err = run(capsys, "couple", "5", "7", "--set", "0,5")
-    assert code == 2
-    code, _, err = run(capsys, "orbit", "5", "7", "--set", "0,5")
-    assert code == 2 and "(0, 5) is not minimal" in err
-    for command in ("couple", "syzygy", "orbit", "render"):
-        want = (2, "", "error: the generator set must contain 0, got {3, 9}\n")
-        assert run(capsys, command, "5", "7", "--set", "3,9") == want, command
     code, _, err = run(capsys, "enumerate", "5", "7", "--gens", "9")
     assert code == 2
     code, _, err = run(capsys, "couple", "5", "7", "--set", "zero")
     assert code == 2
-    assert run(capsys, "couple", "5", "7", "--set", ",") == (2, "", "error: the generator set is empty\n")
     code, _, err = run(capsys, "render", "5", "7", "--set", "0,9,6,8", "--format", "svg", "--cell", "2")
     assert (code, err) == (2, "error: svg cell size must be an integer >= 4, got 2\n")
     assert run(capsys, "member", "5", "7", "--", "-1") == (2, "", "error: n must be an integer >= 0, got -1\n")
     code, _, err = run(capsys, "syzygy", "5", "7", "--set", "0", "--iterate", "0")
     assert (code, err) == (2, "error: iteration count must be an integer >= 1, got 0\n")
+
+
+# A --set is read only by LeanSet.from_members, so each refused set has one
+# text, whichever command reads it.
+SET_REFUSALS = {
+    ",": "members must not be empty",
+    "3,9": "the least value must be 0 (normalize first), got (3, 9)",
+    "0,5": "{0, 5} is not a lean set of <5,7>",
+    "-1,0": "the least value must be 0 (normalize first), got (-1, 0)",
+}
+
+
+@pytest.mark.parametrize("text", SET_REFUSALS)
+@pytest.mark.parametrize("command", ["couple", "syzygy", "orbit", "render"])
+def test_every_set_command_refuses_a_set_in_the_library_words(capsys, command, text):
+    assert run(capsys, command, "5", "7", f"--set={text}") == (2, "", f"error: {SET_REFUSALS[text]}\n")
 
 
 # Each subcommand with valid remaining options, so only the pair is wrong.
@@ -413,11 +421,14 @@ def _sleep_once(seconds):
         # A child that cannot pickle its error sends nothing.
         ("orbits 7 11 --gens 5 --brute", _leader_period_by_process(lambda: None, _raise(InvariantError(lambda: 0))),
          3, "internal error: a forked part of the orbit walk ended without sending its tally\n"),
+        # A child that dies sends nothing either.
+        ("orbits 7 11 --gens 5 --brute", _leader_period_by_process(lambda: None, lambda: os._exit(1)),
+         3, "internal error: a forked part of the orbit walk ended without sending its tally\n"),
         # The other parts would sleep for a minute: they are killed, not waited for.
         ("orbits 15 16 --gens 12 --brute", _leader_period_by_process(_raise(KeyboardInterrupt()), _sleep_once(60)),
          130, ""),
     ],
-    ids=["success", "error-in-a-child", "unpicklable-error-in-a-child", "interrupt-in-part-0"],
+    ids=["success", "error-in-a-child", "unpicklable-error-in-a-child", "a-child-dies", "interrupt-in-part-0"],
 )
 def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, fake, code, err):
     monkeypatch.setattr(semipath.verify, "_part_count", lambda: 3)
@@ -428,6 +439,40 @@ def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, fake, code, er
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_ctrl_c_to_the_process_group_ends_every_part_quietly():
+    # Ctrl-C in a terminal sends SIGINT to the whole foreground process group,
+    # so each forked part gets it too, not only the process that forked them.
+    # A SIGINT ignored at launch stays ignored, hence the handler is set again.
+    script = (
+        "import signal, sys, time\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "from semipath import cli, verify\n"
+        "verify._part_count = lambda: 3\n"
+        "leader = verify._leader_period\n"
+        "def slow(*args):\n"
+        "    time.sleep(0.01)\n"
+        "    return leader(*args)\n"
+        "verify._leader_period = slow\n"
+        "sys.exit(cli.main(['orbits', '7', '11', '--gens', '5', '--brute']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        time.sleep(1)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, out, err) == (130, b"", b"")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_forked_parts_flush_none_of_the_buffered_stdout():

@@ -35,7 +35,7 @@ from semipath import (
     syzygy_period,
     validate_fundamental_couple,
 )
-from semipath.cli import _parse_set
+from semipath.cli import _lean_set
 from semipath.semigroup import _is_int, _sorted_ints
 from semipath.syzygies import _is_gap
 from semipath.verify import brute_period_tally, naive_members, run_checks
@@ -318,7 +318,7 @@ REFUSALS = {
     "orbit_witness-none": (
         lambda: orbit_witness(S57, 4, 1), "n/ell = 4 does not divide alpha*beta = 35; no such orbit exists"
     ),
-    "parse_set": (lambda: _parse_set("0,x"), "could not parse '0,x' as a comma-separated integer set"),
+    "parse_set": (lambda: _lean_set(S57, "0,x"), "could not parse '0,x' as a comma-separated integer set"),
     "PathMatrix-lists": (
         lambda: PathMatrix([1, 4], (3, 4)), "down and right rows must be tuples, got [1, 4] and (3, 4)"
     ),

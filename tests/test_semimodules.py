@@ -323,6 +323,23 @@ def test_an_error_raised_while_iterating_the_input_is_not_relabelled():
         normalize(S57, (x + "1" for x in [0]))
 
 
+def test_the_semimodule_layer_agrees_with_the_naive_members_on_every_lean_set():
+    # elements_up_to, minimal_generators and is_isomorphic all read the Apery
+    # kernel _apery; naive_members reads neither it nor the sieve.  Each g + alpha
+    # and g + beta is a member but no minimal generator.
+    pair = SemigroupPair(7, 11)
+    alpha, beta, bound = pair.alpha, pair.beta, 2 * pair.product
+    members = naive_members(pair, bound)
+    leans = list(enumerate_lean_sets(pair))
+    assert len(leans) == 1768
+    for lean in leans:
+        gens = lean.members
+        window = sorted({g + s for g in gens for s in members if g + s <= bound})
+        assert elements_up_to(pair, Semimodule(pair, gens), bound) == window, gens
+        assert minimal_generators(pair, [*gens, *(g + alpha for g in gens), *(g + beta for g in gens)]) == gens
+        assert is_isomorphic(pair, gens, [g + 5 for g in gens]), gens
+
+
 def test_validation_agrees_with_the_pairwise_definition():
     # Semimodule(...) checks minimality by the monotone gap-chain criterion;
     # the definition is that no difference of two generators is a member.
