@@ -29,7 +29,7 @@ from .counting import (
     orbit_count_table,
 )
 from .errors import InvariantError
-from .leansets import LeanSet, _gap_chains
+from .leansets import _SUBTREE, LeanSet, _count_chains, _gap_chains, _write_in_parts
 from .render import RenderSpec, render
 from .semigroup import SemigroupPair, gaps, is_member
 from .semimodules import Semimodule
@@ -107,12 +107,15 @@ def cmd_enumerate(args, pair) -> int:
         return out, values[:k] + [x] + values[k:], offsets[: k + 1] + [o + width for o in offsets[k:]]
 
     root = (prefix + suffix, [], [len(prefix)])
-    lines = _gap_chains(pair, gap_count, root, line, grow)
-    write = sys.stdout.write
-    if not gap_count:  # the empty chain comes first, as root itself
-        write(next(lines)[0])
-    while chunk := "".join(islice(lines, 1024)):
-        write(chunk)
+
+    def text(part):  # one part's lines, 1,024 at a time, each subtree after a mark
+        lines = _gap_chains(pair, gap_count, root, line, grow, part, _SUBTREE)
+        if not gap_count and not part[0]:  # the empty chain comes first, as root itself
+            yield next(lines)[0]
+        while chunk := "".join(islice(lines, 1024)):
+            yield chunk
+
+    _write_in_parts(pair, gap_count, text, sys.stdout.write)
     return 0
 
 
@@ -120,8 +123,7 @@ def cmd_count(args, pair) -> int:
     gap_count = _gap_count(pair, args.gens)
     expected = count_lean_sets_total(pair) if gap_count is None else count_lean_sets(pair, gap_count)
     if args.brute:
-        # Each chain counts 1, and the root 1 when the empty chain is in the stream.
-        seen = sum(_gap_chains(pair, gap_count, 1, lambda parent, point: 1))
+        seen = _count_chains(pair, gap_count)
         if seen != expected:
             raise InvariantError(f"enumerated {seen} lean sets, formula says {expected}")
     print(expected)

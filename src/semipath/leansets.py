@@ -7,14 +7,19 @@ a makes the b coordinates strictly decrease; the enumerator walks those
 monotone chains of gap points directly.  LeanSet(...) checks its members
 by that criterion; a set the library derives from a gap chain, such as each
 one the enumerator yields, is built unchecked by LeanSet._from_chain.
+The CLI's brute streams walk the chains in parts at once, split by
+subtrees of the one walk, each part but the first in a forked child.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from .counting import count_lean_sets, count_lean_sets_total
+from .errors import InvariantError
 from .semigroup import GapPoint, SemigroupPair, _gap_of, _require_int, _require_pair, _sorted_ints, gaps
 
 __all__ = ["LeanSet", "is_lean", "enumerate_lean_sets"]
@@ -109,6 +114,8 @@ def _gap_chains(
     root: Any = (),
     item: Callable[[Any, GapPoint], Any] = lambda chain, point: chain + (point,),
     grow: Callable[[Any, GapPoint, Any], Any] = lambda parent, point, value: value,
+    part: tuple[int, int] = (0, 1),
+    mark: Any = None,
 ) -> Iterator[Any]:
     """Chains of gap points with a strictly increasing and b strictly decreasing.
 
@@ -125,6 +132,14 @@ def _gap_chains(
     value kept as the parent of its extensions.  point is the chain's last gap
     point.  Every chain the walk builds is yielded or extended.  With the
     defaults every value is the chain itself, a tuple of gap points.
+
+    part = (index, parts) walks one of parts parts, split by subtrees: the
+    chains of _cut_depth points, numbered 0, 1, ... in walk order, are the
+    roots of subtrees, and the walk builds subtree t, the root and its
+    extensions, only when t % parts == index.  The chains above the roots
+    are built in every part, to reach its subtrees, and yielded in part 0
+    only.  mark, unless None, is yielded before each subtree, built here or
+    not.  With parts = 1 nothing is cut.
     """
     # Each node is (reach, point, row, start).  rows[b] gathers, in (a, b)
     # order, the nodes below b, and rows[alpha] all of them; a node's
@@ -137,24 +152,39 @@ def _gap_chains(
         node = (p.b, p, rows[p.b], len(rows[p.b]))
         for below in rows[p.b + 1 :]:
             below.append(node)
+    index, parts = part
     if not gap_count:
-        yield root
+        if not index:
+            yield root
         if gap_count == 0:
             return
     # Unfiltered, every chain is yielded and extended; filtered, only chains
     # of gap_count points are yielded, and a node whose reach falls short of
     # gap_count at its depth is pruned.
     need, first, last = (0, 0, len(rows[-1])) if gap_count is None else (gap_count, gap_count - 1, gap_count - 1)
+    cut = _cut_depth(rows, need, gap_count or semigroup.alpha - 1, parts) if parts > 1 else 0
+    subtree = -1
+    # levels[d] holds, for the chains of d + 1 points: the least reach that
+    # escapes the prune, whether they are yielded, whether they are extended,
+    # and whether they are the subtree roots.
+    levels = [
+        (need - d, d >= first and (d >= cut - 1 or not index), d < last, d == cut - 1) for d in range(semigroup.alpha)
+    ]
     # stack[d] pairs the value of a chain of d points with an iterator over the
     # candidates that extend it: its last point's successors, or every node at d = 0.
     stack = [(root, iter(rows[-1]))]
     while stack:
-        depth = len(stack) - 1
         parent, candidates = stack[-1]
-        floor, emit, extend = need - depth, depth >= first, depth < last
+        floor, emit, extend, roots = levels[len(stack) - 1]
         for reach, point, row, start in candidates:
             if reach < floor:
                 continue
+            if roots:
+                subtree += 1
+                if mark is not None:
+                    yield mark
+                if subtree % parts != index:
+                    continue
             value = item(parent, point)
             if emit:
                 yield value
@@ -165,6 +195,23 @@ def _gap_chains(
                 break
         else:
             stack.pop()
+
+
+def _cut_depth(rows: list, need: int, deepest: int, parts: int) -> int:
+    """The least number of points, at most deepest, of which the walk over
+    rows meets at least _SUBTREES_PER_PART chains per part, or deepest.
+    Each level is counted as a multiset of last nodes, under the walk's
+    prune, so the count costs no more than the walk spends above the cut."""
+    level = {node[1]: (node, 1) for node in rows[-1] if node[0] >= need}
+    points = 1
+    while points < deepest and sum(count for _, count in level.values()) < _SUBTREES_PER_PART * parts:
+        below: dict = {}
+        for (_, _, row, start), count in level.values():
+            for node in row[start:]:
+                if node[0] >= need - points:
+                    below[node[1]] = node, below.get(node[1], (node, 0))[1] + count
+        level, points = below, points + 1
+    return points
 
 
 def enumerate_lean_sets(
@@ -180,3 +227,164 @@ def enumerate_lean_sets(
     if gap_count is not None:
         _require_int(gap_count, "gap count", 0, semigroup.alpha - 1)
     return (LeanSet._from_chain(semigroup, chain) for chain in _gap_chains(semigroup, gap_count))
+
+
+# Walking one stream in parts at once.  A part is (index, parts), as
+# _gap_chains takes it; part 0 runs in the calling process, every other one
+# in a child made by os.fork that sends back what it walked through a pipe.
+_FORK_FLOOR = 1 << 15  # chains: a fork and its reap cost ~2 ms, more than a shorter walk saves
+_SUBTREES_PER_PART = 64  # so the interleaved subtrees even out the parts' work
+_PIPE_BYTES = 1 << 20  # the default most a pipe may hold on Linux, up from 64 KiB
+_SUBTREE = "\0"  # the mark before each subtree in a part's text; no line holds it
+_LOST = "a forked part of the gap-chain walk ended before sending all it walked"
+
+
+def _part_count(semigroup: SemigroupPair, gap_count: int | None) -> int:
+    """How many parts walk the gap_count stream at once: one per usable CPU,
+    at most 8, when the closed-form count of its chains is at least
+    _FORK_FLOOR, else 1.  The levels above the cut, which every part
+    builds, hold under 1% of the chains built in 8 parts of each benchmark
+    stream, so they set no cap; the cap of 8 is kept from the earlier
+    interleaved walk and is timed at 2 parts only.  1 also where os has no
+    fork or sched_getaffinity, or where the process runs other threads,
+    which a fork can deadlock."""
+    chains = count_lean_sets_total(semigroup) if gap_count is None else count_lean_sets(semigroup, gap_count)
+    if chains < _FORK_FLOOR or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import threading
+
+    return 1 if threading.active_count() > 1 else min(len(os.sched_getaffinity(0)), 8)
+
+
+def _fork_part(send: Callable[[Any], Any]) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a forked child that calls send(pipe)
+    on a binary file over the pipe's write end.  The child leaves by
+    os._exit, whatever happens, so it runs no exit handler and flushes none
+    of the buffers it inherited."""
+    import fcntl
+
+    read, write = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux: room for a part to run ahead of the reader
+        try:
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except OSError:  # over the system's limit for a pipe
+            pass
+    parent, pid = os.getpid(), 0
+    try:
+        pid = os.fork()
+        if not pid:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                send(pipe)
+    finally:
+        if os.getpid() != parent:
+            os._exit(0)
+        os.close(write)
+        if not pid:  # the fork failed
+            os.close(read)
+    return pid, read
+
+
+def _forked(sends: list, use: Callable[[list], Any]) -> Any:
+    """use(pipes), with pipes the binary files over the read ends of the
+    pipes of children forked one per send.  Before this returns or raises,
+    every child is killed and reaped: one that has sent all it had has ended
+    or is ending, so the kill only stops the parts still walking after an
+    error or an interrupt."""
+    children = []
+    try:
+        for send in sends:
+            children.append(_fork_part(send))
+        return use([open(read, "rb", closefd=False) for _, read in children])
+    finally:
+        if children:  # a walk in one part imports nothing
+            import signal
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _results(semigroup: SemigroupPair, gap_count: int | None, work: Callable[[tuple[int, int]], Any]) -> list:
+    """[work(part) for every part of the gap_count stream], each child's
+    pickled result read to the end of its pipe."""
+    import pickle
+
+    parts = _part_count(semigroup, gap_count)
+    sends = [lambda pipe, index=index: pipe.write(pickle.dumps(work((index, parts)))) for index in range(1, parts)]
+    here, sent = _forked(sends, lambda pipes: (work((0, parts)), [pipe.read() for pipe in pipes]))
+    if not all(sent):
+        raise InvariantError(_LOST)
+    return [here, *map(pickle.loads, sent)]
+
+
+def _count_chains(semigroup: SemigroupPair, gap_count: int | None) -> int:
+    """How many chains the walk of the gap_count stream yields, counted in
+    parts: each chain counts 1, and the root 1 when the empty chain is in
+    the stream."""
+
+    def count(part: tuple[int, int]) -> int:
+        return sum(_gap_chains(semigroup, gap_count, 1, lambda parent, point: 1, part=part))
+
+    return sum(_results(semigroup, gap_count, count))
+
+
+def _write_in_parts(
+    semigroup: SemigroupPair, gap_count: int | None, text: Callable[[tuple[int, int]], Iterator[str]], write
+) -> None:
+    """Write the text of the gap_count stream in walk order.  text(part)
+    yields one part's ASCII text in str chunks, with _SUBTREE before each
+    subtree, built in that part or not.  Part 0 writes its text as it
+    comes; every other part sends the text of each of its subtrees, ended by
+    _SUBTREE, which is copied here in subtree order, a pipe read at a time."""
+    parts = _part_count(semigroup, gap_count)
+    sends = [
+        lambda pipe, index=index: _send_subtrees(text((index, parts)), index, parts, pipe) for index in range(1, parts)
+    ]
+
+    def splice(pipes: list) -> None:
+        received = [_received_text(pipe) for pipe in pipes]
+        subtree = -1
+        for chunk in text((0, parts)):
+            first, *rest = chunk.split(_SUBTREE)
+            write(first)
+            for piece in rest:
+                subtree += 1
+                if subtree % parts:  # a forked part's subtree
+                    for sent in received[subtree % parts - 1]:
+                        if sent is None:
+                            break
+                        write(sent)
+                    else:
+                        raise InvariantError(_LOST)
+                write(piece)
+
+    _forked(sends, splice)
+
+
+def _received_text(pipe) -> Iterator[str | None]:
+    """The text a forked part sends, in pieces as it arrives, with None for
+    each _SUBTREE, which ends a subtree."""
+    while block := pipe.read1(1 << 16):
+        first, *rest = block.decode().split(_SUBTREE)
+        yield first
+        for piece in rest:
+            yield None
+            yield piece
+
+
+def _send_subtrees(chunks: Iterator[str], index: int, parts: int, pipe) -> None:
+    """Send the text of each subtree of part index, read off the chunks of
+    its text, followed by _SUBTREE."""
+    subtree, owned = -1, False
+    for chunk in chunks:
+        first, *rest = chunk.split(_SUBTREE)
+        pipe.write(first.encode())
+        for piece in rest:
+            if owned:
+                pipe.write(_SUBTREE.encode())
+            subtree += 1
+            owned = subtree % parts == index
+            pipe.write(piece.encode())
+    if owned:
+        pipe.write(_SUBTREE.encode())

@@ -21,7 +21,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from .counting import (
     _require_generator_count,
@@ -33,7 +33,7 @@ from .counting import (
     orbit_count_table,
 )
 from .errors import InvariantError
-from .leansets import LeanSet, _gap_chains, enumerate_lean_sets, is_lean
+from .leansets import LeanSet, _gap_chains, _results, enumerate_lean_sets, is_lean
 from .paths import PathMatrix, _below_diagonal, _rows, admissible_rotation, lean_set_from_path
 from .semigroup import GapPoint, SemigroupPair, _require_pair, gaps, is_member, membership_sieve, presentation
 from .semimodules import Semimodule
@@ -269,72 +269,25 @@ def _leader_period(alpha: int, beta: int, start: tuple) -> int:
     return t
 
 
-def _part_count() -> int:
-    """How many interleaved parts brute_period_tally walks at once: one per
-    usable CPU, at most 8, since every part re-walks the whole chain stream.
-    1, so nothing is forked, where os has no fork or sched_getaffinity, or
-    where the process runs other threads, which a fork can deadlock."""
-    import os
-    import threading
-
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), 8)
-
-
-def _tally_part(semigroup: SemigroupPair, n: int, part: int, parts: int) -> tuple:
-    """(tally, modules, failure) of the chains part, part + parts, ... of the
-    n-generator stream: the periods its leaders count, how many modules it
-    started from, and None, or (stream index, exception) of the first start
-    whose walk raised, where the part stops."""
+def _tally_part(semigroup: SemigroupPair, n: int, part: tuple[int, int]) -> tuple:
+    """(tally, modules, failure) of one part of the n-generator stream: the
+    periods its leaders count, how many modules it started from, and None,
+    or (key, exception) of the first start whose walk raised, where the part
+    stops.  The key, the chain's (a, b) points, orders chains as one walk
+    meets them."""
     alpha, beta = semigroup.alpha, semigroup.beta
     tally: Counter[int] = Counter()
     modules = 0
+    chain = ()
     try:
-        for chain in islice(_gap_chains(semigroup, n - 1), part, None, parts):
+        for chain in _gap_chains(semigroup, n - 1, part=part):
             period = _leader_period(alpha, beta, _rows(semigroup, chain))
             modules += 1
             if period:
                 tally[period] += period
     except Exception as exc:
-        return tally, modules, (part + modules * parts, exc)
+        return tally, modules, ([(p.a, p.b) for p in chain], exc)
     return tally, modules, None
-
-
-def _fork_part(semigroup: SemigroupPair, n: int, part: int, parts: int) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a forked child that walks one part and
-    writes its pickled _tally_part to the pipe.  The child leaves by
-    os._exit, whatever happens, so it runs no exit handler and flushes none
-    of the buffers it inherited."""
-    import os
-    import pickle
-
-    read, write = os.pipe()
-    parent, pid = os.getpid(), 0
-    try:
-        pid = os.fork()
-        if not pid:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                pipe.write(pickle.dumps(_tally_part(semigroup, n, part, parts)))
-    finally:
-        if os.getpid() != parent:
-            os._exit(0)
-        os.close(write)
-        if not pid:  # the fork failed
-            os.close(read)
-    return pid, read
-
-
-def _part_result(read: int) -> tuple:
-    """The _tally_part a forked part wrote to its pipe, read to the end."""
-    import pickle
-
-    with open(read, "rb", closefd=False) as pipe:
-        data = pipe.read()
-    if not data:
-        raise InvariantError("a forked part of the orbit walk ended without sending its tally")
-    return pickle.loads(data)
 
 
 def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
@@ -344,30 +297,14 @@ def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
     A walk starts from every module, but only the greatest rows of a cycle,
     in tuple order, count it: a walk that returns to its start at step t adds
     t modules of period t, and one that first meets greater rows stops
-    uncounted.  The walks run in _part_count() interleaved parts of the
-    chain stream: part 0 here, every other one in a forked child.  Constant
-    memory per process; a missing recurrence, or counted cycles that do not
-    cover every module exactly, is an InvariantError.  Of the parts' errors,
-    the one at the least stream index is raised: the serial walk's first.
+    uncounted.  The walks run in the parts of the chain stream that
+    leansets._results forks, each over its own subtrees.  Constant memory
+    per process; a missing recurrence, or counted cycles that do not cover
+    every module exactly, is an InvariantError.  Of the parts' errors, the
+    one at the least chain is raised: the serial walk's first.
     """
-    import os
-    import signal
-
     _require_generator_count(semigroup, n)
-    parts = _part_count()
-    children = []
-    try:
-        for part in range(1, parts):
-            children.append(_fork_part(semigroup, n, part, parts))
-        results = [_tally_part(semigroup, n, 0, parts)]
-        results += [_part_result(read) for _, read in children]
-    finally:
-        # A child that sent its result has ended or is ending, so the kill
-        # only stops the parts still walking after an error or an interrupt.
-        for pid, read in children:
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    results = _results(semigroup, n - 1, lambda part: _tally_part(semigroup, n, part))
     failures = [failure for _, _, failure in results if failure]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -2,12 +2,14 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -353,7 +355,7 @@ def test_orbits_checks_the_generator_count():
     "argv, name, fake",
     [
         (["orbits", "5", "7", "--gens", "4", "--brute"], "brute_period_tally", lambda pair, n: {4: 1}),
-        (["count", "5", "7", "--brute"], "_gap_chains", lambda pair, r, *values: iter(())),
+        (["count", "5", "7", "--brute"], "_count_chains", lambda pair, r: 0),
     ],
     ids=["orbits", "count"],
 )
@@ -367,18 +369,128 @@ def test_brute_force_disagreement_is_an_internal_error(capsys, monkeypatch, argv
     assert err.startswith("internal error: ")
 
 
+def _walk_in(monkeypatch, parts):
+    """Walk every gap-chain stream in `parts` parts, whatever its size and
+    the CPUs, so that a runner with one CPU forks too."""
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count: parts)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bench_sha256(argv: str) -> str:
+    """The stdout digest that perfbench/expected.json records for argv."""
+    return json.loads((SRC.parent / "perfbench" / "expected.json").read_text())["commands"][argv]["sha256"]
+
+
+# Streams whose stdout must not depend on the part count: plain and --json,
+# filtered and not (--gens 1 is the empty chain alone), and count --brute
+# with and without --gens.
+PART_STREAMS = [
+    f"enumerate {pair}{flags}"
+    for pair in ("7 11", "11 13")
+    for flags in ("", " --json", " --gens 1", " --gens 1 --json", " --gens 5", " --gens 5 --json")
+]
+PART_STREAMS += ["enumerate 15 16 --gens 12", "enumerate 15 16 --gens 12 --json"]
+PART_STREAMS += [
+    f"count {pair} --brute{flags}" for pair in ("7 11", "11 13") for flags in ("", " --gens 1", " --gens 5")
+]
+PART_STREAMS += ["count 15 16 --gens 12 --brute"]
+
+
 def test_brute_tallies_are_the_same_in_1_2_and_3_parts(capsys, monkeypatch):
-    # The part count is forced, so a runner with one CPU forks too.
     cases = [(SemigroupPair(alpha, beta), n) for alpha, beta in ((7, 11), (8, 13)) for n in range(1, alpha + 1)]
     cases += [(SemigroupPair(15, 16), n) for n in (2, 3, 12)]
     argv = "orbits 15 16 --gens 12 --brute"
-    tallies = {}
+    tallies, streams = {}, {}
     for parts in (1, 2, 3):
-        monkeypatch.setattr(semipath.verify, "_part_count", lambda: parts)
+        _walk_in(monkeypatch, parts)
         tallies[parts] = [brute_period_tally(pair, n) for pair, n in cases]
         code, out, err = run(capsys, *argv.split())
-        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, STDOUT_SHA256[argv], ""), parts
+        assert (code, _sha256(out), err) == (0, STDOUT_SHA256[argv], ""), parts
+        runs = (run(capsys, *stream.split()) for stream in PART_STREAMS)
+        streams[parts] = [(code, _sha256(out), err) for code, out, err in runs]
     assert tallies[1] == tallies[2] == tallies[3]
+    assert streams[1] == streams[2] == streams[3]
+    assert all(code == 0 and err == "" for code, _, err in streams[1])
+    pinned = [STDOUT_SHA256["enumerate 7 11"], STDOUT_SHA256["enumerate 7 11 --json"]]
+    assert [digest for _, digest, _ in streams[1][:2]] == pinned
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_each_part_walks_only_its_own_chains(monkeypatch, tmp_path, parts):
+    # Each part's walk logs how many chains of each length it built, by the
+    # calls to item.  The short chains above the cut are built in every part;
+    # from the cut down, the parts together build the serial walk's chains,
+    # so a part that built every chain to keep its share fails.
+    log, walk = tmp_path / "chains", semipath.verify._gap_chains
+
+    def counted(semigroup, gap_count, part=(0, 1)):
+        built = [0] * semigroup.alpha
+
+        def item(chain, point):
+            built[len(chain)] += 1
+            return chain + (point,)
+
+        yield from walk(semigroup, gap_count, item=item, part=part)
+        with open(log, "a") as file:
+            file.write(json.dumps(built) + "\n")
+
+    monkeypatch.setattr(semipath.verify, "_gap_chains", counted)
+    _walk_in(monkeypatch, 1)
+    assert sum(brute_period_tally(SemigroupPair(15, 16), 12).values()) == 41405
+    _walk_in(monkeypatch, parts)
+    assert sum(brute_period_tally(SemigroupPair(15, 16), 12).values()) == 41405
+    serial, *each = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(each) == parts
+    cut = next((d for d, count in enumerate(serial) if any(built[d] != count for built in each)), len(serial))
+    assert all(built[:cut] == serial[:cut] for built in each)
+    assert [sum(counts) for counts in zip(*each)][cut:] == serial[cut:]
+    assert sum(serial[:cut]) * 100 < sum(serial), (cut, serial)
+
+
+def test_a_stream_below_the_fork_floor_forks_nothing(capsys, monkeypatch):
+    # The benchmark's four enumerate --json producers, each under 2**15
+    # modules, run serial even with eight CPUs: a fork fails the run.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert semipath.leansets._part_count(SemigroupPair(12, 13), None) == 8
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for argv in ("10 11 --gens 5", "10 13 --gens 5", "11 13 --gens 4", "8 13 --gens 8"):
+        argv = f"enumerate {argv} --json"
+        code, out, err = run(capsys, *argv.split())
+        assert (code, _sha256(out), err) == (0, _bench_sha256(argv), ""), argv
+
+
+def test_enumerate_in_3_parts_holds_no_part_of_its_output(monkeypatch):
+    # 7.07 MB of lines: the forked parts' text passes through this process a
+    # pipe read at a time, and part 0's 1,024 lines at a time.
+    digest = hashlib.sha256()
+
+    class Sink(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            digest.update(data)
+            return len(data)
+
+    out = io.TextIOWrapper(io.BufferedWriter(Sink(), 1 << 14), encoding="utf-8", newline="\n")
+    _walk_in(monkeypatch, 3)
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "14", "15", "--gens", "6"])
+        out.flush()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, digest.hexdigest()) == (0, _bench_sha256("enumerate 14 15 --gens 6"))
+    assert peak < 4 << 20, peak
 
 
 def _leader_period_by_process(here, there):
@@ -412,28 +524,52 @@ def _sleep_once(seconds):
     return sleep
 
 
+def _leaders(here, there):
+    return semipath.verify, "_leader_period", _leader_period_by_process(here, there)
+
+
+def _dies_in_a_forked_part():
+    """cmd_enumerate's walk, ending the process of a forked part at its 100th line."""
+    pid, walk = os.getpid(), semipath.cli._gap_chains
+
+    def dying(*args):
+        for count, value in enumerate(walk(*args)):
+            if count == 100 and os.getpid() != pid:
+                os._exit(1)
+            yield value
+
+    return semipath.cli, "_gap_chains", dying
+
+
+LOST = "internal error: a forked part of the gap-chain walk ended before sending all it walked\n"
+
+
 @pytest.mark.parametrize(
-    "argv, fake, code, err",
+    "argv, patch, code, err",
     [
         ("orbits 7 11 --gens 5 --brute", None, 0, ""),
-        ("orbits 7 11 --gens 5 --brute", _leader_period_by_process(lambda: None, _raise(InvariantError("child"))),
+        ("orbits 7 11 --gens 5 --brute", _leaders(lambda: None, _raise(InvariantError("child"))),
          3, "internal error: child\n"),
         # A child that cannot pickle its error sends nothing.
-        ("orbits 7 11 --gens 5 --brute", _leader_period_by_process(lambda: None, _raise(InvariantError(lambda: 0))),
-         3, "internal error: a forked part of the orbit walk ended without sending its tally\n"),
+        ("orbits 7 11 --gens 5 --brute", _leaders(lambda: None, _raise(InvariantError(lambda: 0))), 3, LOST),
         # A child that dies sends nothing either.
-        ("orbits 7 11 --gens 5 --brute", _leader_period_by_process(lambda: None, lambda: os._exit(1)),
-         3, "internal error: a forked part of the orbit walk ended without sending its tally\n"),
+        ("orbits 7 11 --gens 5 --brute", _leaders(lambda: None, lambda: os._exit(1)), 3, LOST),
         # The other parts would sleep for a minute: they are killed, not waited for.
-        ("orbits 15 16 --gens 12 --brute", _leader_period_by_process(_raise(KeyboardInterrupt()), _sleep_once(60)),
-         130, ""),
+        ("orbits 15 16 --gens 12 --brute", _leaders(_raise(KeyboardInterrupt()), _sleep_once(60)), 130, ""),
+        ("enumerate 11 13 --json", None, 0, ""),
+        ("count 12 13 --brute", None, 0, ""),
+        # The stream stops short, and the run says so.
+        ("enumerate 11 13", _dies_in_a_forked_part(), 3, LOST),
     ],
-    ids=["success", "error-in-a-child", "unpicklable-error-in-a-child", "a-child-dies", "interrupt-in-part-0"],
+    ids=[
+        "success", "error-in-a-child", "unpicklable-error-in-a-child", "a-child-dies", "interrupt-in-part-0",
+        "enumerate", "count", "enumerate-child-dies-mid-stream",
+    ],
 )
-def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, fake, code, err):
-    monkeypatch.setattr(semipath.verify, "_part_count", lambda: 3)
-    if fake is not None:
-        monkeypatch.setattr(semipath.verify, "_leader_period", fake)
+def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, patch, code, err):
+    _walk_in(monkeypatch, 3)
+    if patch is not None:
+        monkeypatch.setattr(*patch)
     start = time.monotonic()
     assert run(capsys, *argv.split())[::2] == (code, err)
     assert time.monotonic() - start < 30
@@ -441,15 +577,47 @@ def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, fake, code, er
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_ctrl_c_to_the_process_group_ends_every_part_quietly():
+def _in_a_new_session(script):
+    """A Python running script, leader of a new process group."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+
+
+def _ends_with_its_group(proc, finish):
+    """finish(proc)'s result, once proc's whole process group has ended."""
+    try:
+        result = finish(proc)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return result
+
+
+def _ctrl_c(proc):
     # Ctrl-C in a terminal sends SIGINT to the whole foreground process group,
     # so each forked part gets it too, not only the process that forked them.
-    # A SIGINT ignored at launch stays ignored, hence the handler is set again.
-    script = (
-        "import signal, sys, time\n"
-        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
-        "from semipath import cli, verify\n"
-        "verify._part_count = lambda: 3\n"
+    time.sleep(1)
+    os.killpg(proc.pid, signal.SIGINT)
+    return proc.communicate(timeout=60)
+
+
+# A SIGINT ignored at launch stays ignored, hence the handler is set again.
+IN_3_PARTS = (
+    "import signal, sys, time\n"
+    "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+    "from semipath import SemigroupPair, cli, leansets, verify\n"
+    "leansets._part_count = lambda semigroup, gap_count: 3\n"
+)
+
+
+def test_ctrl_c_to_the_process_group_ends_every_part_quietly():
+    script = IN_3_PARTS + (
         "leader = verify._leader_period\n"
         "def slow(*args):\n"
         "    time.sleep(0.01)\n"
@@ -457,36 +625,43 @@ def test_ctrl_c_to_the_process_group_ends_every_part_quietly():
         "verify._leader_period = slow\n"
         "sys.exit(cli.main(['orbits', '7', '11', '--gens', '5', '--brute']))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        start_new_session=True,
-    )
-    try:
-        time.sleep(1)
-        os.killpg(proc.pid, signal.SIGINT)
-        out, err = proc.communicate(timeout=60)
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+    proc = _in_a_new_session(script)
+    out, err = _ends_with_its_group(proc, _ctrl_c)
     assert (proc.returncode, out, err) == (130, b"", b"")
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
+
+
+def test_enumerate_in_parts_ends_quietly_on_ctrl_c_or_when_its_reader_goes():
+    # The stream runs for minutes: `| head -2`, then Ctrl-C in the middle.
+    script = IN_3_PARTS + "sys.exit(cli.main(['enumerate', '15', '16']))\n"
+
+    def head_2(proc):
+        lines = proc.stdout.readline(), proc.stdout.readline()
+        proc.stdout.close()
+        with proc.stderr:
+            return proc.wait(timeout=60), lines, proc.stderr.read()
+
+    proc = _in_a_new_session(script)
+    assert _ends_with_its_group(proc, head_2) == (141, (b"0\n", b"0,209\n"), b"")
+    proc = _in_a_new_session(script)
+    out, err = _ends_with_its_group(proc, _ctrl_c)
+    assert (proc.returncode, out[:4], err) == (130, b"0\n0,", b"")
 
 
 def test_forked_parts_flush_none_of_the_buffered_stdout():
     # stdout to a pipe is block-buffered, so the line is still in the buffer
     # that each forked part inherits when the walk starts.
-    script = (
-        "from semipath import SemigroupPair, verify\n"
-        "verify._part_count = lambda: 3\n"
+    script = IN_3_PARTS + (
         "print('before the walk')\n"
         "verify.brute_period_tally(SemigroupPair(7, 11), 5)\n"
+        "print('between the walks')\n"
+        "cli.main(['count', '11', '13', '--brute'])\n"
+        "cli.main(['enumerate', '7', '11'])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"before the walk\n", b"")
+    head, lines = proc.stdout.split(b"104006\n", 1)
+    assert (proc.returncode, head, proc.stderr) == (0, b"before the walk\nbetween the walks\n", b"")
+    assert hashlib.sha256(lines).hexdigest() == STDOUT_SHA256["enumerate 7 11"]
 
 
 def test_one_parser_serves_every_call():

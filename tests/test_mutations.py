@@ -3,7 +3,9 @@
 Each row of MUTATIONS breaks one kernel (or two) for one command line and
 pins what the run then gives: exit code, FAIL verdicts, stdout line count and
 stderr.  verify exits 3 and still prints every verdict; orbits --brute, which
-has none, exits 3 with one internal-error line.  Patches are built fresh for
+has none, exits 3 with one internal-error line.  A run that exits 0, as a
+broken enumerate does, is caught by the pinned digest its stdout must differ
+from.  Patches are built fresh for
 each run, so a fake that keeps state starts clean.  A broken kernel that no
 verdict sees is a finding: add the missing check, never drop the row.
 """
@@ -15,7 +17,7 @@ import pytest
 
 import semipath
 from semipath import InvariantError, LeanSet, PathMatrix, SemigroupPair, Semimodule
-from semipath import counting, leansets, paths, syzygies, verify
+from semipath import cli, counting, leansets, paths, syzygies, verify
 from semipath.counting import count_ell_periodic
 from semipath.leansets import _gap_chains
 from semipath.syzygies import FundamentalCouple, _admissible_index, validate_fundamental_couple
@@ -30,6 +32,7 @@ class Mutation(NamedTuple):
     failing: set[str]
     lines: int
     err: str
+    golden: str | None = None  # the pinned sha256 that the stdout must differ from
 
 
 def _patch(module, name, fake):
@@ -117,6 +120,21 @@ def _se_labels_own_corner(pair, chain):
     # Each point's own corner (a_k, b_k), its gap value, in place of the SE
     # corner (a_{k-1}, b_k); the last label is right.
     return [p.value for p in chain] + [pair.product - (chain[-1].a if chain else 0) * pair.alpha]
+
+
+def _splice_offsets_one_char_off():
+    # Each line keeps the char offsets at which its extensions splice their
+    # values in; grow then sets them one char late.
+    walk = cli._gap_chains
+
+    def shifted_walk(pair, gap_count, root, item, grow, *rest):
+        def shifted(parent, point, out):
+            line, values, offsets = grow(parent, point, out)
+            return line, values, [offset + 1 for offset in offsets]
+
+        return walk(pair, gap_count, root, item, shifted, *rest)
+
+    return [(cli, "_gap_chains", shifted_walk)]
 
 
 def _rows_reversed(pair, points):
@@ -308,6 +326,9 @@ MUTATIONS = {
     "orbits-never-rotates-6": Mutation(
         "orbits 7 11 --gens 6 --brute", _never_rotates,
         3, set(), 0, "internal error: the counted cycles hold 498 modules, the walks started from 252\n"),
+    # Every line is still built, but the values land one char off.
+    "enumerate-splice-offsets": Mutation(
+        "enumerate 7 11", _splice_offsets_one_char_off, 0, set(), 1768, "", STDOUT_SHA256["enumerate 7 11"]),
 }
 
 
@@ -319,6 +340,29 @@ def test_a_broken_kernel_fails_its_verdicts(capsys, monkeypatch, row):
     lines = out.splitlines()
     failing = {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")}
     assert (code, failing, len(lines), err) == (row.code, row.failing, row.lines, row.err)
+    assert row.golden is None or hashlib.sha256(out.encode()).hexdigest() != row.golden
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("name", ["orbits-walk-returns-never", "orbits-walk-rotates-one-short"])
+def test_of_the_parts_errors_the_first_in_walk_order_is_raised(capsys, monkeypatch, name, parts):
+    # Part 0 fails too, at a later chain than a forked part, so an error taken
+    # from part 0, or from the first part to fail, is not the serial walk's.
+    row = MUTATIONS[name]
+    for module, attr, fake in row.patches():
+        monkeypatch.setattr(module, attr, fake)
+    monkeypatch.setattr(leansets, "_part_count", lambda semigroup, gap_count: parts)
+    here, tally = [], verify._tally_part
+
+    def kept(semigroup, n, part):
+        result = tally(semigroup, n, part)
+        here.append(result[2])  # a forked part appends to its own copy
+        return result
+
+    monkeypatch.setattr(verify, "_tally_part", kept)
+    assert run(capsys, *row.argv.split()) == (row.code, "", row.err)
+    (failure,) = here
+    assert failure is not None and f"internal error: {failure[1]}\n" != row.err
 
 
 def test_every_verify_verdict_has_a_broken_route_that_fails_it(capsys):

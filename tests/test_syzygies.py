@@ -526,7 +526,7 @@ def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
             calls.append(None)
             yield rows
 
-    monkeypatch.setattr(semipath.verify, "_part_count", lambda: 1)
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count: 1)
     monkeypatch.setattr(semipath.verify, "_steps", counted)
     assert brute_period_tally(S1516, 12) == {1: 1, 2: 6, 3: 90, 4: 448, 6: 540, 12: 40320}
     assert len(calls) == 106841
@@ -538,7 +538,7 @@ def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
 def test_brute_period_tally_runs_in_constant_memory(monkeypatch):
     # 41,405 modules; a set of the rows already seen would hold megabytes.
     # tracemalloc sees this process only, so the whole walk runs in it.
-    monkeypatch.setattr(semipath.verify, "_part_count", lambda: 1)
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count: 1)
     tracemalloc.start()
     try:
         tally = brute_period_tally(S1516, 12)
