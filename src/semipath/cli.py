@@ -29,7 +29,7 @@ from .counting import (
     orbit_count_table,
 )
 from .errors import InvariantError
-from .leansets import _SUBTREE, LeanSet, _count_chains, _gap_chains, _write_in_parts
+from .leansets import _SUBTREE, LeanSet, _gap_chains, _results, _write_in_parts
 from .render import RenderSpec, render
 from .semigroup import SemigroupPair, gaps, is_member
 from .semimodules import Semimodule
@@ -122,9 +122,9 @@ def cmd_enumerate(args, pair) -> int:
 def cmd_count(args, pair) -> int:
     gap_count = _gap_count(pair, args.gens)
     expected = count_lean_sets_total(pair) if gap_count is None else count_lean_sets(pair, gap_count)
-    if args.brute:
-        seen = _count_chains(pair, gap_count)
-        if seen != expected:
+    if args.brute:  # each chain the walk yields counts 1, the empty one as the root
+        counts = _results(pair, gap_count, lambda part: sum(_gap_chains(pair, gap_count, 1, lambda *_: 1, part=part)))
+        if (seen := sum(counts)) != expected:
             raise InvariantError(f"enumerated {seen} lean sets, formula says {expected}")
     print(expected)
     return 0

@@ -7,14 +7,16 @@ a makes the b coordinates strictly decrease; the enumerator walks those
 monotone chains of gap points directly.  LeanSet(...) checks its members
 by that criterion; a set the library derives from a gap chain, such as each
 one the enumerator yields, is built unchecked by LeanSet._from_chain.
-The CLI's brute streams walk the chains in parts at once, split by
-subtrees of the one walk, each part but the first in a forked child.
+The CLI's brute streams walk the chains in parts split by subtrees, each
+part but the first in a forked child, or in one part where a fork fails.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -256,53 +258,55 @@ def _part_count(semigroup: SemigroupPair, gap_count: int | None) -> int:
     return 1 if threading.active_count() > 1 else min(len(os.sched_getaffinity(0)), 8)
 
 
-def _fork_part(send: Callable[[Any], Any]) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a forked child that calls send(pipe)
-    on a binary file over the pipe's write end.  The child leaves by
-    os._exit, whatever happens, so it runs no exit handler and flushes none
-    of the buffers it inherited."""
-    import fcntl
-
-    read, write = os.pipe()
-    if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux: room for a part to run ahead of the reader
-        try:
-            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except OSError:  # over the system's limit for a pipe
-            pass
-    parent, pid = os.getpid(), 0
-    try:
-        pid = os.fork()
-        if not pid:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                send(pipe)
-    finally:
-        if os.getpid() != parent:
-            os._exit(0)
-        os.close(write)
-        if not pid:  # the fork failed
-            os.close(read)
-    return pid, read
-
-
-def _forked(sends: list, use: Callable[[list], Any]) -> Any:
+def _forked(parts: int, send: Callable[[int, Any], Any], use: Callable[[list], Any]) -> Any:
     """use(pipes), with pipes the binary files over the read ends of the
-    pipes of children forked one per send.  Before this returns or raises,
-    every child is killed and reaped: one that has sent all it had has ended
-    or is ending, so the kill only stops the parts still walking after an
-    error or an interrupt."""
-    children = []
-    try:
-        for send in sends:
-            children.append(_fork_part(send))
-        return use([open(read, "rb", closefd=False) for _, read in children])
-    finally:
-        if children:  # a walk in one part imports nothing
-            import signal
-        for pid, read in children:
+    pipes of children forked for the parts 1 to parts - 1.  Child index
+    calls send(index, pipe) on a binary file over its pipe's write end and
+    leaves by os._exit, whatever happens, so it runs no exit handler and
+    flushes none of the buffers it inherited.  Where a pipe or a fork
+    fails, as when the system runs out of processes, the children made so
+    far are killed and use([]) runs: the walk is then one part.  Before
+    this returns or raises, every child is killed and reaped: one that has
+    sent all it had has ended or is ending, so the kill only stops the
+    parts still walking after an error or an interrupt."""
+    children, parent = [], os.getpid()
+
+    def end() -> None:  # signal is imported with the first child
+        while children:
+            pid, read = children.pop()
             os.close(read)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+    try:
+        try:
+            for index in range(1, parts):  # a walk in one part imports nothing
+                import fcntl
+                import signal
+
+                read, write = os.pipe()
+                if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux: room for a part to run ahead of the reader
+                    with suppress(OSError):  # over the system's limit for a pipe
+                        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                pid = 0
+                try:
+                    pid = os.fork()
+                    if not pid:
+                        os.close(read)
+                        with open(write, "wb") as pipe:
+                            send(index, pipe)
+                finally:
+                    if os.getpid() != parent:
+                        os._exit(0)
+                    os.close(write)
+                    if not pid:  # the fork failed
+                        os.close(read)
+                children.append((pid, read))
+        except OSError:  # no pipe or process to be had
+            end()
+        return use([open(read, "rb", closefd=False) for _, read in children])
+    finally:
+        end()
 
 
 def _results(semigroup: SemigroupPair, gap_count: int | None, work: Callable[[tuple[int, int]], Any]) -> list:
@@ -311,22 +315,14 @@ def _results(semigroup: SemigroupPair, gap_count: int | None, work: Callable[[tu
     import pickle
 
     parts = _part_count(semigroup, gap_count)
-    sends = [lambda pipe, index=index: pipe.write(pickle.dumps(work((index, parts)))) for index in range(1, parts)]
-    here, sent = _forked(sends, lambda pipes: (work((0, parts)), [pipe.read() for pipe in pipes]))
+    here, sent = _forked(
+        parts,
+        lambda index, pipe: pipe.write(pickle.dumps(work((index, parts)))),
+        lambda pipes: (work((0, len(pipes) + 1)), [pipe.read() for pipe in pipes]),
+    )
     if not all(sent):
         raise InvariantError(_LOST)
     return [here, *map(pickle.loads, sent)]
-
-
-def _count_chains(semigroup: SemigroupPair, gap_count: int | None) -> int:
-    """How many chains the walk of the gap_count stream yields, counted in
-    parts: each chain counts 1, and the root 1 when the empty chain is in
-    the stream."""
-
-    def count(part: tuple[int, int]) -> int:
-        return sum(_gap_chains(semigroup, gap_count, 1, lambda parent, point: 1, part=part))
-
-    return sum(_results(semigroup, gap_count, count))
 
 
 def _write_in_parts(
@@ -335,56 +331,45 @@ def _write_in_parts(
     """Write the text of the gap_count stream in walk order.  text(part)
     yields one part's ASCII text in str chunks, with _SUBTREE before each
     subtree, built in that part or not.  Part 0 writes its text as it
-    comes; every other part sends the text of each of its subtrees, ended by
-    _SUBTREE, which is copied here in subtree order, a pipe read at a time."""
+    comes.  Every other part sends its text as it comes, then one closing
+    _SUBTREE.  Before its subtree t, part 0 copies each other part's text
+    between its (t+1)-th and (t+2)-th _SUBTREE, that part's subtree t or
+    none, a pipe read at a time.  A part whose marks run out ended early."""
     parts = _part_count(semigroup, gap_count)
-    sends = [
-        lambda pipe, index=index: _send_subtrees(text((index, parts)), index, parts, pipe) for index in range(1, parts)
-    ]
+
+    def send(index: int, pipe) -> None:
+        for chunk in text((index, parts)):
+            pipe.write(chunk.encode())
+        pipe.write(_SUBTREE.encode())
 
     def splice(pipes: list) -> None:
-        received = [_received_text(pipe) for pipe in pipes]
-        subtree = -1
-        for chunk in text((0, parts)):
-            first, *rest = chunk.split(_SUBTREE)
-            write(first)
-            for piece in rest:
-                subtree += 1
-                if subtree % parts:  # a forked part's subtree
-                    for sent in received[subtree % parts - 1]:
-                        if sent is None:
-                            break
-                        write(sent)
-                    else:
-                        raise InvariantError(_LOST)
+        received = [_pieces(map(bytes.decode, iter(partial(pipe.read1, 1 << 16), b""))) for pipe in pipes]
+
+        def copy() -> None:
+            """Write the text each forked part sends up to its next _SUBTREE."""
+            for pieces in received:
+                for piece in pieces:
+                    if piece is None:
+                        break
+                    write(piece)
+                else:
+                    raise InvariantError(_LOST)
+
+        copy()  # up to the first _SUBTREE: no text
+        for piece in _pieces(text((0, len(pipes) + 1))):
+            if piece is None:
+                copy()
+            else:
                 write(piece)
 
-    _forked(sends, splice)
+    _forked(parts, send, splice)
 
 
-def _received_text(pipe) -> Iterator[str | None]:
-    """The text a forked part sends, in pieces as it arrives, with None for
-    each _SUBTREE, which ends a subtree."""
-    while block := pipe.read1(1 << 16):
-        first, *rest = block.decode().split(_SUBTREE)
+def _pieces(chunks: Iterable[str]) -> Iterator[str | None]:
+    """The text of the chunks in pieces, with None for each _SUBTREE."""
+    for chunk in chunks:
+        first, *rest = chunk.split(_SUBTREE)
         yield first
         for piece in rest:
             yield None
             yield piece
-
-
-def _send_subtrees(chunks: Iterator[str], index: int, parts: int, pipe) -> None:
-    """Send the text of each subtree of part index, read off the chunks of
-    its text, followed by _SUBTREE."""
-    subtree, owned = -1, False
-    for chunk in chunks:
-        first, *rest = chunk.split(_SUBTREE)
-        pipe.write(first.encode())
-        for piece in rest:
-            if owned:
-                pipe.write(_SUBTREE.encode())
-            subtree += 1
-            owned = subtree % parts == index
-            pipe.write(piece.encode())
-    if owned:
-        pipe.write(_SUBTREE.encode())

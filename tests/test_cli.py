@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -355,7 +356,7 @@ def test_orbits_checks_the_generator_count():
     "argv, name, fake",
     [
         (["orbits", "5", "7", "--gens", "4", "--brute"], "brute_period_tally", lambda pair, n: {4: 1}),
-        (["count", "5", "7", "--brute"], "_count_chains", lambda pair, r: 0),
+        (["count", "5", "7", "--brute"], "_results", lambda pair, gap_count, work: [0]),
     ],
     ids=["orbits", "count"],
 )
@@ -541,6 +542,42 @@ def _dies_in_a_forked_part():
     return semipath.cli, "_gap_chains", dying
 
 
+def _drops_a_mark_in_a_forked_part():
+    """cmd_enumerate's walk, leaving out in each forked part the _SUBTREE
+    before its first subtree, so the part sends one mark too few."""
+    pid, walk = os.getpid(), semipath.cli._gap_chains
+
+    def dropping(*args):
+        dropped = os.getpid() == pid
+        for value in walk(*args):
+            if value == semipath.cli._SUBTREE and not dropped:
+                dropped = True
+                continue
+            yield value
+
+    return semipath.cli, "_gap_chains", dropping
+
+
+class _HoldsBackItsLastWrite:
+    """A forked part's pipe that never sends the last write: its closing _SUBTREE."""
+
+    def __init__(self, pipe):
+        self.pipe, self.held = pipe, b""
+
+    def write(self, data):
+        self.pipe.write(self.held)
+        self.held = data
+
+
+def _no_closing_mark_from_a_forked_part():
+    forked = semipath.leansets._forked
+
+    def unclosed(parts, send, use):
+        return forked(parts, lambda index, pipe: send(index, _HoldsBackItsLastWrite(pipe)), use)
+
+    return semipath.leansets, "_forked", unclosed
+
+
 LOST = "internal error: a forked part of the gap-chain walk ended before sending all it walked\n"
 
 
@@ -560,10 +597,14 @@ LOST = "internal error: a forked part of the gap-chain walk ended before sending
         ("count 12 13 --brute", None, 0, ""),
         # The stream stops short, and the run says so.
         ("enumerate 11 13", _dies_in_a_forked_part(), 3, LOST),
+        # A child that sends a mark too few, a subtree's or the closing one, ended early too.
+        ("enumerate 11 13", _drops_a_mark_in_a_forked_part(), 3, LOST),
+        ("enumerate 11 13", _no_closing_mark_from_a_forked_part(), 3, LOST),
     ],
     ids=[
         "success", "error-in-a-child", "unpicklable-error-in-a-child", "a-child-dies", "interrupt-in-part-0",
-        "enumerate", "count", "enumerate-child-dies-mid-stream",
+        "enumerate", "count", "enumerate-child-dies-mid-stream", "enumerate-child-drops-a-mark",
+        "enumerate-child-sends-no-closing-mark",
     ],
 )
 def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, patch, code, err):
@@ -573,6 +614,30 @@ def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, patch, code, e
     start = time.monotonic()
     assert run(capsys, *argv.split())[::2] == (code, err)
     assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", ["pipe", "fork"])
+@pytest.mark.parametrize("argv", ["enumerate 7 11", "count 7 11 --brute", "orbits 7 11 --gens 5 --brute"])
+def test_a_failed_fork_walks_in_one_part(capsys, monkeypatch, argv, name):
+    # The second os.pipe or os.fork of 3 parts fails as it does when the
+    # system runs out of processes: the child already made is killed and
+    # the run gives the serial stdout, with no traceback.
+    _walk_in(monkeypatch, 1)
+    serial = run(capsys, *argv.split())
+    calls, call = [], getattr(os, name)
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return call()
+
+    _walk_in(monkeypatch, 3)
+    monkeypatch.setattr(os, name, second_fails)
+    assert run(capsys, *argv.split()) == serial
+    assert (serial[0], serial[2], len(calls)) == (0, "", 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

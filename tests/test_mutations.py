@@ -4,20 +4,21 @@ Each row of MUTATIONS breaks one kernel (or two) for one command line and
 pins what the run then gives: exit code, FAIL verdicts, stdout line count and
 stderr.  verify exits 3 and still prints every verdict; orbits --brute, which
 has none, exits 3 with one internal-error line.  A run that exits 0, as a
-broken enumerate does, is caught by the pinned digest its stdout must differ
-from.  Patches are built fresh for
+broken enumerate or a refusal let through does, is caught by the pinned
+digest its stdout must differ from.  Patches are built fresh for
 each run, so a fake that keeps state starts clean.  A broken kernel that no
 verdict sees is a finding: add the missing check, never drop the row.
 """
 
 import hashlib
+import sys
 from typing import Callable, NamedTuple
 
 import pytest
 
 import semipath
 from semipath import InvariantError, LeanSet, PathMatrix, SemigroupPair, Semimodule
-from semipath import cli, counting, leansets, paths, syzygies, verify
+from semipath import cli, counting, leansets, paths, semigroup, semimodules, syzygies, verify
 from semipath.counting import count_ell_periodic
 from semipath.leansets import _gap_chains
 from semipath.syzygies import FundamentalCouple, _admissible_index, validate_fundamental_couple
@@ -192,6 +193,60 @@ def _rotating_one_short(alpha, beta, down, right):
     return (_admissible_index(alpha, beta, down, right) - 1) % len(right)
 
 
+def _one_memo_holding_5_7():
+    # One gap-point memo for every pair, as a memo keyed by the value alone
+    # would be, already filled by (5,7): a pair reads another pair's points.
+    seed, post_init = SemigroupPair(5, 7), SemigroupPair.__post_init__
+    memo = {x: semigroup._gap_of(seed, x) for x in range(1, seed.frobenius + 1)}
+
+    def sharing(pair):
+        post_init(pair)
+        object.__setattr__(pair, "_gap_points", memo)
+
+    return [(SemigroupPair, "__post_init__", sharing)]
+
+
+# The trusted builders fill each slot through the frozen class's descriptor.
+_set_gap_points, _set_gens, _set_right = leansets._set_gap_points, semimodules._set_gens, paths._set_right
+
+
+def _gap_points_by_value(lean, chain):
+    _set_gap_points(lean, tuple(sorted(chain)))
+
+
+def _gens_normalized(module, gens):
+    _set_gens(module, tuple(g - gens[0] for g in gens))
+
+
+def _right_row_rotated(matrix, right):
+    _set_right(matrix, right[1:] + right[:1])
+
+
+def _matrix_slots_swapped():
+    down, right = PathMatrix.__dict__["down"].__set__, PathMatrix.__dict__["right"].__set__
+    return [(paths, "_set_down", right), (paths, "_set_right", down)]
+
+
+# Every module that binds semigroup._require_int, render's included, which
+# the package's `render` function hides.
+_INT_RULE_READERS = [
+    module for name, module in sys.modules.items() if name.startswith("semipath.") and hasattr(module, "_require_int")
+]
+
+
+def _upper_bound_moved_by(step):
+    """The one integer rule with its upper bound moved by step, in every module that reads it."""
+    rule = semigroup._require_int
+
+    def moved(value, what, low, high=None):
+        rule(value, what, low, None if high is None else high + step)
+
+    return lambda: [(module, "_require_int", moved) for module in _INT_RULE_READERS]
+
+
+REFUSED = hashlib.sha256(b"").hexdigest()  # the stdout of a command line refused with exit 2
+
+
 _never_rotates = _patch(syzygies, "_admissible_index", lambda alpha, beta, down, right: 0)
 _one_too_many_of_period_2 = _patch(
     counting, "count_ell_periodic", lambda pair, n, ell: count_ell_periodic(pair, n, ell) + (ell == 2)
@@ -329,6 +384,35 @@ MUTATIONS = {
     # Every line is still built, but the values land one char off.
     "enumerate-splice-offsets": Mutation(
         "enumerate 7 11", _splice_offsets_one_char_off, 0, set(), 1768, "", STDOUT_SHA256["enumerate 7 11"]),
+    "gap-point-memo-shared-by-pairs": Mutation(
+        "verify 5 8", _one_memo_holding_5_7,
+        3, {"lean-stream", "syzygy-route-equivalence", "syzygy-matrix-route", "period-divisibility",
+            "period-route-equivalence"}, 13, ""),
+    # Gap points kept in value order, not by a: the chain the couple and the path read is out of order.
+    "lean-set-gap-points-by-value": Mutation(
+        "verify 5 7", _patch(leansets, "_set_gap_points", _gap_points_by_value),
+        3, {"lean-stream", "fundamental-couples", "syzygy-consecutive-union", "period-route-equivalence"}, 13, ""),
+    # A module builder that normalizes: both syzygy routes build through it,
+    # so only the verdicts that read a syzygy's shift see it.
+    "module-built-normalized": Mutation(
+        "verify 5 7", _patch(semimodules, "_set_gens", _gens_normalized),
+        3, {"syzygy-consecutive-union", "period-divisibility"}, 13, ""),
+    "path-matrix-right-row-rotated": Mutation(
+        "verify 5 7", _patch(paths, "_set_right", _right_row_rotated),
+        3, {"path-round-trip", "syzygy-matrix-route", "period-route-equivalence", "cycle-lemma"}, 13, ""),
+    # Each descriptor bound to the other's slot, so every matrix has its rows
+    # swapped.  The cycle-lemma scan calls admissible_rotation on its own
+    # matrices without _unless_it_raises, so the refusal ends verify with
+    # exit 2, as if the pair were bad, where a failed verdict and exit 3 belong.
+    "path-matrix-slots-swapped": Mutation(
+        "verify 5 7", _matrix_slots_swapped, 2, set(), 0, "error: row sums must be (5, 7), got (7, 5)\n"),
+    # n = alpha is a valid generator count: orbits refuses it, so the deep table fails.
+    "int-rule-refuses-its-upper-bound": Mutation(
+        "verify 5 7 --deep", _upper_bound_moved_by(-1), 3, {"orbit-tables-vs-iteration"}, 14, ""),
+    # n = 6 > alpha has no module, so every count is a true 0 and the brute
+    # walk agrees: only the refusal, exit 2 with nothing on stdout, is lost.
+    "int-rule-admits-one-past-its-upper-bound": Mutation(
+        "orbits 5 7 --gens 6 --brute", _upper_bound_moved_by(1), 0, set(), 5, "", REFUSED),
 }
 
 
