@@ -19,7 +19,6 @@ import os
 import sys
 from bisect import bisect
 from functools import cache
-from itertools import islice
 
 from .counting import (
     _require_generator_count,
@@ -29,7 +28,7 @@ from .counting import (
     orbit_count_table,
 )
 from .errors import InvariantError
-from .leansets import _SUBTREE, LeanSet, _gap_chains, _results, _write_in_parts
+from .leansets import LeanSet, _results, _write_in_parts
 from .render import RenderSpec, render
 from .semigroup import SemigroupPair, gaps, is_member
 from .semimodules import Semimodule
@@ -106,16 +105,7 @@ def cmd_enumerate(args, pair) -> int:
         width = len(texts[x])
         return out, values[:k] + [x] + values[k:], offsets[: k + 1] + [o + width for o in offsets[k:]]
 
-    root = (prefix + suffix, [], [len(prefix)])
-
-    def text(part):  # one part's lines, 1,024 at a time, each subtree after a mark
-        lines = _gap_chains(pair, gap_count, root, line, grow, part, _SUBTREE)
-        if not gap_count and not part[0]:  # the empty chain comes first, as root itself
-            yield next(lines)[0]
-        while chunk := "".join(islice(lines, 1024)):
-            yield chunk
-
-    _write_in_parts(pair, gap_count, text, sys.stdout.write)
+    _write_in_parts(pair, gap_count, sys.stdout.write, (prefix + suffix, [], [len(prefix)]), line, grow)
     return 0
 
 
@@ -123,7 +113,7 @@ def cmd_count(args, pair) -> int:
     gap_count = _gap_count(pair, args.gens)
     expected = count_lean_sets_total(pair) if gap_count is None else count_lean_sets(pair, gap_count)
     if args.brute:  # each chain the walk yields counts 1, the empty one as the root
-        counts = _results(pair, gap_count, lambda part: sum(_gap_chains(pair, gap_count, 1, lambda *_: 1, part=part)))
+        counts = _results(pair, gap_count, sum, 1, lambda *_: 1)
         if (seen := sum(counts)) != expected:
             raise InvariantError(f"enumerated {seen} lean sets, formula says {expected}")
     print(expected)

@@ -7,8 +7,8 @@ a makes the b coordinates strictly decrease; the enumerator walks those
 monotone chains of gap points directly.  LeanSet(...) checks its members
 by that criterion; a set the library derives from a gap chain, such as each
 one the enumerator yields, is built unchecked by LeanSet._from_chain.
-The CLI's brute streams walk the chains in parts split by subtrees, each
-part but the first in a forked child, or in one part where a fork fails.
+The brute streams walk the chains here in parts split by subtrees, each
+but the first in a forked child; cli and verify pass callbacks, not parts.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -231,9 +232,8 @@ def enumerate_lean_sets(
     return (LeanSet._from_chain(semigroup, chain) for chain in _gap_chains(semigroup, gap_count))
 
 
-# Walking one stream in parts at once.  A part is (index, parts), as
-# _gap_chains takes it; part 0 runs in the calling process, every other one
-# in a child made by os.fork that sends back what it walked through a pipe.
+# Walking one stream in parts at once, part (index, parts) of _gap_chains:
+# part 0 in this process, every other in a child of os.fork, over a pipe.
 _FORK_FLOOR = 1 << 15  # chains: a fork and its reap cost ~2 ms, more than a shorter walk saves
 _SUBTREES_PER_PART = 64  # so the interleaved subtrees even out the parts' work
 _PIPE_BYTES = 1 << 20  # the default most a pipe may hold on Linux, up from 64 KiB
@@ -309,12 +309,16 @@ def _forked(parts: int, send: Callable[[int, Any], Any], use: Callable[[list], A
         end()
 
 
-def _results(semigroup: SemigroupPair, gap_count: int | None, work: Callable[[tuple[int, int]], Any]) -> list:
-    """[work(part) for every part of the gap_count stream], each child's
-    pickled result read to the end of its pipe."""
+def _results(semigroup: SemigroupPair, gap_count: int | None, reduce: Callable[[Iterator], Any], *walk) -> list:
+    """[reduce(a part's chain values) for each part of the gap_count stream],
+    walk being their root and item; each child pickles its result to its pipe."""
     import pickle
 
     parts = _part_count(semigroup, gap_count)
+
+    def work(part: tuple[int, int]) -> Any:
+        return reduce(_gap_chains(semigroup, gap_count, *walk, part=part))
+
     here, sent = _forked(
         parts,
         lambda index, pipe: pipe.write(pickle.dumps(work((index, parts)))),
@@ -325,17 +329,21 @@ def _results(semigroup: SemigroupPair, gap_count: int | None, work: Callable[[tu
     return [here, *map(pickle.loads, sent)]
 
 
-def _write_in_parts(
-    semigroup: SemigroupPair, gap_count: int | None, text: Callable[[tuple[int, int]], Iterator[str]], write
-) -> None:
-    """Write the text of the gap_count stream in walk order.  text(part)
-    yields one part's ASCII text in str chunks, with _SUBTREE before each
-    subtree, built in that part or not.  Part 0 writes its text as it
-    comes.  Every other part sends its text as it comes, then one closing
-    _SUBTREE.  Before its subtree t, part 0 copies each other part's text
-    between its (t+1)-th and (t+2)-th _SUBTREE, that part's subtree t or
-    none, a pipe read at a time.  A part whose marks run out ended early."""
+def _write_in_parts(semigroup: SemigroupPair, gap_count: int | None, write, root, line, grow) -> None:
+    """Write the gap_count stream in walk order: root[0], then each chain's
+    line, with line and grow the walk's item and grow.  A part's text is its
+    lines, 1,024 at a time, with _SUBTREE before each subtree, built in it
+    or not.  Part 0 writes its text as it comes; every other part sends it,
+    then one closing _SUBTREE.  Before its subtree t, part 0 copies each
+    other part's text between its (t+1)-th and (t+2)-th _SUBTREE, that
+    part's subtree t or none.  Marks that run out mean a part ended early."""
     parts = _part_count(semigroup, gap_count)
+
+    def text(part: tuple[int, int]) -> Iterator[str]:
+        lines = _gap_chains(semigroup, gap_count, root, line, grow, part, _SUBTREE)
+        if not gap_count and not part[0]:  # the walk yields root itself first
+            yield next(lines)[0]
+        yield from iter(lambda: "".join(islice(lines, 1024)), "")
 
     def send(index: int, pipe) -> None:
         for chunk in text((index, parts)):

@@ -33,7 +33,7 @@ from .counting import (
     orbit_count_table,
 )
 from .errors import InvariantError
-from .leansets import LeanSet, _gap_chains, _results, enumerate_lean_sets, is_lean
+from .leansets import LeanSet, _results, enumerate_lean_sets, is_lean
 from .paths import PathMatrix, _below_diagonal, _rows, admissible_rotation, lean_set_from_path
 from .semigroup import GapPoint, SemigroupPair, _require_pair, gaps, is_member, membership_sieve, presentation
 from .semimodules import Semimodule
@@ -137,7 +137,9 @@ def check_cycle_lemma(semigroup: SemigroupPair) -> CheckResult:
     for down, right in rows:
         n, downs, rights = len(down), down + down, right + right  # rotation i: [i:i + n] of each
         hits = [i for i in range(n) if _below_diagonal(alpha, beta, downs[i:i + n], rights[i:i + n])]
-        index, rotated = admissible_rotation(semigroup, PathMatrix._trusted(down, right))
+        # A matrix the route refuses fails the check: -1 is no hit.
+        rotation = _unless_it_raises(admissible_rotation, semigroup, PathMatrix._trusted(down, right))
+        index, rotated = rotation or (-1, None)
         if hits != [index] or (rotated.down, rotated.right) != (downs[index:index + n], rights[index:index + n]):
             ok = False
             break
@@ -269,18 +271,18 @@ def _leader_period(alpha: int, beta: int, start: tuple) -> int:
     return t
 
 
-def _tally_part(semigroup: SemigroupPair, n: int, part: tuple[int, int]) -> tuple:
-    """(tally, modules, failure) of one part of the n-generator stream: the
-    periods its leaders count, how many modules it started from, and None,
-    or (key, exception) of the first start whose walk raised, where the part
-    stops.  The key, the chain's (a, b) points, orders chains as one walk
-    meets them."""
+def _tally_part(semigroup: SemigroupPair, n: int, chains) -> tuple:
+    """(tally, modules, failure) of one part's chains of the n-generator
+    stream: the periods its leaders count, how many modules it started
+    from, and None, or (key, exception) of the first start whose walk
+    raised, where the part stops.  The key, the chain's (a, b) points,
+    orders chains as one walk meets them."""
     alpha, beta = semigroup.alpha, semigroup.beta
     tally: Counter[int] = Counter()
     modules = 0
     chain = ()
     try:
-        for chain in _gap_chains(semigroup, n - 1, part=part):
+        for chain in chains:
             period = _leader_period(alpha, beta, _rows(semigroup, chain))
             modules += 1
             if period:
@@ -304,7 +306,7 @@ def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
     one at the least chain is raised: the serial walk's first.
     """
     _require_generator_count(semigroup, n)
-    results = _results(semigroup, n - 1, lambda part: _tally_part(semigroup, n, part))
+    results = _results(semigroup, n - 1, lambda chains: _tally_part(semigroup, n, chains))
     failures = [failure for _, _, failure in results if failure]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -3,6 +3,7 @@
 import argparse
 import errno
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -356,7 +357,7 @@ def test_orbits_checks_the_generator_count():
     "argv, name, fake",
     [
         (["orbits", "5", "7", "--gens", "4", "--brute"], "brute_period_tally", lambda pair, n: {4: 1}),
-        (["count", "5", "7", "--brute"], "_results", lambda pair, gap_count, work: [0]),
+        (["count", "5", "7", "--brute"], "_results", lambda pair, gap_count, reduce, *walk: [0]),
     ],
     ids=["orbits", "count"],
 )
@@ -419,30 +420,61 @@ def test_brute_tallies_are_the_same_in_1_2_and_3_parts(capsys, monkeypatch):
     assert [digest for _, digest, _ in streams[1][:2]] == pinned
 
 
+def _run_sha256(argv: str):
+    """A call that runs argv and gives its exit code, stdout digest and stderr."""
+
+    def call(capsys):
+        code, out, err = run(capsys, *argv.split())
+        return code, _sha256(out), err
+
+    return call
+
+
+# Every command that walks the chains in forked parts, each with what it must give.
+PARTED_WALKS = {
+    "orbits": (lambda capsys: sum(brute_period_tally(SemigroupPair(15, 16), 12).values()), 41405),
+    "count": (_run_sha256("count 12 13 --brute"), (0, STDOUT_SHA256["count 12 13 --brute"], "")),
+    "enumerate": (_run_sha256("enumerate 14 15 --gens 6"), (0, _bench_sha256("enumerate 14 15 --gens 6"), "")),
+}
+
+
 @pytest.mark.parametrize("parts", [2, 3])
-def test_each_part_walks_only_its_own_chains(monkeypatch, tmp_path, parts):
+@pytest.mark.parametrize("command", PARTED_WALKS)
+def test_each_part_walks_only_its_own_chains(capsys, monkeypatch, tmp_path, command, parts):
     # Each part's walk logs how many chains of each length it built, by the
     # calls to item.  The short chains above the cut are built in every part;
     # from the cut down, the parts together build the serial walk's chains,
-    # so a part that built every chain to keep its share fails.
-    log, walk = tmp_path / "chains", semipath.verify._gap_chains
+    # so a part that built every chain to keep its share fails.  The caller's
+    # own root, item and grow build each value, paired with its chain's
+    # length, so the counts and the text stay right.
+    log, walk = tmp_path / "chains", semipath.leansets._gap_chains
 
-    def counted(semigroup, gap_count, part=(0, 1)):
+    def counted(*args, **kwargs):
+        call = inspect.signature(walk).bind(*args, **kwargs)
+        call.apply_defaults()
+        semigroup, root, item, grow, mark = map(call.arguments.get, ("semigroup", "root", "item", "grow", "mark"))
         built = [0] * semigroup.alpha
 
-        def item(chain, point):
-            built[len(chain)] += 1
-            return chain + (point,)
+        def length_item(parent, point):
+            length, value = parent
+            built[length] += 1
+            return length + 1, item(value, point)
 
-        yield from walk(semigroup, gap_count, item=item, part=part)
+        def length_grow(parent, point, value):
+            return value[0], grow(parent[1], point, value[1])
+
+        call.arguments.update(root=(0, root), item=length_item, grow=length_grow)
+        for value in walk(*call.args, **call.kwargs):
+            yield value if value is mark else value[1]
         with open(log, "a") as file:
             file.write(json.dumps(built) + "\n")
 
-    monkeypatch.setattr(semipath.verify, "_gap_chains", counted)
+    monkeypatch.setattr(semipath.leansets, "_gap_chains", counted)
+    outcome, expected = PARTED_WALKS[command]
     _walk_in(monkeypatch, 1)
-    assert sum(brute_period_tally(SemigroupPair(15, 16), 12).values()) == 41405
+    assert outcome(capsys) == expected
     _walk_in(monkeypatch, parts)
-    assert sum(brute_period_tally(SemigroupPair(15, 16), 12).values()) == 41405
+    assert outcome(capsys) == expected
     serial, *each = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(each) == parts
     cut = next((d for d, count in enumerate(serial) if any(built[d] != count for built in each)), len(serial))
@@ -531,7 +563,7 @@ def _leaders(here, there):
 
 def _dies_in_a_forked_part():
     """cmd_enumerate's walk, ending the process of a forked part at its 100th line."""
-    pid, walk = os.getpid(), semipath.cli._gap_chains
+    pid, walk = os.getpid(), semipath.leansets._gap_chains
 
     def dying(*args):
         for count, value in enumerate(walk(*args)):
@@ -539,23 +571,23 @@ def _dies_in_a_forked_part():
                 os._exit(1)
             yield value
 
-    return semipath.cli, "_gap_chains", dying
+    return semipath.leansets, "_gap_chains", dying
 
 
 def _drops_a_mark_in_a_forked_part():
     """cmd_enumerate's walk, leaving out in each forked part the _SUBTREE
     before its first subtree, so the part sends one mark too few."""
-    pid, walk = os.getpid(), semipath.cli._gap_chains
+    pid, walk = os.getpid(), semipath.leansets._gap_chains
 
     def dropping(*args):
         dropped = os.getpid() == pid
         for value in walk(*args):
-            if value == semipath.cli._SUBTREE and not dropped:
+            if value == semipath.leansets._SUBTREE and not dropped:
                 dropped = True
                 continue
             yield value
 
-    return semipath.cli, "_gap_chains", dropping
+    return semipath.leansets, "_gap_chains", dropping
 
 
 class _HoldsBackItsLastWrite:

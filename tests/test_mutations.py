@@ -18,7 +18,7 @@ import pytest
 
 import semipath
 from semipath import InvariantError, LeanSet, PathMatrix, SemigroupPair, Semimodule
-from semipath import cli, counting, leansets, paths, semigroup, semimodules, syzygies, verify
+from semipath import counting, leansets, paths, semigroup, semimodules, syzygies, verify
 from semipath.counting import count_ell_periodic
 from semipath.leansets import _gap_chains
 from semipath.syzygies import FundamentalCouple, _admissible_index, validate_fundamental_couple
@@ -126,7 +126,7 @@ def _se_labels_own_corner(pair, chain):
 def _splice_offsets_one_char_off():
     # Each line keeps the char offsets at which its extensions splice their
     # values in; grow then sets them one char late.
-    walk = cli._gap_chains
+    walk = leansets._gap_chains
 
     def shifted_walk(pair, gap_count, root, item, grow, *rest):
         def shifted(parent, point, out):
@@ -135,7 +135,7 @@ def _splice_offsets_one_char_off():
 
         return walk(pair, gap_count, root, item, shifted, *rest)
 
-    return [(cli, "_gap_chains", shifted_walk)]
+    return [(leansets, "_gap_chains", shifted_walk)]
 
 
 def _rows_reversed(pair, points):
@@ -401,11 +401,11 @@ MUTATIONS = {
         "verify 5 7", _patch(paths, "_set_right", _right_row_rotated),
         3, {"path-round-trip", "syzygy-matrix-route", "period-route-equivalence", "cycle-lemma"}, 13, ""),
     # Each descriptor bound to the other's slot, so every matrix has its rows
-    # swapped.  The cycle-lemma scan calls admissible_rotation on its own
-    # matrices without _unless_it_raises, so the refusal ends verify with
-    # exit 2, as if the pair were bad, where a failed verdict and exit 3 belong.
+    # swapped.  Every route then refuses the matrices verify built, the
+    # cycle-lemma scan's own included, and each refusal fails its verdict.
     "path-matrix-slots-swapped": Mutation(
-        "verify 5 7", _matrix_slots_swapped, 2, set(), 0, "error: row sums must be (5, 7), got (7, 5)\n"),
+        "verify 5 7", _matrix_slots_swapped,
+        3, {"path-round-trip", "syzygy-matrix-route", "period-route-equivalence", "cycle-lemma"}, 13, ""),
     # n = alpha is a valid generator count: orbits refuses it, so the deep table fails.
     "int-rule-refuses-its-upper-bound": Mutation(
         "verify 5 7 --deep", _upper_bound_moved_by(-1), 3, {"orbit-tables-vs-iteration"}, 14, ""),
@@ -438,8 +438,8 @@ def test_of_the_parts_errors_the_first_in_walk_order_is_raised(capsys, monkeypat
     monkeypatch.setattr(leansets, "_part_count", lambda semigroup, gap_count: parts)
     here, tally = [], verify._tally_part
 
-    def kept(semigroup, n, part):
-        result = tally(semigroup, n, part)
+    def kept(semigroup, n, chains):
+        result = tally(semigroup, n, chains)
         here.append(result[2])  # a forked part appends to its own copy
         return result
 
