@@ -244,14 +244,15 @@ _LOST = "a forked part of the gap-chain walk ended before sending all it walked"
 def _part_count(semigroup: SemigroupPair, gap_count: int | None) -> int:
     """How many parts walk the gap_count stream at once: one per usable CPU,
     at most 8, when the closed-form count of its chains is at least
-    _FORK_FLOOR, else 1.  The levels above the cut, which every part
-    builds, hold under 1% of the chains built in 8 parts of each benchmark
-    stream, so they set no cap; the cap of 8 is kept from the earlier
-    interleaved walk and is timed at 2 parts only.  1 also where os has no
-    fork or sched_getaffinity, or where the process runs other threads,
-    which a fork can deadlock."""
+    _FORK_FLOOR and they have more than one point, else 1.  The levels
+    above the cut, built in every part, hold under 1% of the chains built
+    in 8 parts of each benchmark stream, so they set no cap; the cap of 8
+    is kept from the earlier interleaved walk and is timed at 2 parts only.
+    1 also where os has no fork or sched_getaffinity, or where the process
+    runs other threads, which a fork can deadlock."""
     chains = count_lean_sets_total(semigroup) if gap_count is None else count_lean_sets(semigroup, gap_count)
-    if chains < _FORK_FLOOR or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    # One point: each chain is a subtree that every part meets, and every part repeats the rows' set-up.
+    if gap_count == 1 or chains < _FORK_FLOOR or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     import threading
 
@@ -334,9 +335,9 @@ def _write_in_parts(semigroup: SemigroupPair, gap_count: int | None, write, root
     line, with line and grow the walk's item and grow.  A part's text is its
     lines, 1,024 at a time, with _SUBTREE before each subtree, built in it
     or not.  Part 0 writes its text as it comes; every other part sends it,
-    then one closing _SUBTREE.  Before its subtree t, part 0 copies each
-    other part's text between its (t+1)-th and (t+2)-th _SUBTREE, that
-    part's subtree t or none.  Marks that run out mean a part ended early."""
+    then one closing _SUBTREE.  At its mark before subtree t, part 0 copies
+    each other part's text between that part's marks before subtrees t and
+    t + 1: its subtree t or none.  Marks that run out mean a part ended early."""
     parts = _part_count(semigroup, gap_count)
 
     def text(part: tuple[int, int]) -> Iterator[str]:
@@ -351,7 +352,7 @@ def _write_in_parts(semigroup: SemigroupPair, gap_count: int | None, write, root
         pipe.write(_SUBTREE.encode())
 
     def splice(pipes: list) -> None:
-        received = [_pieces(map(bytes.decode, iter(partial(pipe.read1, 1 << 16), b""))) for pipe in pipes]
+        received = [islice(_pieces(map(bytes.decode, iter(partial(p.read1, 1 << 16), b""))), 2, None) for p in pipes]
 
         def copy() -> None:
             """Write the text each forked part sends up to its next _SUBTREE."""
@@ -363,7 +364,6 @@ def _write_in_parts(semigroup: SemigroupPair, gap_count: int | None, write, root
                 else:
                     raise InvariantError(_LOST)
 
-        copy()  # up to the first _SUBTREE: no text
         for piece in _pieces(text((0, len(pipes) + 1))):
             if piece is None:
                 copy()

@@ -399,6 +399,9 @@ PART_STREAMS += [
     f"count {pair} --brute{flags}" for pair in ("7 11", "11 13") for flags in ("", " --gens 1", " --gens 5")
 ]
 PART_STREAMS += ["count 15 16 --gens 12 --brute"]
+# One-point streams, where every chain is its own subtree: _part_count walks
+# them in one part, but forced parts still split them.
+PART_STREAMS += ["enumerate 7 11 --gens 2", "enumerate 11 13 --gens 2 --json", "count 11 13 --gens 2 --brute"]
 
 
 def test_brute_tallies_are_the_same_in_1_2_and_3_parts(capsys, monkeypatch):
@@ -485,7 +488,8 @@ def test_each_part_walks_only_its_own_chains(capsys, monkeypatch, tmp_path, comm
 
 def test_a_stream_below_the_fork_floor_forks_nothing(capsys, monkeypatch):
     # The benchmark's four enumerate --json producers, each under 2**15
-    # modules, run serial even with eight CPUs: a fork fails the run.
+    # modules, run serial even with eight CPUs: a fork fails the run.  So
+    # does a one-point stream past the floor, the 32,896 gaps of (257,258).
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     assert semipath.leansets._part_count(SemigroupPair(12, 13), None) == 8
 
@@ -497,6 +501,22 @@ def test_a_stream_below_the_fork_floor_forks_nothing(capsys, monkeypatch):
         argv = f"enumerate {argv} --json"
         code, out, err = run(capsys, *argv.split())
         assert (code, _sha256(out), err) == (0, _bench_sha256(argv), ""), argv
+    for argv in ["enumerate 257 258 --gens 2"]:
+        code, out, err = run(capsys, *argv.split())
+        assert (code, _sha256(out), err) == (0, STDOUT_SHA256[argv], ""), argv
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, gap_count, parts",
+    [(300, 301, 1, 1), (257, 258, 1, 1), (12, 13, None, 8), (60, 61, 2, 8)],
+)
+def test_a_one_point_stream_is_walked_in_one_part(monkeypatch, alpha, beta, gap_count, parts):
+    # A one-point stream's every chain is its own subtree, so each part would
+    # meet all of them and build the whole rows again: (300,301) has 44,850
+    # chains and (257,258) 32,896, both past the floor, yet neither forks.
+    # Two-point and unfiltered streams past the floor still take 8 CPUs.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert semipath.leansets._part_count(SemigroupPair(alpha, beta), gap_count) == parts
 
 
 def test_enumerate_in_3_parts_holds_no_part_of_its_output(monkeypatch):
@@ -576,7 +596,8 @@ def _dies_in_a_forked_part():
 
 def _drops_a_mark_in_a_forked_part():
     """cmd_enumerate's walk, leaving out in each forked part the _SUBTREE
-    before its first subtree, so the part sends one mark too few."""
+    before its first subtree.  Part 0 skips what it takes for that mark, the
+    part's next one, so the part runs a mark short at the end."""
     pid, walk = os.getpid(), semipath.leansets._gap_chains
 
     def dropping(*args):
@@ -646,6 +667,38 @@ def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, patch, code, e
     start = time.monotonic()
     assert run(capsys, *argv.split())[::2] == (code, err)
     assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_part_0_starts_its_walk_before_it_reads_a_child(capsys, monkeypatch, tmp_path):
+    # The forked part waits, up to about 10 s, for a file that part 0 makes
+    # when its own walk yields its first value, and gives up by os._exit(1).
+    # A part 0 that read a child's pipe before it walked would wait on that
+    # child, which would give up and send nothing: exit 3, not a stream.
+    started, pid, walk = tmp_path / "started", os.getpid(), semipath.leansets._gap_chains
+
+    def waiting(*args):
+        values = walk(*args)
+        if os.getpid() == pid:
+            first = next(values)
+            started.touch()
+            yield first
+        else:
+            for _ in range(1000):
+                if started.exists():
+                    break
+                time.sleep(0.01)
+            else:
+                os._exit(1)
+        yield from values
+
+    _walk_in(monkeypatch, 2)
+    monkeypatch.setattr(semipath.leansets, "_gap_chains", waiting)
+    start = time.monotonic()
+    code, out, err = run(capsys, "enumerate", "11", "13")
+    assert (code, _sha256(out), err) == (0, _bench_sha256("enumerate 11 13"), "")
+    assert time.monotonic() - start < 10
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
