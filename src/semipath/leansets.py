@@ -7,8 +7,9 @@ a makes the b coordinates strictly decrease; the enumerator walks those
 monotone chains of gap points directly.  LeanSet(...) checks its members
 by that criterion; a set the library derives from a gap chain, such as each
 one the enumerator yields, is built unchecked by LeanSet._from_chain.
-The brute streams walk the chains here in parts split by subtrees, each
-but the first in a forked child; cli and verify pass callbacks, not parts.
+The brute streams, and verify's exhaustive pass over the lean sets, walk
+the chains here in parts split by subtrees, each but the first in a forked
+child; cli and verify pass callbacks and a fork floor, not parts.
 """
 
 from __future__ import annotations
@@ -150,10 +151,11 @@ def _gap_chains(
     # place by a list iterator set to start, with no copy.
     # reach, the most points a chain from (a, b) can have, is b exactly: b
     # falls along a chain, and the diagonal steps (a + 1, b - 1) stay gaps.
+    # One point: no chain is extended, so the walk reads rows[alpha] alone.
     rows = [[] for _ in range(semigroup.alpha + 1)]
     for p in sorted(gaps(semigroup), key=itemgetter(1, 2)):
         node = (p.b, p, rows[p.b], len(rows[p.b]))
-        for below in rows[p.b + 1 :]:
+        for below in rows[-1:] if gap_count == 1 else rows[p.b + 1 :]:
             below.append(node)
     index, parts = part
     if not gap_count:
@@ -241,10 +243,10 @@ _SUBTREE = "\0"  # the mark before each subtree in a part's text; no line holds 
 _LOST = "a forked part of the gap-chain walk ended before sending all it walked"
 
 
-def _part_count(semigroup: SemigroupPair, gap_count: int | None) -> int:
+def _part_count(semigroup: SemigroupPair, gap_count: int | None, floor: int = _FORK_FLOOR) -> int:
     """How many parts walk the gap_count stream at once: one per usable CPU,
-    at most 8, when the closed-form count of its chains is at least
-    _FORK_FLOOR and they have more than one point, else 1.  The levels
+    at most 8, when the closed-form count of its chains is at least floor
+    and they have more than one point, else 1.  The levels
     above the cut, built in every part, hold under 1% of the chains built
     in 8 parts of each benchmark stream, so they set no cap; the cap of 8
     is kept from the earlier interleaved walk and is timed at 2 parts only.
@@ -252,7 +254,7 @@ def _part_count(semigroup: SemigroupPair, gap_count: int | None) -> int:
     runs other threads, which a fork can deadlock."""
     chains = count_lean_sets_total(semigroup) if gap_count is None else count_lean_sets(semigroup, gap_count)
     # One point: each chain is a subtree that every part meets, and every part repeats the rows' set-up.
-    if gap_count == 1 or chains < _FORK_FLOOR or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if gap_count == 1 or chains < floor or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     import threading
 
@@ -310,15 +312,26 @@ def _forked(parts: int, send: Callable[[int, Any], Any], use: Callable[[list], A
         end()
 
 
-def _results(semigroup: SemigroupPair, gap_count: int | None, reduce: Callable[[Iterator], Any], *walk) -> list:
+def _results(
+    semigroup: SemigroupPair,
+    gap_count: int | None,
+    reduce: Callable[[Iterator], Any],
+    *walk,
+    floor: int | None = _FORK_FLOOR,
+    placed: bool = False,
+) -> list:
     """[reduce(a part's chain values) for each part of the gap_count stream],
-    walk being their root and item; each child pickles its result to its pipe."""
+    walk being their root and item; each child pickles its result to its pipe.
+    The stream is split at floor chains, as _part_count counts them, and
+    never with floor None.  With placed, each value comes as (place, value),
+    and sorting the parts' pairs by place, stably, puts them in walk order."""
     import pickle
 
-    parts = _part_count(semigroup, gap_count)
+    parts = 1 if floor is None else _part_count(semigroup, gap_count, floor)
 
     def work(part: tuple[int, int]) -> Any:
-        return reduce(_gap_chains(semigroup, gap_count, *walk, part=part))
+        chains = _gap_chains(semigroup, gap_count, *walk, part=part, mark=_SUBTREE if placed else None)
+        return reduce(_placed(chains, *part) if placed else chains)
 
     here, sent = _forked(
         parts,
@@ -328,6 +341,22 @@ def _results(semigroup: SemigroupPair, gap_count: int | None, reduce: Callable[[
     if not all(sent):
         raise InvariantError(_LOST)
     return [here, *map(pickle.loads, sent)]
+
+
+def _placed(values: Iterator, index: int, parts: int) -> Iterator[tuple[int, Any]]:
+    """(place, value) for each value of part index of parts, whose walk
+    yields _SUBTREE before each subtree.  Between the marks before subtrees
+    t and t + 1 the walk meets subtree t, built in part t % parts, then the
+    chains above the cut up to subtree t + 1, yielded in part 0: their
+    places are 2t + 2 and, where part 0 did not build subtree t, 2t + 3.
+    The chains before subtree 0, in part 0 alone, are at place 0."""
+    place, subtree = 0, -1
+    for value in values:
+        if value is _SUBTREE:
+            subtree += 1
+            place = 2 * subtree + 2 + (subtree % parts != index)
+        else:
+            yield place, value
 
 
 def _write_in_parts(semigroup: SemigroupPair, gap_count: int | None, write, root, line, grow) -> None:

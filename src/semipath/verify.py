@@ -6,7 +6,8 @@ route the library actually uses.  The CLI `verify` subcommand prints one
 line per check; the heavy sweeps run only with deep=True or on request.
 
 The module verdicts come from one pass over the lean-set stream, which
-keeps no set once it is checked.  Syzygy-and-normalize permutes the
+keeps no set once it is checked; an exhaustive pass runs in forked parts,
+each over its own subtrees of the stream.  Syzygy-and-normalize permutes the
 modules with n generators, so they fall into disjoint cycles: each cycle
 is checked once, from its greatest path-matrix rows, along the definitional
 walk of syzygy_oracle, and the cycles walked must cover every module.
@@ -21,7 +22,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
+from operator import itemgetter
+from typing import NamedTuple
 
 from .counting import (
     _require_generator_count,
@@ -60,6 +64,12 @@ __all__ = [
 
 ENUMERATION_CAP = 210_000
 SAMPLE_SEED = 91405
+# The least lean sets an exhaustive lean pass forks at.  In-process on 2 vCPUs
+# (Python 3.11.7), 11 alternating runs each: a set's deep checks take 75-125 µs
+# and a fork with its reap 1.7 ms; 2 parts beat 1 in 10 or 11 runs of 11 from
+# 204 sets up, but for (5,11)'s 273 (1 of 11), and lost up to 3 ms below 150.
+# So verify 5 7 --deep (66 sets), the benchmark's instrumented op, never forks.
+_LEAN_FORK_FLOOR = 256
 
 
 @dataclass(frozen=True)
@@ -317,6 +327,57 @@ def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
     return tally
 
 
+class _LeanPart(NamedTuple):
+    """What one part of the lean pass hands back (_check_lean_part)."""
+
+    failed: set[str]
+    tallies: dict[int, Counter[int]]
+    per_r: Counter[int]
+    covered: int
+    spans: dict[int, list]  # place -> the (a, b) keys of the part's first and last set there
+    small: list[tuple]  # (place, members, gap points) of each set with fewer than 4 gap points
+    failure: tuple | None  # (key, exception) of the set whose checks raised, where the part stops
+
+
+def _check_lean_part(semigroup: SemigroupPair, table: dict, sample: set | None, chains) -> _LeanPart:
+    """The lean checks of one part's (place, chain) pairs of the lean stream,
+    as check_lean_enumeration describes them, but for those that compare
+    sets across parts: the part's own sets must be in strictly increasing
+    (a, b) order, and it hands back the first and last key at each place
+    and its sets of fewer than 4 gap points, with their places.  A sample
+    holds stream indices, so a sampled pass runs in one part."""
+    alpha, beta = semigroup.alpha, semigroup.beta
+    failed: set[str] = set()
+    tallies: dict[int, Counter[int]] = {}
+    per_r: Counter[int] = Counter()
+    spans: dict[int, list] = {}
+    small = []
+    covered, failure, previous, chain = 0, None, None, ()
+    try:
+        for count, (place, chain) in enumerate(chains, 1):
+            lean = LeanSet._from_chain(semigroup, chain)
+            per_r[lean.gap_count] += 1
+            rows = _rows(semigroup, lean.gap_points)
+            lean_ok = is_lean(semigroup, lean.members) and _pairwise_lean(semigroup, lean.members)
+            round_trip = _unless_it_raises(lean_set_from_path, semigroup, PathMatrix._trusted(*rows)) == lean
+            key = [(p.a, p.b) for p in lean.gap_points]
+            if not lean_ok or previous is not None and not previous < key:
+                failed.add("lean-stream")
+            previous = key
+            spans.setdefault(place, [key, key])[1] = key
+            if lean.gap_count < 4:
+                small.append((place, lean.members, lean.gap_points))
+            if not round_trip:
+                failed.add("path-round-trip")
+            starts = count - 1 in sample if sample else _unless_it_raises(_leader_period, alpha, beta, rows) != 0
+            if starts or not (lean_ok and round_trip):
+                start = Semimodule._trusted(semigroup, lean.members)
+                covered += check_periods(semigroup, table, start, failed, tallies)
+    except Exception as exc:
+        failure = ([(p.a, p.b) for p in chain], exc)
+    return _LeanPart(failed, tallies, per_r, covered, spans, small, failure)
+
+
 def check_lean_enumeration(semigroup: SemigroupPair, total: int, deep: bool) -> list[CheckResult]:
     """Every module verdict, from one pass over the stream of lean sets.
 
@@ -330,35 +391,38 @@ def check_lean_enumeration(semigroup: SemigroupPair, total: int, deep: bool) -> 
     checked once and the orbits walked must cover the stream; in a sampled
     run the seeded 200.  A set that fails its lean checks starts one too.
     The sets are used unvalidated, so one that is not lean is an internal
-    error (exit 3), not bad input.  Nothing is kept per set.
+    error (exit 3), not bad input.  Only the sets of fewer than 4 gap points
+    are kept, for the filtered streams (10,352 of the 208,012 of (12,13)).
+
+    An exhaustive pass of at least _LEAN_FORK_FLOOR sets runs in the parts
+    that leansets._results forks, each over its own subtrees; the parts'
+    sets, put back in walk order by place, are then compared across parts:
+    each part's last key with the next one's first, and the r < 4 sets with
+    the filtered streams.  Of the parts' errors, the one at the least chain
+    is raised: the serial pass's first.
     """
-    alpha, beta = semigroup.alpha, semigroup.beta
+    alpha = semigroup.alpha
     sample = None if deep or total <= 200 else set(random.Random(SAMPLE_SEED).sample(range(total), 200))
     table = {point.value: point for point in gaps(semigroup)}
-    filtered = [enumerate_lean_sets(semigroup, r) for r in range(min(alpha, 4))]
-    failed: set[str] = set()
+    check = partial(_check_lean_part, semigroup, table, sample)
+    parts = _results(semigroup, None, check, floor=None if sample else _LEAN_FORK_FLOOR, placed=True)
+    failures = [part.failure for part in parts if part.failure]
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
+    failed = set().union(*(part.failed for part in parts))
     tallies: dict[int, Counter[int]] = {}
-    per_r: Counter[int] = Counter()
-    count = covered = 0
-    previous = None
-    for count, lean in enumerate(enumerate_lean_sets(semigroup), 1):
-        per_r[lean.gap_count] += 1
-        rows = _rows(semigroup, lean.gap_points)
-        lean_ok = is_lean(semigroup, lean.members) and _pairwise_lean(semigroup, lean.members)
-        round_trip = _unless_it_raises(lean_set_from_path, semigroup, PathMatrix._trusted(*rows)) == lean
-        key = [(p.a, p.b) for p in lean.gap_points]
-        if not lean_ok or previous is not None and not previous < key:
-            failed.add("lean-stream")
-        previous = key
-        if lean.gap_count < len(filtered) and next(filtered[lean.gap_count], None) != lean:
-            failed.add("lean-stream")
-        if not round_trip:
-            failed.add("path-round-trip")
-        starts = count - 1 in sample if sample else _unless_it_raises(_leader_period, alpha, beta, rows) != 0
-        if starts or not (lean_ok and round_trip):
-            start = Semimodule._trusted(semigroup, lean.members)
-            covered += check_periods(semigroup, table, start, failed, tallies)
-    if any(next(stream, None) is not None for stream in filtered):
+    for part in parts:
+        for n, tally in part.tallies.items():
+            tallies.setdefault(n, Counter()).update(tally)
+    per_r = sum((part.per_r for part in parts), Counter())
+    count, covered = sum(per_r.values()), sum(part.covered for part in parts)
+    spans = sorted(((place, *span) for part in parts for place, span in part.spans.items()), key=itemgetter(0))
+    small = sorted((lean for part in parts for lean in part.small), key=itemgetter(0))
+    if any(not last < first for (_, _, last), (_, first, _) in zip(spans, spans[1:])) or any(
+        [(members, points) for _, members, points in small if len(points) == r]
+        != [(lean.members, lean.gap_points) for lean in enumerate_lean_sets(semigroup, r)]
+        for r in range(min(alpha, 4))
+    ):
         failed.add("lean-stream")
     if count != total or any(per_r[r] != count_lean_sets(semigroup, r) for r in range(alpha)):
         failed.add("lean-count-formulas")

@@ -374,7 +374,7 @@ def test_brute_force_disagreement_is_an_internal_error(capsys, monkeypatch, argv
 def _walk_in(monkeypatch, parts):
     """Walk every gap-chain stream in `parts` parts, whatever its size and
     the CPUs, so that a runner with one CPU forks too."""
-    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count: parts)
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: parts)
 
 
 def _sha256(text: str) -> str:
@@ -421,6 +421,18 @@ def test_brute_tallies_are_the_same_in_1_2_and_3_parts(capsys, monkeypatch):
     assert all(code == 0 and err == "" for code, _, err in streams[1])
     pinned = [STDOUT_SHA256["enumerate 7 11"], STDOUT_SHA256["enumerate 7 11 --json"]]
     assert [digest for _, digest, _ in streams[1][:2]] == pinned
+
+
+def test_verify_goldens_are_the_same_in_1_2_and_3_parts(capsys, monkeypatch):
+    # An exhaustive lean pass forks, so every verify golden must keep its
+    # bytes in forced parts; a sampled one (verify 7 11) stays in one part.
+    goldens = [argv for argv in STDOUT_SHA256 if argv.startswith("verify")]
+    assert len(goldens) == 5
+    for parts in (1, 2, 3):
+        _walk_in(monkeypatch, parts)
+        for argv in goldens:
+            code, out, err = run(capsys, *argv.split())
+            assert (code, _sha256(out), err) == (0, STDOUT_SHA256[argv], ""), (argv, parts)
 
 
 def _run_sha256(argv: str):
@@ -517,6 +529,27 @@ def test_a_one_point_stream_is_walked_in_one_part(monkeypatch, alpha, beta, gap_
     # Two-point and unfiltered streams past the floor still take 8 CPUs.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     assert semipath.leansets._part_count(SemigroupPair(alpha, beta), gap_count) == parts
+
+
+def test_the_lean_pass_forks_past_its_floor_and_only_when_exhaustive(capsys, monkeypatch):
+    # With eight CPUs, verify 5 7 --deep (66 sets, the benchmark's instrumented
+    # op) stays in one part and verify 7 11 --deep (1,768) takes all eight.  A
+    # sample is drawn by stream index, so the sampled verify 9 14 (35,530
+    # sets) runs in one part even with every walk forced into three.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    floor = semipath.verify._LEAN_FORK_FLOOR
+    assert [semipath.leansets._part_count(SemigroupPair(*pair), None, floor) for pair in ((5, 7), (7, 11))] == [1, 8]
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for parts, argv, verdicts in ((None, "verify 5 7 --deep", 14), (3, "verify 9 14", 13)):
+        if parts is not None:
+            _walk_in(monkeypatch, parts)
+        code, out, err = run(capsys, *argv.split())
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", verdicts) and all(line.startswith("ok ") for line in lines), argv
 
 
 def test_enumerate_in_3_parts_holds_no_part_of_its_output(monkeypatch):
@@ -762,7 +795,7 @@ IN_3_PARTS = (
     "import signal, sys, time\n"
     "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
     "from semipath import SemigroupPair, cli, leansets, verify\n"
-    "leansets._part_count = lambda semigroup, gap_count: 3\n"
+    "leansets._part_count = lambda semigroup, gap_count, floor=None: 3\n"
 )
 
 

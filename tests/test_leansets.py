@@ -248,6 +248,19 @@ def test_gap_chain_setup_keeps_no_successor_list_per_point():
     assert peak < 4 * 2**20
 
 
+def test_a_one_point_stream_builds_only_the_row_it_walks():
+    # No one-point chain is extended, so the set-up fills rows[alpha] alone:
+    # up to the first of the 32,896 chains of (257, 258) it peaks near 6 MiB,
+    # where every row below each gap point, 5,625,216 appends, took 52 MiB.
+    tracemalloc.start()
+    try:
+        next(_gap_chains(SemigroupPair(257, 258), 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 @pytest.mark.parametrize("pair", [S57, SemigroupPair(7, 11)], ids=["5-7", "7-11"])
 def test_gap_chains_grow_exactly_the_chains_they_extend(pair):
     # item's values are yielded; grow builds a parent's value once, before
@@ -284,7 +297,9 @@ def test_a_warmed_gap_point_memo_does_not_admit_non_ints():
 def test_chain_criterion_presents_each_value_once_per_pair(monkeypatch):
     # verify --deep meets every lean set several times; the memo on the pair
     # bounds the presentations, one per _gap_of call, by the Frobenius
-    # number, 59 on <7,11>.
+    # number, 59 on <7,11>.  One part, so that every call is made in this
+    # process and counted.
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
     calls = []
     gap_of = semipath.leansets._gap_of
 

@@ -23,7 +23,7 @@ from semipath.counting import count_ell_periodic
 from semipath.leansets import _gap_chains
 from semipath.syzygies import FundamentalCouple, _admissible_index, validate_fundamental_couple
 from semipath.verify import _leader_period
-from test_cli import STDOUT_SHA256, run
+from test_cli import STDOUT_SHA256, _walk_in, run
 
 
 class Mutation(NamedTuple):
@@ -79,15 +79,16 @@ def _one_gap_stream_runs_on(pair, gap_count=None):
         yield from semipath.enumerate_lean_sets(pair, 2)
 
 
-def _with_one_non_lean_set(pair, gap_count=None):
-    # 6 and 1 sit at (3, 2) and (4, 2) for <5,7>: b does not fall, and 6 - 1 lies in S.
-    yield from semipath.enumerate_lean_sets(pair, gap_count)
-    if gap_count is None:
-        yield LeanSet._from_chain(pair, (semipath.gap_point(pair, 6), semipath.gap_point(pair, 1)))
+def _with_one_non_lean_chain(pair, gap_count=None, *walk, part=(0, 1), **mark):
+    # 6 and 1 sit at (3, 2) and (4, 2) for <5,7>: b does not fall, and 6 - 1
+    # lies in S.  Part 0's last chain is the last in walk order, in any parts.
+    yield from _gap_chains(pair, gap_count, *walk, part=part, **mark)
+    if gap_count is None and not part[0]:
+        yield semipath.gap_point(pair, 6), semipath.gap_point(pair, 1)
 
 
-def _filtered_chains_without_the_last(pair, gap_count=None):
-    chains = list(_gap_chains(pair, gap_count))
+def _filtered_chains_without_the_last(pair, gap_count=None, *walk, **part):
+    chains = list(_gap_chains(pair, gap_count, *walk, **part))
     return iter(chains if gap_count is None else chains[:-1])
 
 
@@ -251,7 +252,7 @@ _never_rotates = _patch(syzygies, "_admissible_index", lambda alpha, beta, down,
 _one_too_many_of_period_2 = _patch(
     counting, "count_ell_periodic", lambda pair, n, ell: count_ell_periodic(pair, n, ell) + (ell == 2)
 )
-_non_lean_stream = _patch(verify, "enumerate_lean_sets", _with_one_non_lean_set)
+_non_lean_stream = _patch(leansets, "_gap_chains", _with_one_non_lean_chain)
 _NON_LEAN_FAILS = {
     "lean-count-formulas", "lean-stream", "syzygy-route-equivalence", "fundamental-couples", "syzygy-matrix-route",
     "period-divisibility", "period-route-equivalence",
@@ -418,13 +419,21 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("row", MUTATIONS.values(), ids=MUTATIONS.keys())
 def test_a_broken_kernel_fails_its_verdicts(capsys, monkeypatch, row):
-    for module, name, fake in row.patches():
-        monkeypatch.setattr(module, name, fake)
-    code, out, err = run(capsys, *row.argv.split())
-    lines = out.splitlines()
-    failing = {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")}
-    assert (code, failing, len(lines), err) == (row.code, row.failing, row.lines, row.err)
-    assert row.golden is None or hashlib.sha256(out.encode()).hexdigest() != row.golden
+    # A verify run gives the same stdout in 1, 2 and 3 forced parts, since its
+    # exhaustive lean pass forks; every other row runs on the usable CPUs.
+    outs = set()
+    for parts in (1, 2, 3) if row.argv.startswith("verify") else [None]:
+        if parts is not None:
+            _walk_in(monkeypatch, parts)
+        for module, name, fake in row.patches():
+            monkeypatch.setattr(module, name, fake)
+        code, out, err = run(capsys, *row.argv.split())
+        lines = out.splitlines()
+        failing = {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")}
+        assert (code, failing, len(lines), err) == (row.code, row.failing, row.lines, row.err), parts
+        assert row.golden is None or hashlib.sha256(out.encode()).hexdigest() != row.golden
+        outs.add(out)
+    assert len(outs) == 1
 
 
 @pytest.mark.parametrize("parts", [2, 3])
@@ -435,7 +444,7 @@ def test_of_the_parts_errors_the_first_in_walk_order_is_raised(capsys, monkeypat
     row = MUTATIONS[name]
     for module, attr, fake in row.patches():
         monkeypatch.setattr(module, attr, fake)
-    monkeypatch.setattr(leansets, "_part_count", lambda semigroup, gap_count: parts)
+    _walk_in(monkeypatch, parts)
     here, tally = [], verify._tally_part
 
     def kept(semigroup, n, chains):
@@ -447,6 +456,56 @@ def test_of_the_parts_errors_the_first_in_walk_order_is_raised(capsys, monkeypat
     assert run(capsys, *row.argv.split()) == (row.code, "", row.err)
     (failure,) = here
     assert failure is not None and f"internal error: {failure[1]}\n" != row.err
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_of_the_lean_parts_errors_the_first_in_walk_order_is_raised(capsys, monkeypatch, parts):
+    # The couple of every set of six gap points raises, named by its members,
+    # so each part of verify's lean pass stops at its first.  Part 0's comes
+    # later than a forked part's, so an error taken from part 0, or from the
+    # first part to fail, is not the serial pass's.
+    def raising(pair, lean):
+        if lean.gap_count == 6:
+            raise InvariantError(f"couple of {lean.members}")
+        return semipath.fundamental_couple(pair, lean)
+
+    monkeypatch.setattr(verify, "fundamental_couple", raising)
+    here, check = [], verify._check_lean_part
+
+    def kept(*args):
+        part = check(*args)
+        here.append(part.failure)  # a forked part appends to its own copy
+        return part
+
+    monkeypatch.setattr(verify, "_check_lean_part", kept)
+    err = "internal error: couple of (0, 4, 8, 12, 16, 20, 24)\n"
+    _walk_in(monkeypatch, 1)
+    assert run(capsys, "verify", "7", "11", "--deep") == (3, "", err)
+    here.clear()
+    _walk_in(monkeypatch, parts)
+    assert run(capsys, "verify", "7", "11", "--deep") == (3, "", err)
+    (failure,) = here
+    assert failure is not None and f"internal error: {failure[1]}\n" != err
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_sets_out_of_walk_order_across_parts_fail_the_lean_stream(capsys, monkeypatch, parts):
+    # Each forked part places its sets of 4 or more gap points one place
+    # late, after the chains above the cut that part 0 yields after their
+    # subtree.  Every part is in order on its own, the counts hold and the
+    # r < 4 sets keep their places: only the order from each part's run to
+    # the next, in walk order, sees it.
+    placed = leansets._placed
+
+    def late(values, index, parts):
+        for place, chain in placed(values, index, parts):
+            yield place + (index > 0 and len(chain) >= 4), chain
+
+    monkeypatch.setattr(leansets, "_placed", late)
+    _walk_in(monkeypatch, parts)
+    code, out, err = run(capsys, "verify", "7", "11", "--deep")
+    failing = {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")}
+    assert (code, failing, err) == (3, {"lean-stream"}, "")
 
 
 def test_every_verify_verdict_has_a_broken_route_that_fails_it(capsys):

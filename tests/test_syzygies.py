@@ -526,7 +526,7 @@ def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
             calls.append(None)
             yield rows
 
-    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count: 1)
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
     monkeypatch.setattr(semipath.verify, "_steps", counted)
     assert brute_period_tally(S1516, 12) == {1: 1, 2: 6, 3: 90, 4: 448, 6: 540, 12: 40320}
     assert len(calls) == 106841
@@ -538,7 +538,7 @@ def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
 def test_brute_period_tally_runs_in_constant_memory(monkeypatch):
     # 41,405 modules; a set of the rows already seen would hold megabytes.
     # tracemalloc sees this process only, so the whole walk runs in it.
-    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count: 1)
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
     tracemalloc.start()
     try:
         tally = brute_period_tally(S1516, 12)
@@ -549,10 +549,12 @@ def test_brute_period_tally_runs_in_constant_memory(monkeypatch):
     assert peak < 1 << 20, peak
 
 
-def test_verify_deep_runs_in_constant_memory():
+def test_verify_deep_runs_in_constant_memory(monkeypatch):
     # 1,768 modules, each checked as the lean stream passes it; a list of the
     # modules with their path matrices, or a map of their syzygies, would
-    # hold more than a megabyte.
+    # hold more than a megabyte.  tracemalloc sees this process only, so the
+    # whole pass runs in it.
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
     tracemalloc.start()
     try:
         results = run_checks(SemigroupPair(7, 11), deep=True)
@@ -565,7 +567,9 @@ def test_verify_deep_runs_in_constant_memory():
 
 def test_verify_deep_walks_each_orbit_once(monkeypatch):
     # Only the greatest rows of a cycle start its check, so syzygy_period runs
-    # once per orbit, not once per module.
+    # once per orbit, not once per module.  One part, so that every start is
+    # checked in this process and counted.
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
     pair = SemigroupPair(7, 11)
     period, starts = semipath.verify.syzygy_period, []
 
@@ -583,7 +587,9 @@ def test_verify_deep_builds_each_members_rows_once(monkeypatch):
     # check_periods builds each walk member's table chain and rows once, and
     # the matrix route reads its successor's.  That leaves _rows four builds
     # per module (the stream pass, the member, fundamental_couple, syzygy())
-    # and one per orbit in syzygy_period: 4 x 1,768 + 439 = 7,511.
+    # and one per orbit in syzygy_period: 4 x 1,768 + 439 = 7,511.  One part,
+    # so that every build is made in this process and counted.
+    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
     pair = SemigroupPair(7, 11)
     rows, chain, calls = semipath.paths._rows, semipath.verify._table_chain, Counter()
 
