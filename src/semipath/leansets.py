@@ -9,7 +9,9 @@ by that criterion; a set the library derives from a gap chain, such as each
 one the enumerator yields, is built unchecked by LeanSet._from_chain.
 The brute streams, and verify's exhaustive pass over the lean sets, walk
 the chains here in parts split by subtrees, each but the first in a forked
-child; cli and verify pass callbacks and a fork floor, not parts.
+child; cli and verify pass callbacks and a fork floor, not parts, and get
+back one result per run of a part's chains, in walk order, or the error a
+walk in one part would raise.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -119,7 +121,6 @@ def _gap_chains(
     item: Callable[[Any, GapPoint], Any] = lambda chain, point: chain + (point,),
     grow: Callable[[Any, GapPoint, Any], Any] = lambda parent, point, value: value,
     part: tuple[int, int] = (0, 1),
-    mark: Any = None,
 ) -> Iterator[Any]:
     """Chains of gap points with a strictly increasing and b strictly decreasing.
 
@@ -142,8 +143,8 @@ def _gap_chains(
     roots of subtrees, and the walk builds subtree t, the root and its
     extensions, only when t % parts == index.  The chains above the roots
     are built in every part, to reach its subtrees, and yielded in part 0
-    only.  mark, unless None, is yielded before each subtree, built here or
-    not.  With parts = 1 nothing is cut.
+    only.  _SUBTREE is yielded before each subtree, built here or not.
+    With parts = 1 nothing is cut, and no _SUBTREE is yielded.
     """
     # Each node is (reach, point, row, start).  rows[b] gathers, in (a, b)
     # order, the nodes below b, and rows[alpha] all of them; a node's
@@ -186,8 +187,7 @@ def _gap_chains(
                 continue
             if roots:
                 subtree += 1
-                if mark is not None:
-                    yield mark
+                yield _SUBTREE
                 if subtree % parts != index:
                     continue
             value = item(parent, point)
@@ -239,7 +239,7 @@ def enumerate_lean_sets(
 _FORK_FLOOR = 1 << 15  # chains: a fork and its reap cost ~2 ms, more than a shorter walk saves
 _SUBTREES_PER_PART = 64  # so the interleaved subtrees even out the parts' work
 _PIPE_BYTES = 1 << 20  # the default most a pipe may hold on Linux, up from 64 KiB
-_SUBTREE = "\0"  # the mark before each subtree in a part's text; no line holds it
+_SUBTREE = "\0"  # the mark a part's walk, and text, has before each subtree; no line holds it
 _LOST = "a forked part of the gap-chain walk ended before sending all it walked"
 
 
@@ -253,7 +253,7 @@ def _part_count(semigroup: SemigroupPair, gap_count: int | None, floor: int = _F
     1 also where os has no fork or sched_getaffinity, or where the process
     runs other threads, which a fork can deadlock."""
     chains = count_lean_sets_total(semigroup) if gap_count is None else count_lean_sets(semigroup, gap_count)
-    # One point: each chain is a subtree that every part meets, and every part repeats the rows' set-up.
+    # One point: every part sorts all the gaps and meets every chain, each the root of a subtree of its own.
     if gap_count == 1 or chains < floor or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     import threading
@@ -318,45 +318,47 @@ def _results(
     reduce: Callable[[Iterator], Any],
     *walk,
     floor: int | None = _FORK_FLOOR,
-    placed: bool = False,
 ) -> list:
-    """[reduce(a part's chain values) for each part of the gap_count stream],
-    walk being their root and item; each child pickles its result to its pipe.
+    """[reduce(run) for each run of the gap_count stream], in walk order,
+    walk being their root and item.  A run is what a part's walk yields
+    between two _SUBTREE marks, if anything; a walk in one part is one run.
     The stream is split at floor chains, as _part_count counts them, and
-    never with floor None.  With placed, each value comes as (place, value),
-    and sorting the parts' pairs by place, stably, puts them in walk order."""
+    never with floor None.  An error in a part's walk or reduce ends that
+    part and is the result of its run; the first such result in walk order
+    is raised, the error a walk in one part raises.  Each child pickles its
+    (place, result) pairs to its pipe."""
     import pickle
 
     parts = 1 if floor is None else _part_count(semigroup, gap_count, floor)
 
-    def work(part: tuple[int, int]) -> Any:
-        chains = _gap_chains(semigroup, gap_count, *walk, part=part, mark=_SUBTREE if placed else None)
-        return reduce(_placed(chains, *part) if placed else chains)
+    def work(index: int, parts: int) -> list:
+        # Each pass of the loop reads a run and the mark after it, or the end.
+        # After the mark before subtree t come subtree t, built in part
+        # t % parts, then the chains above the cut up to subtree t + 1, yielded
+        # in part 0: places 2t and, where part 0 did not build subtree t,
+        # 2t + 1.  Before subtree 0, at t = -1, only part 0 yields chains.
+        chains, runs, subtree = _gap_chains(semigroup, gap_count, *walk, part=(index, parts)), [], -1
+        try:
+            for first in chains:
+                if first is not _SUBTREE:
+                    runs.append((subtree, reduce(chain((first,), iter(chains.__next__, _SUBTREE)))))
+                subtree += 1
+        except Exception as exc:
+            runs.append((subtree, exc))
+        return [(2 * t + (t % parts != index), result) for t, result in runs]
 
     here, sent = _forked(
         parts,
-        lambda index, pipe: pipe.write(pickle.dumps(work((index, parts)))),
-        lambda pipes: (work((0, len(pipes) + 1)), [pipe.read() for pipe in pipes]),
+        lambda index, pipe: pipe.write(pickle.dumps(work(index, parts))),
+        lambda pipes: (work(0, len(pipes) + 1), [pipe.read() for pipe in pipes]),
     )
     if not all(sent):
         raise InvariantError(_LOST)
-    return [here, *map(pickle.loads, sent)]
-
-
-def _placed(values: Iterator, index: int, parts: int) -> Iterator[tuple[int, Any]]:
-    """(place, value) for each value of part index of parts, whose walk
-    yields _SUBTREE before each subtree.  Between the marks before subtrees
-    t and t + 1 the walk meets subtree t, built in part t % parts, then the
-    chains above the cut up to subtree t + 1, yielded in part 0: their
-    places are 2t + 2 and, where part 0 did not build subtree t, 2t + 3.
-    The chains before subtree 0, in part 0 alone, are at place 0."""
-    place, subtree = 0, -1
-    for value in values:
-        if value is _SUBTREE:
-            subtree += 1
-            place = 2 * subtree + 2 + (subtree % parts != index)
-        else:
-            yield place, value
+    results = [result for _, result in sorted(chain(here, *map(pickle.loads, sent)), key=itemgetter(0))]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def _write_in_parts(semigroup: SemigroupPair, gap_count: int | None, write, root, line, grow) -> None:
@@ -370,7 +372,7 @@ def _write_in_parts(semigroup: SemigroupPair, gap_count: int | None, write, root
     parts = _part_count(semigroup, gap_count)
 
     def text(part: tuple[int, int]) -> Iterator[str]:
-        lines = _gap_chains(semigroup, gap_count, root, line, grow, part, _SUBTREE)
+        lines = _gap_chains(semigroup, gap_count, root, line, grow, part)
         if not gap_count and not part[0]:  # the walk yields root itself first
             yield next(lines)[0]
         yield from iter(lambda: "".join(islice(lines, 1024)), "")

@@ -7,7 +7,8 @@ line per check; the heavy sweeps run only with deep=True or on request.
 
 The module verdicts come from one pass over the lean-set stream, which
 keeps no set once it is checked; an exhaustive pass runs in forked parts,
-each over its own subtrees of the stream.  Syzygy-and-normalize permutes the
+each over its own subtrees of the stream, and leansets hands back what each
+run of a part's sets gives, in walk order.  Syzygy-and-normalize permutes the
 modules with n generators, so they fall into disjoint cycles: each cycle
 is checked once, from its greatest path-matrix rows, along the definitional
 walk of syzygy_oracle, and the cycles walked must cover every module.
@@ -24,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
-from operator import itemgetter
 from typing import NamedTuple
 
 from .counting import (
@@ -281,25 +281,18 @@ def _leader_period(alpha: int, beta: int, start: tuple) -> int:
     return t
 
 
-def _tally_part(semigroup: SemigroupPair, n: int, chains) -> tuple:
-    """(tally, modules, failure) of one part's chains of the n-generator
-    stream: the periods its leaders count, how many modules it started
-    from, and None, or (key, exception) of the first start whose walk
-    raised, where the part stops.  The key, the chain's (a, b) points,
-    orders chains as one walk meets them."""
+def _tally_run(semigroup: SemigroupPair, n: int, chains) -> tuple[Counter[int], int]:
+    """(tally, modules) of one run of the n-generator stream's chains: the
+    periods its leaders count and how many modules it started from."""
     alpha, beta = semigroup.alpha, semigroup.beta
     tally: Counter[int] = Counter()
     modules = 0
-    chain = ()
-    try:
-        for chain in chains:
-            period = _leader_period(alpha, beta, _rows(semigroup, chain))
-            modules += 1
-            if period:
-                tally[period] += period
-    except Exception as exc:
-        return tally, modules, ([(p.a, p.b) for p in chain], exc)
-    return tally, modules, None
+    for chain in chains:
+        period = _leader_period(alpha, beta, _rows(semigroup, chain))
+        modules += 1
+        if period:
+            tally[period] += period
+    return tally, modules
 
 
 def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
@@ -310,72 +303,65 @@ def brute_period_tally(semigroup: SemigroupPair, n: int) -> Counter[int]:
     in tuple order, count it: a walk that returns to its start at step t adds
     t modules of period t, and one that first meets greater rows stops
     uncounted.  The walks run in the parts of the chain stream that
-    leansets._results forks, each over its own subtrees.  Constant memory
-    per process; a missing recurrence, or counted cycles that do not cover
-    every module exactly, is an InvariantError.  Of the parts' errors, the
-    one at the least chain is raised: the serial walk's first.
+    leansets._results forks, each over its own subtrees, which raises the
+    error a walk in one part meets first.  Constant memory per process; a
+    missing recurrence, or counted cycles that do not cover every module
+    exactly, is an InvariantError.
     """
     _require_generator_count(semigroup, n)
-    results = _results(semigroup, n - 1, lambda chains: _tally_part(semigroup, n, chains))
-    failures = [failure for _, _, failure in results if failure]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    tally = sum((part_tally for part_tally, _, _ in results), Counter())
-    counted, modules = sum(tally.values()), sum(modules for _, modules, _ in results)
+    runs = _results(semigroup, n - 1, partial(_tally_run, semigroup, n))
+    tally = sum((run_tally for run_tally, _ in runs), Counter())
+    counted, modules = sum(tally.values()), sum(modules for _, modules in runs)
     if counted != modules:
         raise InvariantError(f"the counted cycles hold {counted} modules, the walks started from {modules}")
     return tally
 
 
-class _LeanPart(NamedTuple):
-    """What one part of the lean pass hands back (_check_lean_part)."""
+class _LeanRun(NamedTuple):
+    """What one run of the lean pass hands back (_check_lean_run)."""
 
     failed: set[str]
     tallies: dict[int, Counter[int]]
     per_r: Counter[int]
     covered: int
-    spans: dict[int, list]  # place -> the (a, b) keys of the part's first and last set there
-    small: list[tuple]  # (place, members, gap points) of each set with fewer than 4 gap points
-    failure: tuple | None  # (key, exception) of the set whose checks raised, where the part stops
+    first: list  # the (a, b) key of the run's first set
+    last: list  # and of its last
+    small: list[tuple]  # (members, gap points) of each set with fewer than 4 gap points
 
 
-def _check_lean_part(semigroup: SemigroupPair, table: dict, sample: set | None, chains) -> _LeanPart:
-    """The lean checks of one part's (place, chain) pairs of the lean stream,
-    as check_lean_enumeration describes them, but for those that compare
-    sets across parts: the part's own sets must be in strictly increasing
-    (a, b) order, and it hands back the first and last key at each place
-    and its sets of fewer than 4 gap points, with their places.  A sample
-    holds stream indices, so a sampled pass runs in one part."""
+def _check_lean_run(semigroup: SemigroupPair, table: dict, sample: set | None, chains) -> _LeanRun:
+    """The lean checks of one run of the lean stream's chains, as
+    check_lean_enumeration describes them, but for those that compare sets
+    across runs: the run's own sets must be in strictly increasing (a, b)
+    order, and it hands back its first and last key and its sets of fewer
+    than 4 gap points.  A sample holds stream indices, so a sampled pass
+    runs in one part, which is one run."""
     alpha, beta = semigroup.alpha, semigroup.beta
     failed: set[str] = set()
     tallies: dict[int, Counter[int]] = {}
     per_r: Counter[int] = Counter()
-    spans: dict[int, list] = {}
     small = []
-    covered, failure, previous, chain = 0, None, None, ()
-    try:
-        for count, (place, chain) in enumerate(chains, 1):
-            lean = LeanSet._from_chain(semigroup, chain)
-            per_r[lean.gap_count] += 1
-            rows = _rows(semigroup, lean.gap_points)
-            lean_ok = is_lean(semigroup, lean.members) and _pairwise_lean(semigroup, lean.members)
-            round_trip = _unless_it_raises(lean_set_from_path, semigroup, PathMatrix._trusted(*rows)) == lean
-            key = [(p.a, p.b) for p in lean.gap_points]
-            if not lean_ok or previous is not None and not previous < key:
-                failed.add("lean-stream")
-            previous = key
-            spans.setdefault(place, [key, key])[1] = key
-            if lean.gap_count < 4:
-                small.append((place, lean.members, lean.gap_points))
-            if not round_trip:
-                failed.add("path-round-trip")
-            starts = count - 1 in sample if sample else _unless_it_raises(_leader_period, alpha, beta, rows) != 0
-            if starts or not (lean_ok and round_trip):
-                start = Semimodule._trusted(semigroup, lean.members)
-                covered += check_periods(semigroup, table, start, failed, tallies)
-    except Exception as exc:
-        failure = ([(p.a, p.b) for p in chain], exc)
-    return _LeanPart(failed, tallies, per_r, covered, spans, small, failure)
+    covered, first, previous = 0, None, None
+    for count, chain in enumerate(chains, 1):
+        lean = LeanSet._from_chain(semigroup, chain)
+        per_r[lean.gap_count] += 1
+        rows = _rows(semigroup, lean.gap_points)
+        lean_ok = is_lean(semigroup, lean.members) and _pairwise_lean(semigroup, lean.members)
+        round_trip = _unless_it_raises(lean_set_from_path, semigroup, PathMatrix._trusted(*rows)) == lean
+        key = [(p.a, p.b) for p in lean.gap_points]
+        first = key if previous is None else first
+        if not lean_ok or previous is not None and not previous < key:
+            failed.add("lean-stream")
+        previous = key
+        if lean.gap_count < 4:
+            small.append((lean.members, lean.gap_points))
+        if not round_trip:
+            failed.add("path-round-trip")
+        starts = count - 1 in sample if sample else _unless_it_raises(_leader_period, alpha, beta, rows) != 0
+        if starts or not (lean_ok and round_trip):
+            start = Semimodule._trusted(semigroup, lean.members)
+            covered += check_periods(semigroup, table, start, failed, tallies)
+    return _LeanRun(failed, tallies, per_r, covered, first, previous, small)
 
 
 def check_lean_enumeration(semigroup: SemigroupPair, total: int, deep: bool) -> list[CheckResult]:
@@ -395,31 +381,27 @@ def check_lean_enumeration(semigroup: SemigroupPair, total: int, deep: bool) -> 
     are kept, for the filtered streams (10,352 of the 208,012 of (12,13)).
 
     An exhaustive pass of at least _LEAN_FORK_FLOOR sets runs in the parts
-    that leansets._results forks, each over its own subtrees; the parts'
-    sets, put back in walk order by place, are then compared across parts:
-    each part's last key with the next one's first, and the r < 4 sets with
-    the filtered streams.  Of the parts' errors, the one at the least chain
-    is raised: the serial pass's first.
+    that leansets._results forks, each over its own subtrees.  It hands back
+    the runs in walk order, which are then compared across runs: each run's
+    last key with the next one's first, and the r < 4 sets with the filtered
+    streams.  A check that raises stops the pass with the error a pass in one
+    part meets first.
     """
     alpha = semigroup.alpha
     sample = None if deep or total <= 200 else set(random.Random(SAMPLE_SEED).sample(range(total), 200))
     table = {point.value: point for point in gaps(semigroup)}
-    check = partial(_check_lean_part, semigroup, table, sample)
-    parts = _results(semigroup, None, check, floor=None if sample else _LEAN_FORK_FLOOR, placed=True)
-    failures = [part.failure for part in parts if part.failure]
-    if failures:
-        raise min(failures, key=itemgetter(0))[1]
-    failed = set().union(*(part.failed for part in parts))
+    check = partial(_check_lean_run, semigroup, table, sample)
+    runs = _results(semigroup, None, check, floor=None if sample else _LEAN_FORK_FLOOR)
+    failed = set().union(*(run.failed for run in runs))
     tallies: dict[int, Counter[int]] = {}
-    for part in parts:
-        for n, tally in part.tallies.items():
+    for run in runs:
+        for n, tally in run.tallies.items():
             tallies.setdefault(n, Counter()).update(tally)
-    per_r = sum((part.per_r for part in parts), Counter())
-    count, covered = sum(per_r.values()), sum(part.covered for part in parts)
-    spans = sorted(((place, *span) for part in parts for place, span in part.spans.items()), key=itemgetter(0))
-    small = sorted((lean for part in parts for lean in part.small), key=itemgetter(0))
-    if any(not last < first for (_, _, last), (_, first, _) in zip(spans, spans[1:])) or any(
-        [(members, points) for _, members, points in small if len(points) == r]
+    per_r = sum((run.per_r for run in runs), Counter())
+    count, covered = sum(per_r.values()), sum(run.covered for run in runs)
+    small = [lean for run in runs for lean in run.small]
+    if any(not before.last < after.first for before, after in zip(runs, runs[1:])) or any(
+        [(members, points) for members, points in small if len(points) == r]
         != [(lean.members, lean.gap_points) for lean in enumerate_lean_sets(semigroup, r)]
         for r in range(min(alpha, 4))
     ):

@@ -467,7 +467,7 @@ def test_each_part_walks_only_its_own_chains(capsys, monkeypatch, tmp_path, comm
     def counted(*args, **kwargs):
         call = inspect.signature(walk).bind(*args, **kwargs)
         call.apply_defaults()
-        semigroup, root, item, grow, mark = map(call.arguments.get, ("semigroup", "root", "item", "grow", "mark"))
+        semigroup, root, item, grow = map(call.arguments.get, ("semigroup", "root", "item", "grow"))
         built = [0] * semigroup.alpha
 
         def length_item(parent, point):
@@ -480,7 +480,7 @@ def test_each_part_walks_only_its_own_chains(capsys, monkeypatch, tmp_path, comm
 
         call.arguments.update(root=(0, root), item=length_item, grow=length_grow)
         for value in walk(*call.args, **call.kwargs):
-            yield value if value is mark else value[1]
+            yield value if value is semipath.leansets._SUBTREE else value[1]
         with open(log, "a") as file:
             file.write(json.dumps(built) + "\n")
 
@@ -614,17 +614,17 @@ def _leaders(here, there):
     return semipath.verify, "_leader_period", _leader_period_by_process(here, there)
 
 
-def _dies_in_a_forked_part():
-    """cmd_enumerate's walk, ending the process of a forked part at its 100th line."""
+def _in_a_forked_part(end):
+    """The walk, calling end() in the process of a forked part at its 100th value."""
     pid, walk = os.getpid(), semipath.leansets._gap_chains
 
-    def dying(*args):
-        for count, value in enumerate(walk(*args)):
+    def ending(*args, **kwargs):
+        for count, value in enumerate(walk(*args, **kwargs)):
             if count == 100 and os.getpid() != pid:
-                os._exit(1)
+                end()
             yield value
 
-    return semipath.leansets, "_gap_chains", dying
+    return semipath.leansets, "_gap_chains", ending
 
 
 def _drops_a_mark_in_a_forked_part():
@@ -681,16 +681,18 @@ LOST = "internal error: a forked part of the gap-chain walk ended before sending
         ("orbits 15 16 --gens 12 --brute", _leaders(_raise(KeyboardInterrupt()), _sleep_once(60)), 130, ""),
         ("enumerate 11 13 --json", None, 0, ""),
         ("count 12 13 --brute", None, 0, ""),
+        # A forked part's error is the run's, as in orbits.
+        ("count 12 13 --brute", _in_a_forked_part(_raise(InvariantError("child"))), 3, "internal error: child\n"),
         # The stream stops short, and the run says so.
-        ("enumerate 11 13", _dies_in_a_forked_part(), 3, LOST),
+        ("enumerate 11 13", _in_a_forked_part(lambda: os._exit(1)), 3, LOST),
         # A child that sends a mark too few, a subtree's or the closing one, ended early too.
         ("enumerate 11 13", _drops_a_mark_in_a_forked_part(), 3, LOST),
         ("enumerate 11 13", _no_closing_mark_from_a_forked_part(), 3, LOST),
     ],
     ids=[
         "success", "error-in-a-child", "unpicklable-error-in-a-child", "a-child-dies", "interrupt-in-part-0",
-        "enumerate", "count", "enumerate-child-dies-mid-stream", "enumerate-child-drops-a-mark",
-        "enumerate-child-sends-no-closing-mark",
+        "enumerate", "count", "count-error-in-a-child", "enumerate-child-dies-mid-stream",
+        "enumerate-child-drops-a-mark", "enumerate-child-sends-no-closing-mark",
     ],
 )
 def test_a_forked_walk_leaves_no_child(capsys, monkeypatch, argv, patch, code, err):

@@ -18,8 +18,9 @@ from semipath import (
     is_lean,
     is_member,
 )
-from semipath.leansets import _gap_chains
+from semipath.leansets import _gap_chains, _results
 from semipath.verify import run_checks
+from test_cli import _walk_in
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -280,6 +281,18 @@ def test_gap_chains_grow_exactly_the_chains_they_extend(pair):
         assert grown == list(dict.fromkeys(c[:d] for c in chains for d in range(1, len(c))))
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("pair, gap_count", [((7, 11), None), ((8, 13), 4)], ids=["7-11", "8-13-gens-5"])
+def test_results_come_back_run_by_run_in_walk_order(monkeypatch, pair, gap_count, parts):
+    # With list as the reduce, the runs of every part, joined in the order
+    # they come back, are the stream of one walk; a walk in one part is one run.
+    pair = SemigroupPair(*pair)
+    _walk_in(monkeypatch, parts)
+    runs = _results(pair, gap_count, list)
+    assert [value for run in runs for value in run] == list(_gap_chains(pair, gap_count))
+    assert (len(runs) == 1) == (parts == 1)
+
+
 def test_a_warmed_gap_point_memo_does_not_admit_non_ints():
     # A dict lookup reads True and 1.0 as 1, so once the gap point of 1 is
     # remembered only the integer test at the boundary can refuse them.
@@ -299,7 +312,7 @@ def test_chain_criterion_presents_each_value_once_per_pair(monkeypatch):
     # bounds the presentations, one per _gap_of call, by the Frobenius
     # number, 59 on <7,11>.  One part, so that every call is made in this
     # process and counted.
-    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
+    _walk_in(monkeypatch, 1)
     calls = []
     gap_of = semipath.leansets._gap_of
 

@@ -11,6 +11,7 @@ verdict sees is a finding: add the missing check, never drop the row.
 """
 
 import hashlib
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -79,10 +80,10 @@ def _one_gap_stream_runs_on(pair, gap_count=None):
         yield from semipath.enumerate_lean_sets(pair, 2)
 
 
-def _with_one_non_lean_chain(pair, gap_count=None, *walk, part=(0, 1), **mark):
+def _with_one_non_lean_chain(pair, gap_count=None, *walk, part=(0, 1)):
     # 6 and 1 sit at (3, 2) and (4, 2) for <5,7>: b does not fall, and 6 - 1
     # lies in S.  Part 0's last chain is the last in walk order, in any parts.
-    yield from _gap_chains(pair, gap_count, *walk, part=part, **mark)
+    yield from _gap_chains(pair, gap_count, *walk, part=part)
     if gap_count is None and not part[0]:
         yield semipath.gap_point(pair, 6), semipath.gap_point(pair, 1)
 
@@ -436,6 +437,22 @@ def test_a_broken_kernel_fails_its_verdicts(capsys, monkeypatch, row):
     assert len(outs) == 1
 
 
+def _errors_raised_here(monkeypatch, name):
+    """The errors that verify.name raises in this process, where part 0
+    runs; a forked part appends to its own copy."""
+    here, reduce = [], getattr(verify, name)
+
+    def kept(*args):
+        try:
+            return reduce(*args)
+        except Exception as exc:
+            here.append(exc)
+            raise
+
+    monkeypatch.setattr(verify, name, kept)
+    return here
+
+
 @pytest.mark.parametrize("parts", [2, 3])
 @pytest.mark.parametrize("name", ["orbits-walk-returns-never", "orbits-walk-rotates-one-short"])
 def test_of_the_parts_errors_the_first_in_walk_order_is_raised(capsys, monkeypatch, name, parts):
@@ -445,17 +462,10 @@ def test_of_the_parts_errors_the_first_in_walk_order_is_raised(capsys, monkeypat
     for module, attr, fake in row.patches():
         monkeypatch.setattr(module, attr, fake)
     _walk_in(monkeypatch, parts)
-    here, tally = [], verify._tally_part
-
-    def kept(semigroup, n, chains):
-        result = tally(semigroup, n, chains)
-        here.append(result[2])  # a forked part appends to its own copy
-        return result
-
-    monkeypatch.setattr(verify, "_tally_part", kept)
+    here = _errors_raised_here(monkeypatch, "_tally_run")
     assert run(capsys, *row.argv.split()) == (row.code, "", row.err)
-    (failure,) = here
-    assert failure is not None and f"internal error: {failure[1]}\n" != row.err
+    (error,) = here  # part 0 stops at its first
+    assert f"internal error: {error}\n" != row.err
 
 
 @pytest.mark.parametrize("parts", [2, 3])
@@ -470,38 +480,40 @@ def test_of_the_lean_parts_errors_the_first_in_walk_order_is_raised(capsys, monk
         return semipath.fundamental_couple(pair, lean)
 
     monkeypatch.setattr(verify, "fundamental_couple", raising)
-    here, check = [], verify._check_lean_part
-
-    def kept(*args):
-        part = check(*args)
-        here.append(part.failure)  # a forked part appends to its own copy
-        return part
-
-    monkeypatch.setattr(verify, "_check_lean_part", kept)
+    here = _errors_raised_here(monkeypatch, "_check_lean_run")
     err = "internal error: couple of (0, 4, 8, 12, 16, 20, 24)\n"
     _walk_in(monkeypatch, 1)
     assert run(capsys, "verify", "7", "11", "--deep") == (3, "", err)
     here.clear()
     _walk_in(monkeypatch, parts)
     assert run(capsys, "verify", "7", "11", "--deep") == (3, "", err)
-    (failure,) = here
-    assert failure is not None and f"internal error: {failure[1]}\n" != err
+    (error,) = here  # part 0 stops at its first
+    assert f"internal error: {error}\n" != err
 
 
 @pytest.mark.parametrize("parts", [2, 3])
 def test_sets_out_of_walk_order_across_parts_fail_the_lean_stream(capsys, monkeypatch, parts):
-    # Each forked part places its sets of 4 or more gap points one place
-    # late, after the chains above the cut that part 0 yields after their
-    # subtree.  Every part is in order on its own, the counts hold and the
-    # r < 4 sets keep their places: only the order from each part's run to
-    # the next, in walk order, sees it.
-    placed = leansets._placed
+    # Each forked part holds back its chains of 4 or more gap points to just
+    # after its next subtree mark, so they form a run one mark late, placed
+    # after the next subtree and the chains above the cut that part 0 yields
+    # between.  Every run is in order on its own, the counts hold and the
+    # r < 4 sets keep their places: only the order from each run to the
+    # next, in walk order, sees it.
+    pid, walk = os.getpid(), leansets._gap_chains
 
-    def late(values, index, parts):
-        for place, chain in placed(values, index, parts):
-            yield place + (index > 0 and len(chain) >= 4), chain
+    def late(*args, **kwargs):
+        held = []
+        for value in walk(*args, **kwargs):
+            if os.getpid() != pid and value != leansets._SUBTREE and len(value) >= 4:
+                held.append(value)
+                continue
+            yield value
+            if value == leansets._SUBTREE:
+                yield from held
+                held.clear()
+        yield from held
 
-    monkeypatch.setattr(leansets, "_placed", late)
+    monkeypatch.setattr(leansets, "_gap_chains", late)
     _walk_in(monkeypatch, parts)
     code, out, err = run(capsys, "verify", "7", "11", "--deep")
     failing = {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL")}

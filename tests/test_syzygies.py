@@ -54,6 +54,7 @@ from semipath.leansets import _gap_chains
 from semipath.paths import _labels, _rows
 from semipath.syzygies import _pairwise_lean, _se_labels, _steps
 from semipath.verify import _definitional_cycle, brute_period_tally, run_checks
+from test_cli import _walk_in
 
 S57 = SemigroupPair(5, 7)
 S23 = SemigroupPair(2, 3)
@@ -526,7 +527,7 @@ def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
             calls.append(None)
             yield rows
 
-    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
+    _walk_in(monkeypatch, 1)
     monkeypatch.setattr(semipath.verify, "_steps", counted)
     assert brute_period_tally(S1516, 12) == {1: 1, 2: 6, 3: 90, 4: 448, 6: 540, 12: 40320}
     assert len(calls) == 106841
@@ -538,7 +539,7 @@ def test_orbit_walks_stop_at_the_first_greater_rows(monkeypatch):
 def test_brute_period_tally_runs_in_constant_memory(monkeypatch):
     # 41,405 modules; a set of the rows already seen would hold megabytes.
     # tracemalloc sees this process only, so the whole walk runs in it.
-    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
+    _walk_in(monkeypatch, 1)
     tracemalloc.start()
     try:
         tally = brute_period_tally(S1516, 12)
@@ -554,7 +555,7 @@ def test_verify_deep_runs_in_constant_memory(monkeypatch):
     # modules with their path matrices, or a map of their syzygies, would
     # hold more than a megabyte.  tracemalloc sees this process only, so the
     # whole pass runs in it.
-    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
+    _walk_in(monkeypatch, 1)
     tracemalloc.start()
     try:
         results = run_checks(SemigroupPair(7, 11), deep=True)
@@ -569,7 +570,7 @@ def test_verify_deep_walks_each_orbit_once(monkeypatch):
     # Only the greatest rows of a cycle start its check, so syzygy_period runs
     # once per orbit, not once per module.  One part, so that every start is
     # checked in this process and counted.
-    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
+    _walk_in(monkeypatch, 1)
     pair = SemigroupPair(7, 11)
     period, starts = semipath.verify.syzygy_period, []
 
@@ -589,7 +590,7 @@ def test_verify_deep_builds_each_members_rows_once(monkeypatch):
     # per module (the stream pass, the member, fundamental_couple, syzygy())
     # and one per orbit in syzygy_period: 4 x 1,768 + 439 = 7,511.  One part,
     # so that every build is made in this process and counted.
-    monkeypatch.setattr(semipath.leansets, "_part_count", lambda semigroup, gap_count, floor=None: 1)
+    _walk_in(monkeypatch, 1)
     pair = SemigroupPair(7, 11)
     rows, chain, calls = semipath.paths._rows, semipath.verify._table_chain, Counter()
 
